@@ -44,8 +44,7 @@ print(f"generated {train_x.shape[0]} train / {test_x.shape[0]} test images "
 # 2. Float baseline
 # ---------------------------------------------------------------------------
 
-cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=0,
-                  mode="float-baseline")
+cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=0)
 t0 = time.time()
 fmodel, history = train_float(train_x, train_y, cfg, test_x, test_y)
 for rec in history:

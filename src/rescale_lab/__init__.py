@@ -26,8 +26,6 @@ from .qcore import (
     decompose_float,
     multiply_by_quantized_multiplier,
     quantize_rescaler,
-    requantize,
-    saturate_i8,
     shift_budget,
 )
 
@@ -47,7 +45,5 @@ __all__ = [
     "decompose_float",
     "multiply_by_quantized_multiplier",
     "quantize_rescaler",
-    "requantize",
-    "saturate_i8",
     "shift_budget",
 ]

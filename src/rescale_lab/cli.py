@@ -205,7 +205,6 @@ def cmd_train_float(args) -> int:
         epochs=args.epochs if args.epochs is not None else 3,
         batch_size=32,
         seed=args.seed,
-        mode="float-baseline",
     )
     model, history = train_float(train_images, train_labels, cfg,
                                  eval_images=test_images, eval_labels=test_labels)

@@ -24,12 +24,10 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (
     QTensor,
-    compute_effective_bias,
-    conv2d_int,
-    dense_int,
-    depthwise_conv2d_int,
+    layer_accumulator,
     layer_forward_int,
     quantize_real,
+    tap_axes,
 )
 from .qcore import (
     INT8_MAX,
@@ -38,16 +36,6 @@ from .qcore import (
     multiply_by_quantized_multiplier,
     quantize_rescaler,
 )
-
-
-@dataclass(frozen=True)
-class ErrorStats:
-    """Dequantization errors of one accumulator -> output transition."""
-
-    eps_a: float  # real accumulator error: a - s_x*s_w*a_q
-    eps_y: float  # real output error: y - s_y*saturate(rescaled)
-    eps_r: float  # rescale-introduced error, eps_a - eps_y as computed
-    delta_r: float  # rounding residual in output steps
 
 
 @dataclass(frozen=True)
@@ -82,24 +70,6 @@ class LayerErrorReport:
         return bool(np.all(self.safe))
 
 
-def accumulator_error(a: float, a_q: int, s_x: float, s_w: float) -> float:
-    """Error of the quantized accumulator against the real value:
-    ``a - s_x*s_w*a_q``."""
-    return a - s_x * s_w * a_q
-
-
-def output_error(
-    y: float,
-    y_q_raw: int,
-    s_y: float,
-    sat_lo: int = INT8_MIN,
-    sat_hi: int = INT8_MAX,
-) -> float:
-    """Error of the saturated, rescaled output against the real value:
-    ``y - s_y * clamp(y_q_raw)``."""
-    return y - s_y * min(max(int(y_q_raw), sat_lo), sat_hi)
-
-
 def _exact_fraction(value) -> Fraction:
     return Fraction(float(value))
 
@@ -130,25 +100,6 @@ def rescale_error_decompose(
         delta_r=float(delta),
         eps_r=float(eps_r),
     )
-
-
-def error_stats(
-    a: float,
-    y: float,
-    a_q: int,
-    r: DyadicRescaler,
-    s_x: float,
-    s_w: float,
-    s_y: float,
-    sat_lo: int = INT8_MIN,
-    sat_hi: int = INT8_MAX,
-) -> ErrorStats:
-    """Measure all three errors for one accumulator/output pair."""
-    y_q_raw = multiply_by_quantized_multiplier(int(a_q), r)
-    eps_a = accumulator_error(a, a_q, s_x, s_w)
-    eps_y = output_error(y, y_q_raw, s_y, sat_lo, sat_hi)
-    delta = float(y_q_raw - int(a_q) * Fraction(r.m, 1 << r.s))
-    return ErrorStats(eps_a=eps_a, eps_y=eps_y, eps_r=eps_a - eps_y, delta_r=delta)
 
 
 def rescale_error_bound(
@@ -197,28 +148,6 @@ def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layer_accumulator(x: QTensor, layer) -> np.ndarray:
-    """The int32 pre-rescale values of one layer (weighted: MAC + effective
-    bias; avgpool: window sums)."""
-    if layer.kind == "avgpool":
-        n, h, w, c = x.data.shape
-        w_h, w_w = layer.window
-        return (
-            x.data.astype(np.int64)
-            .reshape(n, h // w_h, w_h, w // w_w, w_w, c)
-            .sum(axis=(2, 4))
-            .astype(np.int32)
-        )
-    b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
-    if layer.kind == "dense":
-        return dense_int(x, layer.weights, b_eff)
-    if layer.kind == "conv2d":
-        return conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
-    if layer.kind == "depthwise":
-        return depthwise_conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
-    raise DomainError(f"layer kind {layer.kind!r} has no rescale stage to analyze")
-
-
 def _analytic_worst_case(layer, in_params) -> np.ndarray:
     """Input-independent per-channel bound on |accumulator|."""
     if layer.kind == "avgpool":
@@ -227,13 +156,8 @@ def _analytic_worst_case(layer, in_params) -> np.ndarray:
         return np.full(channels, 128 * area, dtype=np.int64)
     z = in_params.zero_point
     reach = max(INT8_MAX - z, z - INT8_MIN)  # max |x - z| over int8 x
-    w = layer.weights.data.astype(np.int64)
-    if w.ndim == 2:
-        tap_abs = np.abs(w).sum(axis=1)
-    elif w.ndim == 4:
-        tap_abs = np.abs(w).sum(axis=(1, 2, 3))
-    else:
-        tap_abs = np.abs(w).sum(axis=(0, 1))
+    w = layer.weights.data
+    tap_abs = np.abs(w.astype(np.int64)).sum(axis=tap_axes(w))
     return reach * tap_abs + np.abs(layer.bias.astype(np.int64))
 
 
@@ -281,7 +205,7 @@ def layer_error_report(
         )
         for upstream in materialized.layers[:layer_id]:
             x = layer_forward_int(x, upstream, materialized.k)
-        acc = _layer_accumulator(x, layer)
+        acc = layer_accumulator(x, layer)
         flat = np.abs(acc.astype(np.int64)).reshape(-1, channels)
         np.maximum(max_abs, flat.max(axis=0), out=max_abs)
     if not saw_probe:

@@ -1,69 +1,90 @@
 """Real-valued reference network.
 
-The fixed desk-scale architecture "desk-cnn-v1" used for baselines:
-
-    input 28x28x1
-    -> conv2d 3x3x8, stride 1, SAME, ReLU6
-    -> avgpool 2x2
-    -> depthwise 3x3, SAME, ReLU6
-    -> conv2d 1x1x16, ReLU6
-    -> avgpool 2x2
-    -> flatten
-    -> dense 10
-
-Forward passes run in float64.  The quantizer consumes the per-tensor
-intermediates this module exposes; the trainer adds the backward pass.
+The fixed desk-scale architecture "desk-cnn-v1" (28x28x1 input, 10
+classes) is written down once, as the layer list :data:`LAYERS`.
+Initialization and the forward pass here, post-training quantization
+(``model_io.quantize_float_model``) and float training
+(``trainer.train_float``) all walk that list.  Forward passes run in
+float64 on the multiply-accumulate core of :mod:`kernels`; the quantizer
+calibrates on the per-tensor intermediates this module exposes.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import FormatError
-from .kernels import _conv_geometry, _pad_nhwc, _patches
+from .kernels import accumulate, channel_count, mac_count, window_sum
 
 ARCH_NAME = "desk-cnn-v1"
-INPUT_SHAPE = (28, 28, 1)
-NUM_CLASSES = 10
 
 _FLOAT_MAGIC = "rescale-lab-float-v1"
 
 
+@dataclass(frozen=True)
+class FloatLayer:
+    """One layer of desk-cnn-v1.
+
+    ``name`` keys the layer's output in :func:`forward_intermediates`.  A
+    weighted layer keeps its parameters in the :class:`FloatModel` fields
+    ``<param>_w`` (of shape ``shape``, kernels layout) and ``<param>_b``.
+    """
+
+    kind: str
+    name: str
+    param: str | None = None
+    shape: tuple[int, ...] = ()
+    activation: str = "none"
+    padding: str = "VALID"
+    stride: tuple[int, int] = (1, 1)
+    window: tuple[int, int] | None = None
+
+
+LAYERS = (
+    FloatLayer("conv2d", "conv1", "conv1", (8, 3, 3, 1), "relu6", "SAME"),
+    FloatLayer("avgpool", "pool1", window=(2, 2)),
+    FloatLayer("depthwise", "dw", "dw", (3, 3, 8), "relu6", "SAME"),
+    FloatLayer("conv2d", "conv2", "conv2", (16, 1, 1, 8), "relu6"),
+    FloatLayer("avgpool", "pool2", window=(2, 2)),
+    FloatLayer("flatten", "flat"),
+    FloatLayer("dense", "logits", "dense", (10, 784)),
+)
+
+
 @dataclass
 class FloatModel:
-    """Parameters of desk-cnn-v1 (conv weights OHWI, depthwise HWC)."""
+    """Parameters of desk-cnn-v1: a weight and a bias per weighted layer of
+    :data:`LAYERS`, shaped as that layer declares."""
 
-    conv1_w: np.ndarray  # (8, 3, 3, 1)
-    conv1_b: np.ndarray  # (8,)
-    dw_w: np.ndarray     # (3, 3, 8)
-    dw_b: np.ndarray     # (8,)
-    conv2_w: np.ndarray  # (16, 1, 1, 8)
-    conv2_b: np.ndarray  # (16,)
-    dense_w: np.ndarray  # (10, 784)
-    dense_b: np.ndarray  # (10,)
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    dw_w: np.ndarray
+    dw_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+    dense_w: np.ndarray
+    dense_b: np.ndarray
+
+
+def layer_params(model: FloatModel, layer: FloatLayer) -> tuple[np.ndarray, np.ndarray]:
+    """The (weights, bias) of a weighted layer."""
+    return getattr(model, f"{layer.param}_w"), getattr(model, f"{layer.param}_b")
 
 
 def init_float_model(seed: int) -> FloatModel:
     """He-style initialization, zero biases, deterministic in the seed."""
     rng = np.random.default_rng(seed)
-
-    def he(shape, fan_in):
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-    return FloatModel(
-        conv1_w=he((8, 3, 3, 1), 9),
-        conv1_b=np.zeros(8),
-        dw_w=he((3, 3, 8), 9),
-        dw_b=np.zeros(8),
-        conv2_w=he((16, 1, 1, 8), 8),
-        conv2_b=np.zeros(16),
-        dense_w=he((10, 784), 784),
-        dense_b=np.zeros(10),
-    )
+    params = {}
+    for layer in LAYERS:
+        if layer.param is not None:
+            template = np.empty(layer.shape)
+            params[f"{layer.param}_w"] = rng.normal(
+                0.0, np.sqrt(2.0 / mac_count(template)), size=layer.shape)
+            params[f"{layer.param}_b"] = np.zeros(channel_count(template))
+    return FloatModel(**params)
 
 
 def relu6(x: np.ndarray) -> np.ndarray:
@@ -72,56 +93,45 @@ def relu6(x: np.ndarray) -> np.ndarray:
 
 def conv2d_real(x, w, b, stride=(1, 1), padding="VALID"):
     """Float convolution, NHWC x OHWI; SAME pads with real zero."""
-    out_c, k_h, k_w, in_c = w.shape
-    out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x, pads, 0.0)
-    cols = _patches(x_pad, k_h, k_w, *stride)
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k_h * k_w * in_c)
-    out = cols @ w.reshape(out_c, -1).T + b
-    return out.reshape(x.shape[0], out_h, out_w, out_c)
+    return accumulate(x, w, "conv2d", stride, padding)[0] + b
 
 
 def depthwise_real(x, w, b, stride=(1, 1), padding="VALID"):
     """Float depthwise convolution, weights (kh, kw, channels)."""
-    k_h, k_w, _ = w.shape
-    out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x, pads, 0.0)
-    cols = _patches(x_pad, k_h, k_w, *stride)  # (n, oh, ow, c, kh, kw)
-    return np.einsum("nhwckl,klc->nhwc", cols, w) + b
+    return accumulate(x, w, "depthwise", stride, padding)[0] + b
 
 
 def avgpool_real(x, window=(2, 2)):
-    n, h, w, c = x.shape
-    w_h, w_w = window
-    return x.reshape(n, h // w_h, w_h, w // w_w, w_w, c).mean(axis=(2, 4))
+    return window_sum(x, window) / (window[0] * window[1])
 
 
 def forward_intermediates(model: FloatModel, x: np.ndarray) -> dict[str, np.ndarray]:
     """Forward pass returning every tensor the quantizer calibrates on.
 
-    Keys: ``input``, ``conv1``, ``pool1``, ``dw``, ``conv2``, ``pool2``,
-    ``flat``, ``logits``; activation tensors are post-ReLU6.
+    Keys: ``input`` and each layer's name in :data:`LAYERS` (``conv1``,
+    ``pool1``, ``dw``, ``conv2``, ``pool2``, ``flat``, ``logits``);
+    activation tensors are post-ReLU6.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[..., np.newaxis]
-    a1 = relu6(conv2d_real(x, model.conv1_w, model.conv1_b, (1, 1), "SAME"))
-    p1 = avgpool_real(a1)
-    a2 = relu6(depthwise_real(p1, model.dw_w, model.dw_b, (1, 1), "SAME"))
-    a3 = relu6(conv2d_real(a2, model.conv2_w, model.conv2_b, (1, 1), "VALID"))
-    p2 = avgpool_real(a3)
-    flat = p2.reshape(x.shape[0], -1)
-    logits = flat @ model.dense_w.T + model.dense_b
-    return {
-        "input": x,
-        "conv1": a1,
-        "pool1": p1,
-        "dw": a2,
-        "conv2": a3,
-        "pool2": p2,
-        "flat": flat,
-        "logits": logits,
-    }
+    tensors = {"input": x}
+    for layer in LAYERS:
+        if layer.kind == "avgpool":
+            x = avgpool_real(x, layer.window)
+        elif layer.kind == "flatten":
+            x = x.reshape(x.shape[0], -1)
+        else:
+            w, b = layer_params(model, layer)
+            if layer.kind == "dense":
+                x = accumulate(x, w, "dense")[0] + b
+            else:
+                conv = conv2d_real if layer.kind == "conv2d" else depthwise_real
+                x = conv(x, w, b, layer.stride, layer.padding)
+            if layer.activation == "relu6":
+                x = relu6(x)
+        tensors[layer.name] = x
+    return tensors
 
 
 def forward(model: FloatModel, x: np.ndarray) -> np.ndarray:
@@ -147,13 +157,3 @@ def load_float_model(path: str) -> FloatModel:
     except (OSError, KeyError, ValueError, io.UnsupportedOperation) as exc:
         raise FormatError(f"{path}: cannot read float model ({exc})") from exc
     return FloatModel(**kwargs)
-
-
-def arch_summary() -> str:
-    """One-line architecture description used in logs and manifests."""
-    spec = {
-        "name": ARCH_NAME,
-        "input": list(INPUT_SHAPE),
-        "classes": NUM_CLASSES,
-    }
-    return json.dumps(spec, sort_keys=True)

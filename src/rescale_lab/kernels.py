@@ -4,8 +4,10 @@ All layer arithmetic happens on integers: int8 tensors in, a 32-bit
 accumulator per output element, then a dyadic rescale back to int8.
 The multiply-accumulate stage runs through float64 matmuls for speed;
 that is exact because every partial sum is an integer bounded by the
-no-overflow envelope (N * 127 * 255 + |bias|, far below 2**53).  The
-rescaling stage runs in int64.
+no-overflow envelope (N * 128 * 255 + |bias|, far below 2**53).  The
+rescaling stage runs in int64.  The same MAC core (:func:`accumulate`,
+:func:`window_sum`) also serves the training emulation and the float
+reference network.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OverflowEnvelopeError, ShapeError
-from .qcore import (
-    INT8_MAX,
-    INT8_MIN,
-    INT32_MAX,
-    INT32_MIN,
-    DyadicRescaler,
-    QuantParams,
-    quantize_rescaler,
-)
+from .qcore import INT8_MAX, INT8_MIN, INT32_MAX, INT32_MIN, QuantParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model_io import LayerSpec, ModelGraph
@@ -79,14 +73,30 @@ class QTensor:
         return not isinstance(self.qparams, QuantParams)
 
 
-def channel_count(weights: np.ndarray) -> int:
-    """Output-channel count by weight rank: dense (out, in), conv OHWI,
-    depthwise (kh, kw, channels)."""
+def channel_axis(weights: np.ndarray) -> int:
+    """Output-channel axis by weight rank: dense (out, in) and conv OHWI put
+    it first, depthwise (kh, kw, channels) last."""
     if weights.ndim in (2, 4):
-        return weights.shape[0]
+        return 0
     if weights.ndim == 3:
-        return weights.shape[-1]
+        return 2
     raise ShapeError(f"unsupported weight rank {weights.ndim}")
+
+
+def channel_count(weights: np.ndarray) -> int:
+    return weights.shape[channel_axis(weights)]
+
+
+def tap_axes(weights: np.ndarray) -> tuple[int, ...]:
+    """The axes one output channel's taps span: every axis but the channel's.
+    Per-channel tap sums reduce over them."""
+    axis = channel_axis(weights)
+    return tuple(a for a in range(weights.ndim) if a != axis)
+
+
+def mac_count(weights: np.ndarray) -> int:
+    """Products accumulated per output element: the taps of one channel."""
+    return math.prod(weights.shape[a] for a in tap_axes(weights))
 
 
 def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -118,13 +128,7 @@ def compute_effective_bias(
         raise ShapeError(
             f"bias shape {bias.shape} does not match {channel_count(w)} channels"
         )
-    w64 = w.astype(np.int64)
-    if w.ndim == 2:
-        tap_sum = w64.sum(axis=1)
-    elif w.ndim == 4:
-        tap_sum = w64.sum(axis=(1, 2, 3))
-    else:
-        tap_sum = w64.sum(axis=(0, 1))
+    tap_sum = w.astype(np.int64).sum(axis=tap_axes(w))
     b_eff = bias.astype(np.int64) - np.int64(z_in) * tap_sum
     if np.any(b_eff < INT32_MIN) or np.any(b_eff > INT32_MAX):
         raise OverflowError("effective bias leaves the int32 range")
@@ -147,28 +151,6 @@ def _pad_nhwc(x: np.ndarray, pads: tuple[int, int, int, int], value: int) -> np.
     )
 
 
-def _check_acc(acc: np.ndarray) -> np.ndarray:
-    """Verify accumulators stayed inside int32 and narrow the dtype."""
-    if np.any(acc < INT32_MIN) or np.any(acc > INT32_MAX):
-        raise OverflowEnvelopeError("accumulator left the int32 envelope")
-    return acc.astype(np.int32)
-
-
-def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
-    """Integer dense layer: returns the int32 accumulator ``x @ w.T + b_eff``."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError("dense expects x (n, d) and weights (out, d)")
-    if x.data.shape[1] != w.data.shape[1]:
-        raise ShapeError(
-            f"dense feature mismatch: x has {x.data.shape[1]}, w has {w.data.shape[1]}"
-        )
-    if w.data.shape[1] > MAX_MAC_COUNT:
-        raise ShapeError(f"MAC count {w.data.shape[1]} exceeds {MAX_MAC_COUNT}")
-    acc = x.data.astype(np.float64) @ w.data.astype(np.float64).T
-    acc = acc.astype(np.int64) + b_eff.astype(np.int64)
-    return _check_acc(acc)
-
-
 def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     _, in_h, in_w, _ = x_shape
     s_h, s_w = stride
@@ -186,10 +168,72 @@ def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     return out_h, out_w, (pad_t, pad_b, pad_l, pad_r)
 
 
-def _patches(x_pad: np.ndarray, k_h: int, k_w: int, s_h: int, s_w: int) -> np.ndarray:
-    """Sliding windows of a padded NHWC tensor: (n, oh, ow, c, kh, kw)."""
-    win = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))
-    return win[:, ::s_h, ::s_w]
+def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
+    """The multiply-accumulate of one layer, without bias, in float64.
+
+    ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
+    :func:`channel_axis`; SAME padding fills with ``pad_value``.  Returns
+    ``(acc, cols, pads)``: ``cols`` is the operand the weights met (``x``
+    itself for dense, the (n, oh, ow, c, kh, kw) window view otherwise) and
+    ``pads`` the (top, bottom, left, right) padding, both kept for the
+    backward pass.  Integer operands give exact sums: every partial sum is
+    an integer far below 2**53.
+    """
+    if kind == "dense":
+        acc = x.astype(np.float64, copy=False) @ w.astype(np.float64, copy=False).T
+        return acc, x, None
+    k_h, k_w = w.shape[1:3] if kind == "conv2d" else w.shape[:2]
+    out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, stride, padding)
+    x_pad = _pad_nhwc(x, pads, pad_value)
+    cols = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))[:, ::stride[0], ::stride[1]]
+    if kind == "conv2d":
+        flat = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, mac_count(w))
+        w2d = w.reshape(w.shape[0], -1).astype(np.float64, copy=False)
+        acc = flat.astype(np.float64, copy=False) @ w2d.T
+        acc = acc.reshape(x.shape[0], out_h, out_w, w.shape[0])
+    elif kind == "depthwise":
+        acc = np.einsum("nhwckl,klc->nhwc", cols.astype(np.float64, copy=False),
+                        w.astype(np.float64, copy=False))
+    else:
+        raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
+    return acc, cols, pads
+
+
+def window_sum(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+    """Sum of each non-overlapping (wh, ww) window of an NHWC batch."""
+    if x.ndim != 4:
+        raise ShapeError("avgpool expects x (n, h, w, c)")
+    n, in_h, in_w, c = x.shape
+    w_h, w_w = window
+    if in_h % w_h or in_w % w_w:
+        raise ShapeError(f"input {in_h}x{in_w} not divisible by window {w_h}x{w_w}")
+    return x.reshape(n, in_h // w_h, w_h, in_w // w_w, w_w, c).sum(axis=(2, 4))
+
+
+def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
+                    stride=(1, 1), padding="VALID") -> np.ndarray:
+    """Exact int32 accumulator of one weighted layer: MAC plus effective
+    bias, with SAME padding by the input zero point; raises if it leaves
+    the int32 envelope."""
+    if mac_count(w.data) > MAX_MAC_COUNT:
+        raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
+    acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
+    acc = acc.astype(np.int64)
+    acc += b_eff.astype(np.int64)
+    if np.any(acc < INT32_MIN) or np.any(acc > INT32_MAX):
+        raise OverflowEnvelopeError("accumulator left the int32 envelope")
+    return acc.astype(np.int32)
+
+
+def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
+    """Integer dense layer: returns the int32 accumulator ``x @ w.T + b_eff``."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError("dense expects x (n, d) and weights (out, d)")
+    if x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(
+            f"dense feature mismatch: x has {x.data.shape[1]}, w has {w.data.shape[1]}"
+        )
+    return _int_accumulate(x, w, b_eff, "dense")
 
 
 def conv2d_int(
@@ -206,22 +250,11 @@ def conv2d_int(
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects x (n, h, w, c) and weights (o, kh, kw, c)")
-    out_c, k_h, k_w, in_c = w.data.shape
-    if x.data.shape[3] != in_c:
+    if x.data.shape[3] != w.data.shape[3]:
         raise ShapeError(
-            f"conv2d channel mismatch: x has {x.data.shape[3]}, w has {in_c}"
+            f"conv2d channel mismatch: x has {x.data.shape[3]}, w has {w.data.shape[3]}"
         )
-    if k_h * k_w * in_c > MAX_MAC_COUNT:
-        raise ShapeError(f"MAC count {k_h * k_w * in_c} exceeds {MAX_MAC_COUNT}")
-    out_h, out_w, pads = _conv_geometry(x.data.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x.data, pads, x.zero_point)
-    cols = _patches(x_pad, k_h, k_w, *stride)  # (n, oh, ow, c, kh, kw)
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k_h * k_w * in_c)
-    w2d = w.data.reshape(out_c, k_h * k_w * in_c)
-    acc = cols.astype(np.float64) @ w2d.astype(np.float64).T
-    acc = acc.astype(np.int64).reshape(x.data.shape[0], out_h, out_w, out_c)
-    acc += b_eff.astype(np.int64)
-    return _check_acc(acc)
+    return _int_accumulate(x, w, b_eff, "conv2d", stride, padding)
 
 
 def depthwise_conv2d_int(
@@ -235,21 +268,11 @@ def depthwise_conv2d_int(
     with its (kh, kw) slice of the (kh, kw, channels) weights."""
     if x.data.ndim != 4 or w.data.ndim != 3:
         raise ShapeError("depthwise expects x (n, h, w, c) and weights (kh, kw, c)")
-    k_h, k_w, channels = w.data.shape
-    if x.data.shape[3] != channels:
+    if x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(
-            f"depthwise channel mismatch: x has {x.data.shape[3]}, w has {channels}"
+            f"depthwise channel mismatch: x has {x.data.shape[3]}, w has {w.data.shape[2]}"
         )
-    if k_h * k_w > MAX_MAC_COUNT:
-        raise ShapeError(f"MAC count {k_h * k_w} exceeds {MAX_MAC_COUNT}")
-    out_h, out_w, pads = _conv_geometry(x.data.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x.data, pads, x.zero_point)
-    cols = _patches(x_pad, k_h, k_w, *stride)  # (n, oh, ow, c, kh, kw)
-    acc = np.einsum(
-        "nhwckl,klc->nhwc", cols.astype(np.float64), w.data.astype(np.float64)
-    )
-    acc = acc.astype(np.int64) + b_eff.astype(np.int64)
-    return _check_acc(acc)
+    return _int_accumulate(x, w, b_eff, "depthwise", stride, padding)
 
 
 def rescale_accumulator(
@@ -286,58 +309,40 @@ def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int
     raise ShapeError(f"unknown activation {activation!r}")
 
 
-def avgpool_int(x: QTensor, window: tuple[int, int], k: int) -> QTensor:
-    """Average pooling: window sum rescaled by a k-bit dyadic encoding of
-    1/(window area).  Quantization parameters pass through unchanged."""
-    rescaler = quantize_rescaler(1.0 / (window[0] * window[1]), k)
-    return _avgpool_with_rescaler(x, window, rescaler)
-
-
-def _avgpool_with_rescaler(
-    x: QTensor, window: tuple[int, int], rescaler: DyadicRescaler
-) -> QTensor:
-    if x.data.ndim != 4:
-        raise ShapeError("avgpool expects x (n, h, w, c)")
-    n, in_h, in_w, c = x.data.shape
-    w_h, w_w = window
-    if in_h % w_h or in_w % w_w:
-        raise ShapeError(f"input {in_h}x{in_w} not divisible by window {w_h}x{w_w}")
-    sums = (
-        x.data.astype(np.int64)
-        .reshape(n, in_h // w_h, w_h, in_w // w_w, w_w, c)
-        .sum(axis=(2, 4))
-    )
-    out = rescale_accumulator(sums, rescaler.m, rescaler.s)
-    out = np.clip(out, INT8_MIN, INT8_MAX).astype(np.int8)
-    return QTensor(out, x.qparams)
+def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
+    """The pre-rescale values of one layer: window sums for avgpool, the
+    int32 MAC plus effective bias for weighted layers."""
+    if layer.kind == "avgpool":
+        return window_sum(x.data.astype(np.int64), layer.window)
+    b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
+    if layer.kind == "dense":
+        return dense_int(x, layer.weights, b_eff)
+    if layer.kind == "conv2d":
+        return conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
+    if layer.kind == "depthwise":
+        return depthwise_conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
+    raise ShapeError(f"layer kind {layer.kind!r} has no rescale stage")
 
 
 def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
     """Run one layer of the integer engine.
 
-    The layer's rescalers must already be materialized at width ``k``;
-    weighted layers end with rescale, zero-point add, and activation clamp.
+    The layer's rescalers must already be materialized at width ``k``.
+    Weighted layers end with rescale, zero-point add, and activation clamp;
+    avgpool rescales its window sums by the k-bit encoding of 1/area and
+    keeps the input's quantization parameters.
     """
     if layer.kind == "flatten":
         return QTensor(x.data.reshape(x.data.shape[0], -1), x.qparams)
     for r in layer.rescalers:
         if r.k != k:
             raise ShapeError(f"layer rescaler width {r.k} does not match engine k={k}")
-    if layer.kind == "avgpool":
-        return _avgpool_with_rescaler(x, layer.window, layer.rescalers[0])
-    z_in = x.zero_point
-    b_eff = compute_effective_bias(layer.bias, layer.weights, z_in)
-    if layer.kind == "dense":
-        acc = dense_int(x, layer.weights, b_eff)
-    elif layer.kind == "conv2d":
-        acc = conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
-    elif layer.kind == "depthwise":
-        acc = depthwise_conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
-    else:
-        raise ShapeError(f"unknown layer kind {layer.kind!r}")
+    acc = layer_accumulator(x, layer)
     m = np.array([r.m for r in layer.rescalers], dtype=np.int64)
     s = np.array([r.s for r in layer.rescalers], dtype=np.int64)
     shifted = rescale_accumulator(acc, m, s)
+    if layer.kind == "avgpool":
+        return QTensor(np.clip(shifted, INT8_MIN, INT8_MAX).astype(np.int8), x.qparams)
     lo, hi = activation_clamp(layer.activation, layer.output)
     out = np.clip(shifted + layer.output.zero_point, lo, hi).astype(np.int8)
     return QTensor(out, layer.output)

@@ -21,13 +21,20 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import floatnet
 from .errors import CalibrationError, DomainError, FormatError, RescalerUnderflow, ShapeError
-from .kernels import QTensor, channel_count, compute_effective_bias
+from .kernels import (
+    MAX_MAC_COUNT,
+    QTensor,
+    channel_axis,
+    channel_count,
+    compute_effective_bias,
+    mac_count,
+)
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -117,13 +124,16 @@ def round_half_up(values: np.ndarray) -> np.ndarray:
 def activation_qparams(lo: float, hi: float) -> QuantParams:
     """Affine int8 parameters covering the observed range [lo, hi].
 
-    A degenerate range (hi == lo, to within the 1e-7 scale floor) falls back
-    to scale 1e-7 with zero point 0.
+    The range is first widened to include 0 so that real zero (ReLU floors,
+    zero padding) is exactly representable.  A degenerate range (hi == lo,
+    to within the 1e-7 scale floor) falls back to scale 1e-7 with zero
+    point 0.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CalibrationError(f"non-finite activation range [{lo}, {hi}]")
     if hi < lo:
         raise CalibrationError(f"inverted activation range [{lo}, {hi}]")
+    lo, hi = min(lo, 0.0), max(hi, 0.0)
     scale = (hi - lo) / _ACT_LEVELS
     if scale < _SCALE_FLOOR:
         return QuantParams(scale=_SCALE_FLOOR, zero_point=0)
@@ -188,50 +198,39 @@ def quantize_float_model(
     batches = [np.asarray(b, dtype=np.float64) for b in calibration_batches]
     if not batches:
         raise CalibrationError("at least one calibration batch is required")
+    calibrated = ["input"] + [l.name for l in floatnet.LAYERS if l.param is not None]
     stats = CalibrationStats()
     for batch in batches:
         tensors = floatnet.forward_intermediates(float_model, batch)
-        for key in ("input", "conv1", "dw", "conv2", "logits"):
+        for key in calibrated:
             stats.update(key, tensors[key])
 
-    input_params = activation_qparams(*stats.range_of("input"))
-    qp_conv1 = activation_qparams(*stats.range_of("conv1"))
-    qp_dw = activation_qparams(*stats.range_of("dw"))
-    qp_conv2 = activation_qparams(*stats.range_of("conv2"))
-    qp_logits = activation_qparams(*stats.range_of("logits"))
-
-    def weighted_layer(kind, w_real, b_real, channel_axis, in_qp, out_qp,
-                       activation, stride=(1, 1), padding="VALID"):
-        weights = quantize_weights(w_real, channel_axis)
-        bias_scales = in_qp.scale * np.asarray(weights.qparams, dtype=np.float64)
-        return LayerSpec(
-            kind=kind,
-            activation=activation,
-            weights=weights,
-            bias=quantize_bias(b_real, bias_scales),
-            bias_scales=bias_scales,
-            stride=stride,
-            padding=padding,
-            output=out_qp,
-            rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale, 32),
-        )
-
-    pool_rescaler = quantize_rescaler(0.25, 32)
-    layers = [
-        weighted_layer("conv2d", float_model.conv1_w, float_model.conv1_b, 0,
-                       input_params, qp_conv1, "relu6", (1, 1), "SAME"),
-        LayerSpec(kind="avgpool", window=(2, 2), output=qp_conv1,
-                  rescalers=[pool_rescaler]),
-        weighted_layer("depthwise", float_model.dw_w, float_model.dw_b, 2,
-                       qp_conv1, qp_dw, "relu6", (1, 1), "SAME"),
-        weighted_layer("conv2d", float_model.conv2_w, float_model.conv2_b, 0,
-                       qp_dw, qp_conv2, "relu6", (1, 1), "VALID"),
-        LayerSpec(kind="avgpool", window=(2, 2), output=qp_conv2,
-                  rescalers=[pool_rescaler]),
-        LayerSpec(kind="flatten", output=qp_conv2),
-        weighted_layer("dense", float_model.dense_w, float_model.dense_b, 0,
-                       qp_conv2, qp_logits, "none"),
-    ]
+    input_params = in_qp = activation_qparams(*stats.range_of("input"))
+    layers = []
+    for layer in floatnet.LAYERS:
+        if layer.kind == "avgpool":
+            area = layer.window[0] * layer.window[1]
+            layers.append(LayerSpec(kind="avgpool", window=layer.window, output=in_qp,
+                                    rescalers=[quantize_rescaler(1.0 / area, 32)]))
+        elif layer.kind == "flatten":
+            layers.append(LayerSpec(kind="flatten", output=in_qp))
+        else:
+            out_qp = activation_qparams(*stats.range_of(layer.name))
+            w_real, b_real = floatnet.layer_params(float_model, layer)
+            weights = quantize_weights(w_real, channel_axis(w_real))
+            bias_scales = in_qp.scale * np.asarray(weights.qparams, dtype=np.float64)
+            layers.append(LayerSpec(
+                kind=layer.kind,
+                activation=layer.activation,
+                weights=weights,
+                bias=quantize_bias(b_real, bias_scales),
+                bias_scales=bias_scales,
+                stride=layer.stride,
+                padding=layer.padding,
+                output=out_qp,
+                rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale, 32),
+            ))
+            in_qp = out_qp
     model = ModelGraph(name=name, input_params=input_params, layers=layers, k=32)
     validate_model(model)
     return model
@@ -325,14 +324,12 @@ def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams, k: in
                 f"layer {idx} channel {c}: stored rescale factor "
                 f"{r.real_value!r} != S_x*S_w/S_y {expected_m!r}"
             )
-    # No-overflow envelope: |acc| <= N * 127 * 255 + |b_q| must fit int32.
-    w = layer.weights.data
-    mac_count = w.shape[1] if w.ndim == 2 else (
-        w.shape[0] * w.shape[1] if w.ndim == 3 else w.shape[1] * w.shape[2] * w.shape[3]
-    )
-    if mac_count > (1 << 16):
-        raise ShapeError(f"layer {idx}: MAC count {mac_count} exceeds 2^16")
-    worst = mac_count * 127 * 255 + int(np.max(np.abs(layer.bias.astype(np.int64))))
+    # No-overflow envelope: |acc| <= N * 128 * 255 + |b_q| must fit int32;
+    # redeployed weights may reach -128.
+    macs = mac_count(layer.weights.data)
+    if macs > MAX_MAC_COUNT:
+        raise ShapeError(f"layer {idx}: MAC count {macs} exceeds 2^16")
+    worst = macs * 128 * 255 + int(np.max(np.abs(layer.bias.astype(np.int64))))
     if worst >= (1 << 31):
         raise ShapeError(f"layer {idx}: worst-case accumulator {worst} leaves int32")
     # Confirm the effective bias itself stays in range for this input zero point.

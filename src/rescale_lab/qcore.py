@@ -184,25 +184,4 @@ def multiply_by_quantized_multiplier(x: int, rescaler: DyadicRescaler) -> int:
     x = int(x)
     total = x * rescaler.m + (1 << (rescaler.s - 1))
     result = total >> rescaler.s  # arithmetic shift == floor division by 2**s
-    return saturate_i8(result, INT32_MIN, INT32_MAX)
-
-
-def saturate_i8(value: int, lo: int = INT8_MIN, hi: int = INT8_MAX) -> int:
-    """Clamp ``value`` into ``[lo, hi]``."""
-    if value < lo:
-        return lo
-    if value > hi:
-        return hi
-    return int(value)
-
-
-def requantize(
-    acc: int,
-    rescaler: DyadicRescaler,
-    z_out: int,
-    clamp_lo: int = INT8_MIN,
-    clamp_hi: int = INT8_MAX,
-) -> int:
-    """Rescale a 32-bit accumulator to int8: shift, add zero point, clamp."""
-    shifted = multiply_by_quantized_multiplier(acc, rescaler)
-    return saturate_i8(shifted + z_out, clamp_lo, clamp_hi)
+    return min(max(result, INT32_MIN), INT32_MAX)

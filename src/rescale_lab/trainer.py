@@ -2,12 +2,14 @@
 gradients, SGD fine-tuning under a fixed rescaler width, and float-mode
 baseline training.
 
-The emulated forward replays every integer operation (MAC, effective bias,
+The emulated forward replays every integer operation (MAC, bias,
 fixed-point multiply, round-half-up shift, zero-point add, clamp) in
-binary64.  All intermediates are integers below 2**53, and the shifted
-multiply is split so no product exceeds 2**49, so the replay is exact and
-its outputs are bit-identical to the integer engine — training therefore
-sees precisely the numbers deployment will produce.
+binary64.  It accumulates over the zero-point-corrected input ``x - z``,
+which equals the engine's MAC plus effective bias.  All intermediates are
+integers below 2**53, and the shifted multiply is split so no product
+exceeds 2**49, so the replay is exact and its outputs are bit-identical to
+the integer engine — training therefore sees precisely the numbers
+deployment will produce.
 
 Backward passes use the straight-through estimator: rounding nodes have
 derivative one, saturation nodes pass gradient only inside their clamp
@@ -20,30 +22,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
+from . import floatnet
 from .errors import DomainError, OverflowEnvelopeError, ShapeError
 from .kernels import (
     INT8_MAX,
     INT8_MIN,
-    _conv_geometry,
-    _pad_nhwc,
-    _patches,
+    accumulate,
     activation_clamp,
     evaluate_int,
     quantize_real,
+    window_sum,
 )
 from .model_io import (
     ModelGraph,
     WEIGHTED_KINDS,
     materialize_rescalers,
-    model_to_bytes,
     redeploy_weights,
     round_half_up,
 )
-from .qcore import INT32_MAX, INT32_MIN
+from .qcore import INT32_MAX, INT32_MIN, QuantParams
 
 _INT32_LO = float(INT32_MIN)
 _INT32_HI = float(INT32_MAX)
@@ -62,7 +62,6 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 32
     seed: int = 0
-    mode: str = "finetune-int"
     train_bias: bool = True
 
     def __post_init__(self) -> None:
@@ -73,8 +72,6 @@ class TrainConfig:
             raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if self.mode not in ("finetune-int", "float-baseline"):
-            raise DomainError(f"unknown training mode {self.mode!r}")
 
 
 @dataclass
@@ -159,6 +156,15 @@ def _check_envelope(acc: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _mac(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One layer's multiply-accumulate on the shared kernels core (padding
+    with 0), plus the cache entry :func:`ste_backward` runs it backwards
+    from.  ``layer`` is a ``LayerSpec`` or a ``floatnet.FloatLayer``."""
+    acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding)
+    return acc, {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": x.shape,
+                 "stride": layer.stride, "w_fq": w}
+
+
 def emulated_forward(
     shadow: ShadowModel, x_q: np.ndarray, rounding: bool = True
 ) -> tuple[np.ndarray, list[dict]]:
@@ -174,11 +180,9 @@ def emulated_forward(
     x = np.asarray(x_q, dtype=np.float64)
     cache: list[dict] = []
     for idx, layer in enumerate(model.layers):
-        entry: dict = {"kind": layer.kind}
         if layer.kind == "flatten":
-            entry["in_shape"] = x.shape
+            cache.append({"kind": "flatten", "in_shape": x.shape})
             x = x.reshape(x.shape[0], -1)
-            cache.append(entry)
             continue
 
         m = np.array([r.m for r in layer.rescalers], dtype=np.float64)
@@ -190,22 +194,16 @@ def emulated_forward(
                 )
 
         if layer.kind == "avgpool":
-            n, h, w, c = x.shape
-            w_h, w_w = layer.window
-            if h % w_h or w % w_w:
-                raise ShapeError(f"input {h}x{w} not divisible by window")
-            sums = x.reshape(n, h // w_h, w_h, w // w_w, w_w, c).sum(axis=(2, 4))
-            shifted = np.clip(_emulated_rescale(sums, m[0], s[0], rounding),
-                              _INT32_LO, _INT32_HI)
-            out = np.clip(shifted, INT8_MIN, INT8_MAX)
-            entry.update(
-                window=layer.window,
-                in_shape=x.shape,
-                factor=layer.rescalers[0].quantized_value,
-                mask=(shifted >= INT8_MIN) & (shifted <= INT8_MAX),
-            )
-            x = out
-            cache.append(entry)
+            shifted = np.clip(_emulated_rescale(window_sum(x, layer.window), m[0], s[0],
+                                                rounding), _INT32_LO, _INT32_HI)
+            cache.append({
+                "kind": "avgpool",
+                "window": layer.window,
+                "in_shape": x.shape,
+                "factor": layer.rescalers[0].quantized_value,
+                "mask": (shifted >= INT8_MIN) & (shifted <= INT8_MAX),
+            })
+            x = np.clip(shifted, INT8_MIN, INT8_MAX)
             continue
 
         # Weighted layer: fake-quantize parameters, MAC, rescale, clamp.
@@ -220,53 +218,26 @@ def emulated_forward(
             b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
         z_in = model.input_params.zero_point if idx == 0 else \
             model.layers[idx - 1].output.zero_point
-        entry["w_mask"] = (w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX)
-        entry["b_mask"] = (b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI)
-        entry["w_fq"] = w_fq
-        entry["z_in"] = z_in
-        entry["stride"] = layer.stride
-
-        if layer.kind == "dense":
-            if x.ndim != 2:
-                raise ShapeError(f"layer {idx}: dense expects a flat batch")
-            b_eff = b_fq - z_in * w_fq.sum(axis=1)
-            acc = x @ w_fq.T + b_eff
-            entry["x"] = x
-        else:
-            if layer.kind == "conv2d":
-                out_c, k_h, k_w, _ = w_fq.shape
-            else:
-                k_h, k_w, _ = w_fq.shape
-            out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, layer.stride,
-                                                layer.padding)
-            x_pad = _pad_nhwc(x, pads, z_in)
-            cols = _patches(x_pad, k_h, k_w, *layer.stride)
-            if layer.kind == "conv2d":
-                flat = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k_h * k_w * w_fq.shape[3])
-                acc = flat @ w_fq.reshape(w_fq.shape[0], -1).T
-                acc = acc.reshape(x.shape[0], out_h, out_w, w_fq.shape[0])
-                b_eff = b_fq - z_in * w_fq.sum(axis=(1, 2, 3))
-            else:
-                acc = np.einsum("nhwckl,klc->nhwc", cols, w_fq)
-                b_eff = b_fq - z_in * w_fq.sum(axis=(0, 1))
-            acc = acc + b_eff
-            entry["cols"] = cols
-            entry["pads"] = pads
-            entry["x_pad_shape"] = x_pad.shape
-            entry["in_shape"] = x.shape
+        if layer.kind == "dense" and x.ndim != 2:
+            raise ShapeError(f"layer {idx}: dense expects a flat batch")
+        # The MAC over the zero-point-corrected input is exactly the engine's
+        # MAC plus effective bias.
+        x = x - z_in
+        acc, entry = _mac(layer, x, w_fq)
+        acc = acc + b_fq
         _check_envelope(acc)
 
-        z_out = layer.output.zero_point
         lo, hi = activation_clamp(layer.activation, layer.output)
         shifted = np.clip(_emulated_rescale(acc, m, s, rounding),
                           _INT32_LO, _INT32_HI)
-        raw = shifted + z_out
-        out = np.clip(raw, lo, hi)
+        raw = shifted + layer.output.zero_point
+        x = np.clip(raw, lo, hi)
         entry.update(
+            w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
+            b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI),
             factor=np.array([r.quantized_value for r in layer.rescalers]),
             mask=(raw >= lo) & (raw <= hi),
         )
-        x = out
         cache.append(entry)
     return x, cache
 
@@ -282,49 +253,42 @@ class Gradients:
     biases: list[np.ndarray | None]
 
 
-def _conv_dx(g: np.ndarray, w: np.ndarray, x_pad_shape, pads, stride) -> np.ndarray:
-    """Scatter the accumulator gradient back to a padded conv input."""
+def _input_grad(g: np.ndarray, entry: dict) -> np.ndarray:
+    """Gradient of a weighted layer's input from its accumulator gradient:
+    the transposed MAC, scattered back over the padded windows."""
+    w = entry["w_fq"]
+    if entry["kind"] == "dense":
+        return g @ w
+    conv = entry["kind"] == "conv2d"
+    k_h, k_w = w.shape[1:3] if conv else w.shape[:2]
     n, oh, ow, _ = g.shape
-    _, k_h, k_w, _ = w.shape
-    s_h, s_w = stride
-    dx_pad = np.zeros(x_pad_shape)
+    _, h, w_, c = entry["in_shape"]
+    top, bottom, left, right = entry["pads"]
+    s_h, s_w = entry["stride"]
+    dx_pad = np.zeros((n, h + top + bottom, w_ + left + right, c))
     for ky in range(k_h):
         for kx in range(k_w):
-            contrib = np.einsum("nhwo,oc->nhwc", g, w[:, ky, kx, :])
+            contrib = (np.einsum("nhwo,oc->nhwc", g, w[:, ky, kx, :]) if conv
+                       else g * w[ky, kx, :])
             dx_pad[:, ky : ky + oh * s_h : s_h, kx : kx + ow * s_w : s_w, :] += contrib
-    top, bottom, left, right = pads
-    h, w_ = x_pad_shape[1], x_pad_shape[2]
-    return dx_pad[:, top : h - bottom, left : w_ - right, :]
-
-
-def _depthwise_dx(g: np.ndarray, w: np.ndarray, x_pad_shape, pads, stride) -> np.ndarray:
-    n, oh, ow, _ = g.shape
-    k_h, k_w, _ = w.shape
-    s_h, s_w = stride
-    dx_pad = np.zeros(x_pad_shape)
-    for ky in range(k_h):
-        for kx in range(k_w):
-            dx_pad[:, ky : ky + oh * s_h : s_h, kx : kx + ow * s_w : s_w, :] += \
-                g * w[ky, kx, :]
-    top, bottom, left, right = pads
-    h, w_ = x_pad_shape[1], x_pad_shape[2]
-    return dx_pad[:, top : h - bottom, left : w_ - right, :]
+    return dx_pad[:, top : top + h, left : left + w_, :]
 
 
 def ste_backward(
-    shadow: ShadowModel, cache: list[dict], grad_out: np.ndarray
+    shadow: ShadowModel | None, cache: list[dict], grad_out: np.ndarray
 ) -> Gradients:
-    """Backpropagate through the emulated graph with clipped STE.
+    """Backpropagate through a cached forward with clipped STE.
 
-    ``grad_out`` is the loss gradient with respect to the final integer
-    outputs.  Returns gradients aligned with the shadow's layer lists
-    (``None`` for layers without parameters).
+    ``cache`` comes from :func:`emulated_forward` or from float training;
+    it holds everything the pass reads, so ``shadow`` may be ``None``.
+    ``grad_out`` is the loss gradient with respect to the final outputs.
+    Returns gradients aligned with the cached layers (``None`` for layers
+    without parameters).  The input gradient of layer 0 is never formed.
     """
-    model = shadow.graph
-    d_weights: list[np.ndarray | None] = [None] * len(model.layers)
-    d_biases: list[np.ndarray | None] = [None] * len(model.layers)
+    d_weights: list[np.ndarray | None] = [None] * len(cache)
+    d_biases: list[np.ndarray | None] = [None] * len(cache)
     g = np.asarray(grad_out, dtype=np.float64)
-    for idx in range(len(model.layers) - 1, -1, -1):
+    for idx in range(len(cache) - 1, -1, -1):
         entry = cache[idx]
         kind = entry["kind"]
         if kind == "flatten":
@@ -343,29 +307,20 @@ def ste_backward(
         # Weighted layer.
         g = g * entry["mask"]  # activation / int8 clamp node
         g_acc = g * entry["factor"]  # rescale node: exactly M_q per channel
-        w_fq = entry["w_fq"]
-        z_in = entry["z_in"]
+        cols = entry["cols"]
         if kind == "dense":
-            x = entry["x"]
-            d_w = g_acc.T @ (x - z_in)
-            d_b = g_acc.sum(axis=0)
-            g = g_acc @ w_fq
+            d_w = g_acc.T @ cols
         elif kind == "conv2d":
-            cols = entry["cols"]  # (n, oh, ow, c, kh, kw)
-            d_w = np.einsum("nhwo,nhwckl->oklc", g_acc, cols - z_in)
-            d_b = g_acc.sum(axis=(0, 1, 2))
-            g = _conv_dx(g_acc, w_fq, entry["x_pad_shape"], entry["pads"],
-                         entry["stride"])
+            d_w = np.einsum("nhwo,nhwckl->oklc", g_acc, cols)
         else:  # depthwise
-            cols = entry["cols"]
-            d_w = np.einsum("nhwc,nhwckl->klc", g_acc, cols - z_in)
-            d_b = g_acc.sum(axis=(0, 1, 2))
-            g = _depthwise_dx(g_acc, w_fq, entry["x_pad_shape"], entry["pads"],
-                              entry["stride"])
+            d_w = np.einsum("nhwc,nhwckl->klc", g_acc, cols)
+        d_b = g_acc.sum(axis=tuple(range(g_acc.ndim - 1)))
         # Fake-quant STE: gradient passes only while the shadow value is
         # inside its clamp range.
         d_weights[idx] = d_w * entry["w_mask"]
         d_biases[idx] = d_b * entry["b_mask"]
+        if idx > 0:
+            g = _input_grad(g_acc, entry)
     return Gradients(weights=d_weights, biases=d_biases)
 
 
@@ -541,75 +496,32 @@ def finetune(
 # ---------------------------------------------------------------------------
 
 
-def _float_forward_cache(model, x):
-    from . import floatnet
-
-    cache = {"x": x}
-    cache["a1"] = floatnet.conv2d_real(x, model.conv1_w, model.conv1_b,
-                                       padding="SAME")
-    cache["h1"] = np.clip(cache["a1"], 0.0, 6.0)
-    cache["p1"] = floatnet.avgpool_real(cache["h1"], (2, 2))
-    cache["a2"] = floatnet.depthwise_real(cache["p1"], model.dw_w, model.dw_b,
-                                          padding="SAME")
-    cache["h2"] = np.clip(cache["a2"], 0.0, 6.0)
-    cache["a3"] = floatnet.conv2d_real(cache["h2"], model.conv2_w, model.conv2_b,
-                                       padding="VALID")
-    cache["h3"] = np.clip(cache["a3"], 0.0, 6.0)
-    cache["p2"] = floatnet.avgpool_real(cache["h3"], (2, 2))
-    cache["flat"] = cache["p2"].reshape(x.shape[0], -1)
-    cache["logits"] = cache["flat"] @ model.dense_w.T + model.dense_b
-    return cache
-
-
-def _relu6_mask(a):
-    return (a > 0.0) & (a < 6.0)
-
-
-def _avgpool_backward(g, in_shape, window):
-    w_h, w_w = window
-    n, oh, ow, c = g.shape
-    spread = g / (w_h * w_w)
-    return np.broadcast_to(
-        spread[:, :, None, :, None, :], (n, oh, w_h, ow, w_w, c)
-    ).reshape(in_shape)
-
-
-def _float_backward(model, cache, grad_logits):
-    grads = {}
-    g = grad_logits
-    grads["dense_w"] = g.T @ cache["flat"]
-    grads["dense_b"] = g.sum(axis=0)
-    g = (g @ model.dense_w).reshape(cache["p2"].shape)
-    g = _avgpool_backward(g, cache["h3"].shape, (2, 2))
-    g = g * _relu6_mask(cache["a3"])
-    # conv2 is 1x1 VALID: dense over the channel axis at each position.
-    h2 = cache["h2"]
-    g_flat = g.reshape(-1, g.shape[-1])
-    x_flat = h2.reshape(-1, h2.shape[-1])
-    grads["conv2_w"] = (g_flat.T @ x_flat).reshape(model.conv2_w.shape)
-    grads["conv2_b"] = g_flat.sum(axis=0)
-    g = (g_flat @ model.conv2_w.reshape(model.conv2_w.shape[0], -1)).reshape(h2.shape)
-    g = g * _relu6_mask(cache["a2"])
-    # depthwise 3x3 SAME, stride 1.
-    p1 = cache["p1"]
-    k_h, k_w, _ = model.dw_w.shape
-    _, _, pads = _conv_geometry(p1.shape, k_h, k_w, (1, 1), "SAME")
-    p1_pad = _pad_nhwc(p1, pads, 0.0)
-    cols = _patches(p1_pad, k_h, k_w, 1, 1)
-    grads["dw_w"] = np.einsum("nhwc,nhwckl->klc", g, cols)
-    grads["dw_b"] = g.sum(axis=(0, 1, 2))
-    g = _depthwise_dx(g, model.dw_w, p1_pad.shape, pads, (1, 1))
-    g = _avgpool_backward(g, cache["h1"].shape, (2, 2))
-    g = g * _relu6_mask(cache["a1"])
-    # conv1 3x3 SAME, stride 1.
-    x = cache["x"]
-    k_h, k_w = model.conv1_w.shape[1], model.conv1_w.shape[2]
-    _, _, pads = _conv_geometry(x.shape, k_h, k_w, (1, 1), "SAME")
-    x_pad = _pad_nhwc(x, pads, 0.0)
-    cols = _patches(x_pad, k_h, k_w, 1, 1)
-    grads["conv1_w"] = np.einsum("nhwo,nhwckl->oklc", g, cols)
-    grads["conv1_b"] = g.sum(axis=(0, 1, 2))
-    return grads
+def _float_forward(model, x: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+    """The float network's forward along ``floatnet.LAYERS``, leaving the
+    cache :func:`ste_backward` reads.  Nothing is quantized: every weight
+    is its own fake-quantized value, pads are real zero, rescale factors
+    are 1 (1/area for avgpool), and ReLU6 passes gradient where 0 < h < 6.
+    """
+    cache: list[dict] = []
+    for layer in floatnet.LAYERS:
+        if layer.kind == "flatten":
+            cache.append({"kind": "flatten", "in_shape": x.shape})
+            x = x.reshape(x.shape[0], -1)
+        elif layer.kind == "avgpool":
+            area = layer.window[0] * layer.window[1]
+            cache.append({"kind": "avgpool", "window": layer.window, "in_shape": x.shape,
+                          "factor": 1.0 / area, "mask": True})
+            x = floatnet.avgpool_real(x, layer.window)
+        else:
+            w, b = floatnet.layer_params(model, layer)
+            h, entry = _mac(layer, x, w)
+            h = h + b
+            relu6 = layer.activation == "relu6"
+            entry.update(w_mask=True, b_mask=True, factor=1.0,
+                         mask=(h > 0.0) & (h < 6.0) if relu6 else True)
+            x = floatnet.relu6(h) if relu6 else h
+            cache.append(entry)
+    return x, cache
 
 
 def train_float(
@@ -626,8 +538,6 @@ def train_float(
     float model and a per-epoch history of (loss, accuracy) records, where
     accuracy is the float model's own top-1 on the eval set.
     """
-    from . import floatnet
-
     model = floatnet.init_float_model(seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     images = np.asarray(train_images)
@@ -635,8 +545,7 @@ def train_float(
         images = images[..., np.newaxis]
     x_all = images.astype(np.float64) / 255.0
     labels = np.asarray(train_labels)
-    param_names = ("conv1_w", "conv1_b", "dw_w", "dw_b", "conv2_w", "conv2_b",
-                   "dense_w", "dense_b")
+    real_logits = QuantParams(scale=1.0)  # float logits are already real
     history: list[EpochRecord] = []
     for epoch in range(cfg.epochs):
         # Halve the step size each epoch after the second so the weights
@@ -646,21 +555,14 @@ def train_float(
         losses = []
         for start in range(0, x_all.shape[0], cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            cache = _float_forward_cache(model, x_all[sel])
-            n = sel.shape[0]
-            logits = cache["logits"]
-            shiftedl = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(shiftedl)
-            probs = exp / exp.sum(axis=1, keepdims=True)
-            loss = float(-np.mean(np.log(
-                probs[np.arange(n), labels[sel]] + np.finfo(np.float64).tiny)))
-            grad = probs
-            grad[np.arange(n), labels[sel]] -= 1.0
-            grad /= n
-            grads = _float_backward(model, cache, grad)
-            for name in param_names:
-                setattr(model, name,
-                        getattr(model, name) - lr * grads[name])
+            logits, cache = _float_forward(model, x_all[sel])
+            loss, grad = softmax_cross_entropy(logits, labels[sel], real_logits)
+            grads = ste_backward(None, cache, grad)
+            for layer, d_w, d_b in zip(floatnet.LAYERS, grads.weights, grads.biases):
+                if layer.param is not None:
+                    w, b = floatnet.layer_params(model, layer)
+                    setattr(model, f"{layer.param}_w", w - lr * d_w)
+                    setattr(model, f"{layer.param}_b", b - lr * d_b)
             losses.append(loss)
         accuracy = math.nan
         if eval_images is not None:
@@ -674,8 +576,6 @@ def train_float(
 def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray,
                    batch_size: int = 512) -> float:
     """Top-1 accuracy of the float network on uint8 images, in percent."""
-    from . import floatnet
-
     images = np.asarray(images_u8)
     if images.ndim == 3:
         images = images[..., np.newaxis]

@@ -271,8 +271,7 @@ def pipeline(tmp_path_factory):
         str(data_dir)
     )
 
-    cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=0,
-                      mode="float-baseline")
+    cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=32, seed=0)
     start = time.perf_counter()
     fmodel, history = train_float(train_images, train_labels, cfg,
                                   test_images, test_labels)

@@ -7,12 +7,9 @@ import pytest
 
 from rescale_lab.errmodel import (
     LayerErrorReport,
-    accumulator_error,
-    error_stats,
     layer_error_report,
     min_safe_bitwidth,
     model_error_report,
-    output_error,
     rescale_error_bound,
     rescale_error_decompose,
 )
@@ -33,31 +30,6 @@ def exact(r: DyadicRescaler) -> Fraction:
 # ---------------------------------------------------------------------------
 # Frozen examples
 # ---------------------------------------------------------------------------
-
-
-class TestAccumulatorError:
-    def test_exact_representation(self):
-        assert accumulator_error(1.0, 8, 0.5, 0.25) == 0.0
-
-    def test_direct_formula(self):
-        assert accumulator_error(1.0, 99, 1.0, 0.01) == pytest.approx(0.01)
-
-    def test_zero(self):
-        assert accumulator_error(0.0, 0, 0.3, 0.7) == 0.0
-
-
-class TestOutputError:
-    def test_exact_representation(self):
-        assert output_error(12.5, 50, 0.25) == 0.0
-
-    def test_direct_formula(self):
-        assert output_error(0.505, 50, 0.01) == pytest.approx(0.005)
-
-    def test_saturated(self):
-        assert output_error(2.0, 200, 0.01) == pytest.approx(0.73)
-
-    def test_saturates_low_side(self):
-        assert output_error(-2.0, -200, 0.01) == pytest.approx(-0.72)
 
 
 class TestDecompose:
@@ -91,13 +63,6 @@ class TestDecompose:
         s_y, m = Fraction(0.01), Fraction(0.1)
         assert parts.scale_mismatch == float(s_y * 1000 * (exact(r) - m))
         assert parts.eps_r == float(s_y * (94 - 1000 * m))
-
-    def test_error_stats_identity_as_computed(self):
-        r = quantize_rescaler(0.3, 6)
-        stats = error_stats(a=1.7, y=1.7, a_q=523, r=r, s_x=0.02,
-                            s_w=0.05, s_y=0.01)
-        assert stats.eps_r == stats.eps_a - stats.eps_y
-        assert stats.delta_r == rescale_error_decompose(523, 0.3, r, 0.01).delta_r
 
 
 class TestBound:

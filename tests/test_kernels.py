@@ -8,7 +8,6 @@ from rescale_lab.kernels import (
     MAX_MAC_COUNT,
     QTensor,
     activation_clamp,
-    avgpool_int,
     compute_effective_bias,
     conv2d_int,
     dense_int,
@@ -169,25 +168,32 @@ class TestDepthwise:
         assert depthwise_conv2d_int(x, w, np.array([0])).tolist() == [[[[45]]]]
 
 
+def avgpool(x, window, k):
+    """Run one avgpool layer through the engine at width k."""
+    layer = LayerSpec(kind="avgpool", window=window, output=x.qparams,
+                      rescalers=[quantize_rescaler(1.0 / (window[0] * window[1]), k)])
+    return layer_forward_int(x, layer, k)
+
+
 class TestAvgpool:
     def test_constant(self):
         x = qt(np.full((1, 2, 2, 1), 4))
-        out = avgpool_int(x, (2, 2), k=8)
+        out = avgpool(x, (2, 2), k=8)
         assert out.data.tolist() == [[[[4]]]]
         assert out.qparams == x.qparams
 
     def test_half_up(self):
         x = qt(np.array([[1, 2], [3, 4]]).reshape(1, 2, 2, 1))
-        assert avgpool_int(x, (2, 2), k=8).data.tolist() == [[[[3]]]]
+        assert avgpool(x, (2, 2), k=8).data.tolist() == [[[[3]]]]
 
     def test_unit_window_identity(self):
         x = qt(np.arange(-8, 8).reshape(1, 4, 4, 1))
-        out = avgpool_int(x, (1, 1), k=8)
+        out = avgpool(x, (1, 1), k=8)
         assert np.array_equal(out.data, x.data)
 
     def test_window_must_divide(self):
         with pytest.raises(ShapeError):
-            avgpool_int(qt(np.zeros((1, 3, 3, 1))), (2, 2), k=8)
+            avgpool(qt(np.zeros((1, 3, 3, 1))), (2, 2), k=8)
 
 
 def dense_layer(w, bias, in_scale, w_scales, out_scale, z_out=0, k=8,
@@ -367,7 +373,7 @@ def test_fuzz_avgpool_against_oracle():
         c = int(rng.integers(1, 4))
         k = int(rng.integers(2, 33))
         x = qt(rng.integers(-128, 128, size=(n, h, w_, c)))
-        got = avgpool_int(x, (w_h, w_w), k=k)
+        got = avgpool(x, (w_h, w_w), k=k)
         r = quantize_rescaler(1.0 / (w_h * w_w), k)
         want = oracle_avgpool(x.data, (w_h, w_w), r.m, r.s)
         assert np.array_equal(got.data, want)
@@ -443,7 +449,7 @@ def test_same_padding_taps_are_neutral():
 def test_avgpool_matches_requantize_semantics():
     rng = np.random.default_rng(111)
     x = qt(rng.integers(-128, 128, size=(1, 4, 4, 3)))
-    out = avgpool_int(x, (2, 2), k=8)
+    out = avgpool(x, (2, 2), k=8)
     r = quantize_rescaler(0.25, 8)
     sums = x.data.astype(np.int64).reshape(1, 2, 2, 2, 2, 3).sum(axis=(2, 4))
     want = np.array([[[[

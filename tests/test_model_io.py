@@ -9,7 +9,7 @@ import pytest
 
 from rescale_lab import floatnet
 from rescale_lab.errors import FormatError, RescalerUnderflow, ShapeError
-from rescale_lab.kernels import QTensor, run_model_int
+from rescale_lab.kernels import QTensor, quantize_real, run_model_int
 from rescale_lab.model_io import (
     MAGIC,
     CalibrationStats,
@@ -113,6 +113,18 @@ class TestActivationQuantization:
     def test_zero_point_is_clamped(self):
         qp = activation_qparams(10.0, 12.55)
         assert qp.zero_point == -128
+
+    def test_range_is_widened_to_include_zero(self):
+        # Real zero must be exactly representable: [0.5, 1.0] quantizes as
+        # [0, 1.0], so the top of the observed range does not saturate.
+        qp = activation_qparams(0.5, 1.0)
+        assert qp.scale == 1.0 / 255
+        assert qp.zero_point == -128
+        assert quantize_real(np.array([0.0, 1.0]), qp).tolist() == [-128, 127]
+        qp = activation_qparams(-2.0, -1.0)
+        assert qp.scale == 2.0 / 255
+        assert qp.zero_point == 127
+        assert quantize_real(np.array([-2.0, 0.0]), qp).tolist() == [-128, 127]
 
     def test_inverted_range_rejected(self):
         from rescale_lab.errors import CalibrationError
@@ -384,6 +396,23 @@ class TestContainer:
 class TestValidateModel:
     def test_valid(self):
         validate_model(tiny_dense_model())
+
+    def test_envelope_counts_weights_at_minus_128(self):
+        # Redeployed weights may reach -128, so the certified bound is
+        # N * 128 * 255 + max|b|: 65536 * 128 * 255 + 10**7 >= 2**31.
+        w_scales = np.array([0.25])
+        layer = LayerSpec(
+            kind="dense",
+            weights=QTensor(np.ones((1, 1 << 16), dtype=np.int8), w_scales),
+            bias=np.array([10_000_000], dtype=np.int32),
+            bias_scales=0.5 * w_scales,
+            output=QuantParams(scale=2.0),
+            rescalers=[quantize_rescaler(0.5 * 0.25 / 2.0, 32)],
+        )
+        model = ModelGraph(name="wide", input_params=QuantParams(scale=0.5),
+                           layers=[layer], k=32)
+        with pytest.raises(ShapeError, match="worst-case accumulator"):
+            validate_model(model)
 
     def test_bias_scale_mismatch(self):
         model = tiny_dense_model()

@@ -17,8 +17,6 @@ from rescale_lab import (
     decompose_float,
     multiply_by_quantized_multiplier,
     quantize_rescaler,
-    requantize,
-    saturate_i8,
     shift_budget,
 )
 
@@ -196,30 +194,6 @@ class TestMultiplyByQuantizedMultiplier:
         r = quantize_rescaler(0.37, 8)
         values = [multiply_by_quantized_multiplier(x, r) for x in range(-500, 500)]
         assert values == sorted(values)
-
-
-# ----------------------------------------------------- saturate / requantize
-
-
-class TestSaturateRequantize:
-    def test_saturate_examples(self):
-        assert saturate_i8(140) == 127
-        assert saturate_i8(-300) == -128
-        assert saturate_i8(5) == 5
-
-    def test_requantize_example(self):
-        r = make_rescaler(128, 8)
-        assert requantize(256, r, z_out=-3) == 125
-
-    def test_requantize_saturates_after_zero_point(self):
-        r = make_rescaler(128, 8)
-        assert requantize(100000, r, z_out=0) == 127
-        assert requantize(-100000, r, z_out=0) == -128
-
-    def test_requantize_custom_clamp(self):
-        r = make_rescaler(128, 8)  # 256 -> 128 -> +z 125, clamp to relu6-ish band
-        assert requantize(256, r, z_out=-3, clamp_lo=-3, clamp_hi=100) == 100
-        assert requantize(-100000, r, z_out=-3, clamp_lo=-3, clamp_hi=100) == -3
 
 
 # ---------------------------------------------------------------- QuantParams

@@ -76,7 +76,6 @@ class TestTrainConfig:
         assert cfg.epochs == 2
         assert cfg.batch_size == 32
         assert cfg.train_bias is True
-        assert cfg.mode == "finetune-int"
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -85,8 +84,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(DomainError):
             TrainConfig(epochs=-1)
-        with pytest.raises(DomainError):
-            TrainConfig(mode="quantum")
 
 
 class TestShadowModel:
@@ -575,8 +572,7 @@ class TestFinetune:
 class TestTrainFloat:
     def test_deterministic(self, toy_images):
         images, labels = toy_images
-        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9,
-                          mode="float-baseline")
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9)
         m1, h1 = train_float(images, labels, cfg)
         m2, h2 = train_float(images, labels, cfg)
         for name in ("conv1_w", "dw_w", "conv2_w", "dense_w", "dense_b"):
@@ -587,27 +583,31 @@ class TestTrainFloat:
         rng = np.random.default_rng(30)
         images = rng.integers(0, 256, size=(16, 28, 28, 1)).astype(np.uint8)
         labels = rng.integers(0, 10, size=16)
-        cfg = TrainConfig(learning_rate=0.1, epochs=5, batch_size=16, seed=2,
-                          mode="float-baseline")
+        cfg = TrainConfig(learning_rate=0.1, epochs=5, batch_size=16, seed=2)
         _, history = train_float(images, labels, cfg)
         losses = [e.loss for e in history]
         assert losses[-1] < losses[0]
 
     def test_eval_accuracy_reported(self, toy_images):
         images, labels = toy_images
-        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9,
-                          mode="float-baseline")
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9)
         _, history = train_float(images, labels, cfg,
                                  eval_images=images, eval_labels=labels)
         assert 0.0 <= history[0].accuracy <= 100.0
 
     def test_float_gradients_match_finite_differences(self):
-        # Spot-check the handwritten float backprop against central
-        # differences on a few parameters of each tensor.
+        # Float training backpropagates through ste_backward from the float
+        # forward's cache; spot-check every parameter tensor against central
+        # differences of the loss of floatnet.forward.
         rng = np.random.default_rng(17)
         images = rng.integers(0, 256, size=(3, 28, 28, 1)).astype(np.uint8)
         labels = np.array([1, 4, 7])
         model = floatnet.init_float_model(seed=6)
+        # Nonzero biases keep pre-activations off the ReLU6 kinks, where
+        # central differences are undefined: with zero biases, windows that
+        # see only zeros sit exactly at 0.
+        for name in ("conv1_b", "dw_b", "conv2_b", "dense_b"):
+            setattr(model, name, rng.normal(0.0, 0.1, size=getattr(model, name).shape))
         x = images.astype(np.float64) / 255.0
 
         def loss_of(model):
@@ -616,17 +616,18 @@ class TestTrainFloat:
             probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
             return float(-np.mean(np.log(probs[np.arange(3), labels])))
 
-        cache = trainer._float_forward_cache(model, x)
-        logits = cache["logits"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        grad = probs
-        grad[np.arange(3), labels] -= 1.0
-        grad /= 3
-        grads = trainer._float_backward(model, cache, grad)
+        logits, cache = trainer._float_forward(model, x)
+        _, grad = softmax_cross_entropy(logits, labels, QuantParams(scale=1.0))
+        result = ste_backward(None, cache, grad)
+        grads = {}
+        for layer, d_w, d_b in zip(floatnet.LAYERS, result.weights, result.biases):
+            if layer.param is not None:
+                grads[f"{layer.param}_w"] = d_w
+                grads[f"{layer.param}_b"] = d_b
+        assert sorted(grads) == sorted(vars(model))
         h = 1e-6
         rng2 = np.random.default_rng(0)
-        for name in ("conv1_w", "dw_w", "conv2_w", "dense_w", "conv1_b", "dw_b"):
+        for name in grads:
             tensor = getattr(model, name)
             for _ in range(4):
                 ix = tuple(rng2.integers(0, d) for d in tensor.shape)
