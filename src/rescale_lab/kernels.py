@@ -2,10 +2,13 @@
 
 All layer arithmetic happens on integers: int8 tensors in, a 32-bit
 accumulator per output element, then a dyadic rescale back to int8.
-The multiply-accumulate stage runs through float64 matmuls for speed;
-that is exact because every partial sum is an integer bounded by the
-no-overflow envelope (N * 128 * 255 + |bias|, far below 2**53).  The
-rescaling stage runs in int64.  The same MAC core (:func:`accumulate`,
+The multiply-accumulate stage runs in floats for speed (matmuls, and one
+multiply-add per tap for depthwise) and is exact because every partial sum
+is an integer the float type holds: float32 when both operands are int8
+and the MAC count N has N * 2**14 <= 2**24, float64 otherwise (partial
+sums below 2**30, far under 2**53).  The bias is added in int32 once the
+int32 envelope check has proven that it cannot wrap; the rescaling stage
+runs in place on one int64 buffer.  The same MAC core (:func:`accumulate`,
 :func:`window_sum`) also serves the training emulation and the float
 reference network.
 """
@@ -168,46 +171,108 @@ def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     return out_h, out_w, (pad_t, pad_b, pad_l, pad_r)
 
 
+def _mac_dtype(x: np.ndarray, w: np.ndarray) -> type:
+    """The float type one layer's MAC runs in, from the operand dtypes and
+    the static MAC count.
+
+    int8 x int8 products are at most 2**14 in magnitude, so with
+    ``mac_count * 2**14 <= 2**24`` every partial sum is an integer of
+    magnitude <= 2**24, which float32 holds exactly in any summation order.
+    Everything else runs in float64: wider int8 layers (partial sums below
+    2**30, far under 2**53) and float operands, whose bits stay as before.
+    """
+    if (x.dtype == np.int8 and w.dtype == np.int8
+            and mac_count(w) << 14 <= 1 << 24):
+        return np.float32
+    return np.float64
+
+
 def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
-    """The multiply-accumulate of one layer, without bias, in float64.
+    """The multiply-accumulate of one layer, without bias, in the float type
+    :func:`_mac_dtype` picks.
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
     :func:`channel_axis`; SAME padding fills with ``pad_value``.  Returns
     ``(acc, cols, pads)``: ``cols`` is the operand the weights met (``x``
     itself for dense, the (n, oh, ow, c, kh, kw) window view otherwise) and
     ``pads`` the (top, bottom, left, right) padding, both kept for the
-    backward pass.  Integer operands give exact sums: every partial sum is
-    an integer far below 2**53.
+    backward pass.  Integer operands give exact sums.
     """
+    dtype = _mac_dtype(x, w)
+    w = w.astype(dtype, copy=False)
     if kind == "dense":
-        acc = x.astype(np.float64, copy=False) @ w.astype(np.float64, copy=False).T
-        return acc, x, None
+        return x.astype(dtype, copy=False) @ w.T, x, None
     k_h, k_w = w.shape[1:3] if kind == "conv2d" else w.shape[:2]
     out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x, pads, pad_value)
+    x_pad = _pad_nhwc(x, pads, pad_value).astype(dtype, copy=False)
     cols = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))[:, ::stride[0], ::stride[1]]
     if kind == "conv2d":
         flat = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, mac_count(w))
-        w2d = w.reshape(w.shape[0], -1).astype(np.float64, copy=False)
-        acc = flat.astype(np.float64, copy=False) @ w2d.T
+        acc = flat @ w.reshape(w.shape[0], -1).T
         acc = acc.reshape(x.shape[0], out_h, out_w, w.shape[0])
     elif kind == "depthwise":
-        acc = np.einsum("nhwckl,klc->nhwc", cols.astype(np.float64, copy=False),
-                        w.astype(np.float64, copy=False))
+        # One multiply-add per tap, in (kh, kw) order, over rows of
+        # (ow, c) that meet the weights tiled to the row's length.
+        n, oh, ow, c = cols.shape[:4]
+        w_rows = np.tile(w, (1, 1, ow))
+        acc = np.zeros((n, oh, ow * c), dtype)
+        for i in range(k_h):
+            for j in range(k_w):
+                acc += cols[..., i, j].reshape(n, oh, ow * c) * w_rows[i, j]
+        acc = acc.reshape(n, oh, ow, c)
     else:
         raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
     return acc, cols, pads
 
 
 def window_sum(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
-    """Sum of each non-overlapping (wh, ww) window of an NHWC batch."""
+    """Sum of each non-overlapping (wh, ww) window of an NHWC batch, tap by
+    tap in (wh, ww) order; int8 input sums into int32."""
     if x.ndim != 4:
         raise ShapeError("avgpool expects x (n, h, w, c)")
     n, in_h, in_w, c = x.shape
     w_h, w_w = window
     if in_h % w_h or in_w % w_w:
         raise ShapeError(f"input {in_h}x{in_w} not divisible by window {w_h}x{w_w}")
-    return x.reshape(n, in_h // w_h, w_h, in_w // w_w, w_w, c).sum(axis=(2, 4))
+    blocks = x.reshape(n, in_h // w_h, w_h, in_w // w_w, w_w, c)
+    taps = [blocks[:, :, i, :, j] for i in range(w_h) for j in range(w_w)]
+    out = taps[0].astype(np.result_type(x.dtype, np.int32))
+    for tap in taps[1:]:
+        out += tap
+    return out
+
+
+def _channel_rows(a: np.ndarray, *vectors: np.ndarray):
+    """View the channels-last ``a`` as one row per leading index and tile
+    each per-channel vector to a row's length, so in-place elementwise
+    passes run one long loop per row instead of a short one per pixel.
+    Vectors that are not one entry per channel, and arrays that cannot be
+    viewed as rows, are returned as they are."""
+    if a.ndim < 2 or a.size == 0 or not a.flags.c_contiguous:
+        return a, vectors
+    rows = a.reshape(a.shape[0], -1)
+    reps = rows.shape[1] // a.shape[-1]
+    return rows, [np.tile(v, reps) if v.shape == a.shape[-1:] else v
+                  for v in vectors]
+
+
+def _check_envelope(acc: np.ndarray, b_eff: np.ndarray) -> None:
+    """Raise if any ``acc + b_eff`` (bias along the last axis) leaves int32.
+
+    Whole-tensor extremes give a cheap conservative bound; only when it
+    fails are the channels decided one by one.
+    """
+    if acc.size == 0:
+        return
+    b_eff = b_eff.astype(np.int64)
+    if (int(acc.max()) + int(b_eff.max()) <= INT32_MAX
+            and int(acc.min()) + int(b_eff.min()) >= INT32_MIN):
+        return
+    per_channel = acc.reshape(-1, acc.shape[-1])
+    hi = per_channel.max(axis=0).astype(np.int64) + b_eff
+    lo = per_channel.min(axis=0).astype(np.int64) + b_eff
+    if np.any(hi > INT32_MAX) or np.any(lo < INT32_MIN):
+        raise OverflowEnvelopeError("accumulator left the int32 envelope")
 
 
 def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
@@ -218,11 +283,14 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
     if mac_count(w.data) > MAX_MAC_COUNT:
         raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
     acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
-    acc = acc.astype(np.int64)
-    acc += b_eff.astype(np.int64)
-    if np.any(acc < INT32_MIN) or np.any(acc > INT32_MAX):
-        raise OverflowEnvelopeError("accumulator left the int32 envelope")
-    return acc.astype(np.int32)
+    b_eff = np.asarray(b_eff)
+    _check_envelope(acc, b_eff)
+    # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32, and the check above
+    # proved that adding the bias cannot wrap.
+    out = acc.astype(np.int32)
+    rows, (b_rows,) = _channel_rows(out, b_eff)
+    rows += b_rows
+    return out
 
 
 def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
@@ -282,14 +350,16 @@ def rescale_accumulator(
     dyadic multipliers, saturated to int32.
 
     ``m`` and ``s`` broadcast against the trailing (channel) axis of ``acc``.
-    The int64 intermediates cannot wrap: |acc| < 2**31 and m < 2**32.
+    The rescale runs in place on one int64 buffer, which cannot wrap:
+    |acc| < 2**31 and m < 2**32.
     """
-    acc64 = acc.astype(np.int64)
-    m64 = np.asarray(m, dtype=np.int64)
-    s64 = np.asarray(s, dtype=np.int64)
-    rnd = np.left_shift(np.int64(1), s64 - 1)
-    shifted = np.right_shift(acc64 * m64 + rnd, s64)
-    return np.clip(shifted, INT32_MIN, INT32_MAX)
+    out = acc.astype(np.int64)
+    rows, (m64, s64) = _channel_rows(out, np.asarray(m, dtype=np.int64),
+                                     np.asarray(s, dtype=np.int64))
+    rows *= m64
+    rows += np.left_shift(np.int64(1), s64 - 1)
+    rows >>= s64
+    return np.clip(out, INT32_MIN, INT32_MAX, out=out)
 
 
 def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int]:
@@ -313,7 +383,7 @@ def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
     """The pre-rescale values of one layer: window sums for avgpool, the
     int32 MAC plus effective bias for weighted layers."""
     if layer.kind == "avgpool":
-        return window_sum(x.data.astype(np.int64), layer.window)
+        return window_sum(x.data, layer.window)
     b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
     if layer.kind == "dense":
         return dense_int(x, layer.weights, b_eff)
@@ -342,10 +412,11 @@ def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
     s = np.array([r.s for r in layer.rescalers], dtype=np.int64)
     shifted = rescale_accumulator(acc, m, s)
     if layer.kind == "avgpool":
-        return QTensor(np.clip(shifted, INT8_MIN, INT8_MAX).astype(np.int8), x.qparams)
-    lo, hi = activation_clamp(layer.activation, layer.output)
-    out = np.clip(shifted + layer.output.zero_point, lo, hi).astype(np.int8)
-    return QTensor(out, layer.output)
+        np.clip(shifted, INT8_MIN, INT8_MAX, out=shifted)
+        return QTensor(shifted.astype(np.int8), x.qparams)
+    shifted += layer.output.zero_point
+    np.clip(shifted, *activation_clamp(layer.activation, layer.output), out=shifted)
+    return QTensor(shifted.astype(np.int8), layer.output)
 
 
 def run_model_int(model: "ModelGraph", x_q: np.ndarray) -> np.ndarray:

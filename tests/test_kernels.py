@@ -7,17 +7,20 @@ from rescale_lab.errors import OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import (
     MAX_MAC_COUNT,
     QTensor,
+    accumulate,
     activation_clamp,
     compute_effective_bias,
     conv2d_int,
     dense_int,
     depthwise_conv2d_int,
     dequantize_real,
+    layer_accumulator,
     layer_forward_int,
     quantize_real,
+    window_sum,
 )
 from rescale_lab.model_io import LayerSpec
-from rescale_lab.qcore import INT32_MAX, QuantParams, quantize_rescaler
+from rescale_lab.qcore import INT32_MAX, INT32_MIN, QuantParams, quantize_rescaler
 
 from oracles import (
     oracle_avgpool,
@@ -115,6 +118,73 @@ class TestDense:
             dense_int(x, w, np.array([INT32_MAX]))
 
 
+class TestMacPrecision:
+    """int8 MACs run in float32 only while every partial sum is an integer
+    of magnitude <= 2**24; past that they fall back to float64."""
+
+    @staticmethod
+    def dense_and_1x1_conv(x, w):
+        b_eff = np.zeros(w.shape[0], dtype=np.int32)
+        dense = dense_int(qt(x), wt(w), b_eff)
+        conv = conv2d_int(qt(x.reshape(x.shape[0], 1, 1, -1)),
+                          wt(w.reshape(w.shape[0], 1, 1, -1)), b_eff)
+        return dense, conv.reshape(dense.shape)
+
+    def test_partial_sums_reaching_2_pow_24_stay_float32(self):
+        x = np.full((2, 1024), -128)
+        w = np.full((3, 1024), -128)
+        want = x @ w.T
+        assert want.max() == 1 << 24
+        assert accumulate(x.astype(np.int8), w.astype(np.int8), "dense")[0].dtype \
+            == np.float32
+        for got in self.dense_and_1x1_conv(x, w):
+            assert np.array_equal(got, want)
+
+    def test_odd_sums_past_2_pow_24_fall_back_to_float64(self):
+        # 127 * 127 is odd; the second row's last tap makes its total odd
+        # too, a value float32 cannot hold.
+        x = np.full((2, 1100), 127)
+        x[1, -1] = 2
+        w = np.full((3, 1100), 127)
+        want = x @ w.T
+        assert want.min() > 1 << 24 and want[1, 0] % 2 == 1
+        assert accumulate(x.astype(np.int8), w.astype(np.int8), "dense")[0].dtype \
+            == np.float64
+        for got in self.dense_and_1x1_conv(x, w):
+            assert np.array_equal(got, want)
+
+
+class TestEnvelopeCheck:
+    """The whole-tensor bound is only a shortcut: the decision is per
+    channel.  Two channels with accumulators +-16129 and the bias of the
+    other sign's channel at the int32 limit overrun the whole-tensor bound
+    without any channel leaving int32."""
+
+    @staticmethod
+    def run(kind, sign, b_eff):
+        x = np.array([[127]])
+        w = sign * np.array([[127], [-127]])
+        b_eff = np.array(b_eff, dtype=np.int32)
+        if kind == "dense":
+            return dense_int(qt(x), wt(w), b_eff)
+        return conv2d_int(qt(x.reshape(1, 1, 1, 1)), wt(w.reshape(2, 1, 1, 1)),
+                          b_eff).reshape(1, 2)
+
+    @pytest.mark.parametrize("kind", ["dense", "conv2d"])
+    def test_high_side_decided_per_channel(self, kind):
+        got = self.run(kind, 1, [INT32_MAX - 16129, INT32_MAX])
+        assert got.tolist() == [[INT32_MAX, INT32_MAX - 16129]]
+        with pytest.raises(OverflowEnvelopeError):
+            self.run(kind, 1, [INT32_MAX - 16128, INT32_MAX])
+
+    @pytest.mark.parametrize("kind", ["dense", "conv2d"])
+    def test_low_side_decided_per_channel(self, kind):
+        got = self.run(kind, -1, [INT32_MIN + 16129, INT32_MIN])
+        assert got.tolist() == [[INT32_MIN, INT32_MIN + 16129]]
+        with pytest.raises(OverflowEnvelopeError):
+            self.run(kind, -1, [INT32_MIN + 16128, INT32_MIN])
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         x = qt(np.arange(-8, 8).reshape(1, 4, 4, 1))
@@ -194,6 +264,21 @@ class TestAvgpool:
     def test_window_must_divide(self):
         with pytest.raises(ShapeError):
             avgpool(qt(np.zeros((1, 3, 3, 1))), (2, 2), k=8)
+
+    @pytest.mark.parametrize("value, total", [(-128, -512), (127, 508)])
+    def test_int8_window_sum_does_not_wrap(self, value, total):
+        x = np.full((1, 2, 2, 1), value, dtype=np.int8)
+        assert window_sum(x, (2, 2)).tolist() == [[[[total]]]]
+
+    def test_accumulator_equals_int64_reduction(self):
+        rng = np.random.default_rng(112)
+        for c, window in ((1, (2, 2)), (3, (3, 2)), (5, (1, 3)), (7, (2, 1))):
+            x = qt(rng.integers(-128, 128, size=(3, 6, 6, c)))
+            layer = LayerSpec(kind="avgpool", window=window, output=QP)
+            want = x.data.astype(np.int64).reshape(
+                3, 6 // window[0], window[0], 6 // window[1], window[1], c
+            ).sum(axis=(2, 4))
+            assert np.array_equal(layer_accumulator(x, layer), want)
 
 
 def dense_layer(w, bias, in_scale, w_scales, out_scale, z_out=0, k=8,

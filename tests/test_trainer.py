@@ -54,6 +54,43 @@ def small_dense_model(zero_point_in=3, seed=0, n_in=4, n_out=3):
     return model
 
 
+def strided_uneven_graph(k):
+    """A non-desk graph at width ``k``: stride-2 SAME conv, stride-2 VALID
+    depthwise, avgpool, flatten, dense; depthwise channel 1 carries a
+    multiplier of 1.5 * 2**-28, past the shift budget at every width."""
+    rng = np.random.default_rng(21)
+    in_qp = QuantParams(0.02, -5)
+
+    def weighted(kind, shape, in_params, out_qp, activation, stride, padding,
+                 tiny_channel=None):
+        w = rng.integers(-128, 128, size=shape).astype(np.int8)
+        channels = kernels.channel_count(w)
+        w_scales = rng.uniform(1e-3, 4e-3, size=channels) * out_qp.scale / in_params.scale
+        if tiny_channel is not None:
+            w_scales[tiny_channel] = 1.5 * 2.0**-28 * out_qp.scale / in_params.scale
+        rescalers = [quantize_rescaler(in_params.scale * float(sc) / out_qp.scale,
+                                       k, on_underflow="clamp") for sc in w_scales]
+        return LayerSpec(
+            kind=kind, activation=activation, weights=QTensor(w, w_scales),
+            bias=rng.integers(-3000, 3000, size=channels).astype(np.int32),
+            bias_scales=in_params.scale * w_scales, stride=stride, padding=padding,
+            output=out_qp, rescalers=rescalers)
+
+    conv_qp = QuantParams(0.05, -128)
+    dw_qp = QuantParams(0.04, -100)
+    logits_qp = QuantParams(0.1, 7)
+    layers = [
+        weighted("conv2d", (4, 3, 3, 2), in_qp, conv_qp, "relu6", (2, 2), "SAME"),
+        weighted("depthwise", (3, 3, 4), conv_qp, dw_qp, "relu", (2, 2), "VALID",
+                 tiny_channel=1),
+        LayerSpec(kind="avgpool", window=(2, 5), output=dw_qp,
+                  rescalers=[quantize_rescaler(0.1, k)]),
+        LayerSpec(kind="flatten", output=dw_qp),
+        weighted("dense", (3, 12), dw_qp, logits_qp, "none", (1, 1), "VALID"),
+    ]
+    return ModelGraph(name="strided-uneven", input_params=in_qp, layers=layers, k=k)
+
+
 @pytest.fixture(scope="module")
 def desk_model():
     rng = np.random.default_rng(11)
@@ -180,6 +217,24 @@ class TestEmulatedParity:
                 ref = run_model_int(mk, x).astype(np.float64)
                 emu, _ = emulated_forward(shadow, x)
                 assert np.array_equal(ref, emu)
+
+    @pytest.mark.parametrize("k", [32, 8, 2])
+    def test_parity_on_strided_uneven_graph(self, k):
+        # Stride-2 SAME conv 25x21 -> 13x11, stride-2 VALID depthwise on the
+        # uneven 13x11 -> 6x5, avgpool (2, 5), flatten, dense.  Depthwise
+        # channel 1 needs a shift past the budget: at k=2 the clamp policy
+        # leaves it with m=0.
+        with pytest.warns(RuntimeWarning, match="underflows"):
+            model = strided_uneven_graph(k)
+        validate_model(model)
+        underflowed = model.layers[1].rescalers[1]
+        assert underflowed.underflowed and (underflowed.m == 0) == (k == 2)
+        x = np.random.default_rng(k).integers(
+            -128, 128, size=(5, 25, 21, 2)).astype(np.int8)
+        ref = run_model_int(model, x).astype(np.float64)
+        emu, _ = emulated_forward(init_shadow(model), x)
+        assert ref.shape == (5, 3)
+        assert np.array_equal(ref, emu)
 
     def test_width_mismatch_rejected(self, desk_model):
         mk = materialize_rescalers(desk_model, 8)
