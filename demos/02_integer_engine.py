@@ -4,7 +4,7 @@ A quantized model runs on int8 tensors and int32 accumulators only; every
 real-valued scale has been folded into per-channel dyadic rescalers ahead
 of time.  This walkthrough quantizes a randomly initialized float network
 with a handful of calibration batches, runs the integer engine, and shows
-that the float64 training-time emulation replays it bit for bit.
+that the float64 training-time emulation reproduces it bit for bit.
 
 Run:  python3 demos/02_integer_engine.py
 """
@@ -59,8 +59,9 @@ print(f"argmax per sample: {logits_q.argmax(axis=1)}\n")
 # ---------------------------------------------------------------------------
 # 3. Output parity with the float64 emulation
 # ---------------------------------------------------------------------------
-# The trainer never touches integer kernels; it replays them in float64
-# (every intermediate fits exactly) so gradients can flow.  The contract is
+# The trainer runs the MAC in float64 (every partial sum is an exact
+# integer) so gradients can flow, then hands the accumulator to the
+# engine's own envelope check and integer rescale.  The contract is
 # bit-identical outputs, not approximately-equal outputs.
 
 shadow = init_shadow(qmodel)

@@ -70,7 +70,7 @@ for k in (32, 16, 8, 4, 3, 2):
 # ---------------------------------------------------------------------------
 # 4. Repair the damaged width in place
 # ---------------------------------------------------------------------------
-# Fine-tuning replays the *integer* deployment in float64 (bit-identical),
+# Fine-tuning runs the *integer* deployment's arithmetic (bit-identical),
 # so the loss sees exactly the damage the narrow rescalers cause, and the
 # straight-through estimator lets SGD walk the integer weights to a point
 # that compensates.  Rescalers, scales, and zero points never change.

@@ -175,7 +175,8 @@ def layer_error_report(
     per-channel peak |accumulator| feeds the mismatch bound; the safe flag
     is an exact rational comparison against the half-step rounding floor.
     """
-    from .model_io import materialize_rescalers  # local: avoid import cycle
+    # local: avoid import cycle
+    from .model_io import layer_input_params, materialize_rescalers
 
     if isinstance(probe_batches, np.ndarray):
         probe_batches = [probe_batches]
@@ -186,11 +187,7 @@ def layer_error_report(
     if layer.kind == "flatten":
         raise DomainError("flatten has no rescale stage to analyze")
 
-    in_params = (
-        materialized.input_params
-        if layer_id == 0
-        else materialized.layers[layer_id - 1].output
-    )
+    in_params = layer_input_params(materialized, layer_id)
     channels = len(layer.rescalers)
     max_abs = np.zeros(channels, dtype=np.int64)
     saw_probe = False

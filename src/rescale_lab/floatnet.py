@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FormatError
-from .kernels import accumulate, channel_count, mac_count, window_sum
+from .kernels import accumulate, channel_count, flatten, mac_count, window_sum
 
 ARCH_NAME = "desk-cnn-v1"
 
@@ -120,7 +120,7 @@ def forward_intermediates(model: FloatModel, x: np.ndarray) -> dict[str, np.ndar
         if layer.kind == "avgpool":
             x = avgpool_real(x, layer.window)
         elif layer.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+            x = flatten(x)
         else:
             w, b = layer_params(model, layer)
             if layer.kind == "dense":

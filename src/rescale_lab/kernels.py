@@ -10,7 +10,9 @@ sums below 2**30, far under 2**53).  The bias is added in int32 once the
 int32 envelope check has proven that it cannot wrap; the rescaling stage
 runs in place on one int64 buffer.  The same MAC core (:func:`accumulate`,
 :func:`window_sum`) also serves the training emulation and the float
-reference network.
+reference network, and the emulation runs its exact float64 accumulators
+through this module's :func:`check_envelope` and
+:func:`rescale_accumulator`.
 """
 
 from __future__ import annotations
@@ -256,9 +258,10 @@ def _channel_rows(a: np.ndarray, *vectors: np.ndarray):
                   for v in vectors]
 
 
-def _check_envelope(acc: np.ndarray, b_eff: np.ndarray) -> None:
+def check_envelope(acc: np.ndarray, b_eff: np.ndarray) -> None:
     """Raise if any ``acc + b_eff`` (bias along the last axis) leaves int32.
 
+    ``acc`` may be integer or integer-valued float (the emulation's MAC).
     Whole-tensor extremes give a cheap conservative bound; only when it
     fails are the channels decided one by one.
     """
@@ -284,7 +287,7 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
         raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
     acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
     b_eff = np.asarray(b_eff)
-    _check_envelope(acc, b_eff)
+    check_envelope(acc, b_eff)
     # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32, and the check above
     # proved that adding the bias cannot wrap.
     out = acc.astype(np.int32)
@@ -347,18 +350,25 @@ def rescale_accumulator(
     acc: np.ndarray, m: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
     """Vectorized round-half-up rescale of int32 accumulators by per-channel
-    dyadic multipliers, saturated to int32.
+    dyadic multipliers, saturated to int32: ``floor((acc*m + 2**(s-1)) /
+    2**s)``.
 
-    ``m`` and ``s`` broadcast against the trailing (channel) axis of ``acc``.
-    The rescale runs in place on one int64 buffer, which cannot wrap:
-    |acc| < 2**31 and m < 2**32.
+    ``acc`` may be integer or integer-valued float (the emulation passes its
+    exact float64 accumulator); ``m`` and ``s`` broadcast against the
+    trailing (channel) axis.  The rescale runs in place on one int64 buffer.
+    The product cannot wrap (|acc| <= 2**31, m < 2**32), but adding the
+    half step to it could, so the shift goes in two steps:
+    ``((acc*m >> (s-1)) + 1) >> 1`` is the same floor.
     """
-    out = acc.astype(np.int64)
+    out = np.empty(acc.shape, np.int64)
     rows, (m64, s64) = _channel_rows(out, np.asarray(m, dtype=np.int64),
                                      np.asarray(s, dtype=np.int64))
-    rows *= m64
-    rows += np.left_shift(np.int64(1), s64 - 1)
-    rows >>= s64
+    # Cast to int64 and multiply in one pass.
+    np.multiply(acc.reshape(rows.shape), m64, out=rows, dtype=np.int64,
+                casting="unsafe")
+    rows >>= s64 - 1
+    rows += 1
+    rows >>= 1
     return np.clip(out, INT32_MIN, INT32_MAX, out=out)
 
 
@@ -394,6 +404,21 @@ def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
     raise ShapeError(f"layer kind {layer.kind!r} has no rescale stage")
 
 
+def rescaler_vectors(layer: "LayerSpec", k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer's per-channel multiplicands and shifts as int64 vectors
+    (one entry for avgpool); raises if a rescaler is not at width ``k``."""
+    for r in layer.rescalers:
+        if r.k != k:
+            raise ShapeError(f"layer rescaler width {r.k} does not match k={k}")
+    return (np.array([r.m for r in layer.rescalers], dtype=np.int64),
+            np.array([r.s for r in layer.rescalers], dtype=np.int64))
+
+
+def flatten(x: np.ndarray) -> np.ndarray:
+    """(n, ...) -> (n, features), also for an empty batch."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+
+
 def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
     """Run one layer of the integer engine.
 
@@ -403,13 +428,9 @@ def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
     keeps the input's quantization parameters.
     """
     if layer.kind == "flatten":
-        return QTensor(x.data.reshape(x.data.shape[0], -1), x.qparams)
-    for r in layer.rescalers:
-        if r.k != k:
-            raise ShapeError(f"layer rescaler width {r.k} does not match engine k={k}")
+        return QTensor(flatten(x.data), x.qparams)
+    m, s = rescaler_vectors(layer, k)
     acc = layer_accumulator(x, layer)
-    m = np.array([r.m for r in layer.rescalers], dtype=np.int64)
-    s = np.array([r.s for r in layer.rescalers], dtype=np.int64)
     shifted = rescale_accumulator(acc, m, s)
     if layer.kind == "avgpool":
         np.clip(shifted, INT8_MIN, INT8_MAX, out=shifted)

@@ -116,6 +116,17 @@ def round_half_up(values: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
 
 
+def fake_quantize_weights(w: np.ndarray) -> np.ndarray:
+    """Deployment-identical integerization of real-valued weights: round
+    half-up, clamp to int8.  Returns float64."""
+    return np.clip(round_half_up(w), INT8_MIN, INT8_MAX)
+
+
+def fake_quantize_biases(b: np.ndarray) -> np.ndarray:
+    """Round half-up, clamp to int32; returns float64."""
+    return np.clip(round_half_up(b), float(INT32_MIN), float(INT32_MAX))
+
+
 # ---------------------------------------------------------------------------
 # Post-training quantization
 # ---------------------------------------------------------------------------
@@ -259,7 +270,8 @@ def materialize_rescalers(model: ModelGraph, k: int) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 
-def _layer_input_params(model: ModelGraph, index: int) -> QuantParams:
+def layer_input_params(model: ModelGraph, index: int) -> QuantParams:
+    """Quantization parameters of layer ``index``'s input."""
     return model.input_params if index == 0 else model.layers[index - 1].output
 
 
@@ -270,7 +282,7 @@ def validate_model(model: ModelGraph) -> None:
     if not isinstance(model.input_params, QuantParams):
         raise ShapeError("model input parameters missing")
     for idx, layer in enumerate(model.layers):
-        in_params = _layer_input_params(model, idx)
+        in_params = layer_input_params(model, idx)
         if layer.kind not in LAYER_KINDS:
             raise ShapeError(f"layer {idx}: unknown kind {layer.kind!r}")
         if layer.output is None:
@@ -603,8 +615,9 @@ def models_equal(a: ModelGraph, b: ModelGraph) -> bool:
 def redeploy_weights(model: ModelGraph, shadow: "ShadowModel") -> ModelGraph:
     """Substitute rounded shadow weights into a copy of the model.
 
-    Weights round half-up and clamp to [-128, 127]; biases round half-up and
-    clamp to int32.  Scales, zero points, and rescalers are untouched.
+    The integers come from :func:`fake_quantize_weights` and
+    :func:`fake_quantize_biases`, the same integerization the training
+    emulation runs.  Scales, zero points, and rescalers are untouched.
     """
     if len(shadow.weights) != len(model.layers):
         raise ShapeError("shadow layer count does not match the model")
@@ -626,8 +639,8 @@ def redeploy_weights(model: ModelGraph, shadow: "ShadowModel") -> ModelGraph:
             )
         if shadow_b.shape != layer.bias.shape:
             raise ShapeError(f"layer {idx}: shadow bias shape mismatch")
-        w_int = np.clip(round_half_up(shadow_w), INT8_MIN, INT8_MAX).astype(np.int8)
-        b_int = np.clip(round_half_up(shadow_b), INT32_MIN, INT32_MAX).astype(np.int32)
+        w_int = fake_quantize_weights(shadow_w).astype(np.int8)
+        b_int = fake_quantize_biases(shadow_b).astype(np.int32)
         new_layers.append(
             replace(layer, weights=QTensor(w_int, layer.weights.qparams), bias=b_int)
         )

@@ -2,14 +2,15 @@
 gradients, SGD fine-tuning under a fixed rescaler width, and float-mode
 baseline training.
 
-The emulated forward replays every integer operation (MAC, bias,
-fixed-point multiply, round-half-up shift, zero-point add, clamp) in
-binary64.  It accumulates over the zero-point-corrected input ``x - z``,
-which equals the engine's MAC plus effective bias.  All intermediates are
-integers below 2**53, and the shifted multiply is split so no product
-exceeds 2**49, so the replay is exact and its outputs are bit-identical to
-the integer engine — training therefore sees precisely the numbers
-deployment will produce.
+The emulated forward runs fake-quantized weights through the engine's own
+stages.  It accumulates in float64 over the zero-point-corrected input
+``x - z``, which equals the engine's MAC plus effective bias; every partial
+sum is an integer below 2**31, so the MAC is exact.  Everything after the
+MAC is the engine's code: :func:`kernels.check_envelope` on the MAC and the
+bias, then :func:`kernels.rescale_accumulator` (int64) on the accumulator,
+with the zero-point add and clamps back in float64.  Its outputs are
+therefore bit-identical to the integer engine — training sees precisely
+the numbers deployment will produce.
 
 Backward passes use the straight-through estimator: rounding nodes have
 derivative one, saturation nodes pass gradient only inside their clamp
@@ -26,22 +27,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import floatnet
-from .errors import DomainError, OverflowEnvelopeError, ShapeError
+from .errors import DomainError, ShapeError
 from .kernels import (
     INT8_MAX,
     INT8_MIN,
     accumulate,
     activation_clamp,
+    check_envelope,
     evaluate_int,
+    flatten,
     quantize_real,
+    rescale_accumulator,
+    rescaler_vectors,
     window_sum,
 )
 from .model_io import (
     ModelGraph,
     WEIGHTED_KINDS,
+    fake_quantize_biases,
+    fake_quantize_weights,
+    layer_input_params,
     materialize_rescalers,
     redeploy_weights,
-    round_half_up,
 )
 from .qcore import INT32_MAX, INT32_MIN, QuantParams
 
@@ -105,52 +112,6 @@ def init_shadow(model: ModelGraph) -> ShadowModel:
     return ShadowModel(graph=model, weights=weights, biases=biases)
 
 
-def fake_quantize_weights(w: np.ndarray) -> np.ndarray:
-    """Deployment-identical integerization: round half-up, clamp to int8."""
-    return np.clip(round_half_up(w), INT8_MIN, INT8_MAX)
-
-
-def fake_quantize_biases(b: np.ndarray) -> np.ndarray:
-    return np.clip(round_half_up(b), _INT32_LO, _INT32_HI)
-
-
-# ---------------------------------------------------------------------------
-# Exact binary64 replay of the fixed-point rescale
-# ---------------------------------------------------------------------------
-
-
-def _emulated_rescale(acc: np.ndarray, m, s, rounding: bool) -> np.ndarray:
-    """floor((acc*m + 2**(s-1)) / 2**s) per channel, exactly, in float64.
-
-    For s <= 16 the product fits 47 bits directly (m <= 2**s).  For larger
-    shifts the multiplicand is split at 16 bits; discarding the fractional
-    part of the low product cannot change the final floor, and every
-    intermediate stays below 2**49.  ``m`` and ``s`` broadcast against the
-    trailing channel axis.
-    """
-    if not rounding:
-        return acc * (np.asarray(m, dtype=np.float64) / np.exp2(s))
-    m = np.asarray(m, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    direct = s <= 16
-    half = np.exp2(s - 1)
-    out_direct = np.floor((acc * m + half) * np.exp2(-s))
-    m_hi = np.floor(m * np.exp2(-16.0))
-    m_lo = m - m_hi * 65536.0
-    low_floor = np.floor(acc * m_lo * np.exp2(-16.0))
-    inner = acc * m_hi + low_floor + np.exp2(s - 17)
-    out_split = np.floor(inner * np.exp2(-(s - 16)))
-    return np.where(direct, out_direct, out_split)
-
-
-def _check_envelope(acc: np.ndarray) -> None:
-    peak = float(np.max(np.abs(acc))) if acc.size else 0.0
-    if peak > _INT32_HI:
-        raise OverflowEnvelopeError(
-            f"emulated accumulator peak {peak:.0f} leaves the int32 envelope"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Emulated forward
 # ---------------------------------------------------------------------------
@@ -165,10 +126,19 @@ def _mac(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict]:
                  "stride": layer.stride, "w_fq": w}
 
 
+def _rescale(acc: np.ndarray, m: np.ndarray, s: np.ndarray,
+             rounding: bool) -> np.ndarray:
+    """The engine's rescale of an exact accumulator, returned in float64;
+    without rounding, the smooth surrogate ``acc * M_q`` clipped to int32."""
+    if rounding:
+        return rescale_accumulator(acc, m, s).astype(np.float64)
+    return np.clip(acc * (m / np.exp2(s)), _INT32_LO, _INT32_HI)
+
+
 def emulated_forward(
     shadow: ShadowModel, x_q: np.ndarray, rounding: bool = True
 ) -> tuple[np.ndarray, list[dict]]:
-    """Replay the integer engine in float64 with fake-quantized weights.
+    """Emulate the integer engine, bit for bit, with fake-quantized weights.
 
     ``x_q`` must already be quantized with the model's input parameters.
     Returns the final int8-valued logits and a per-layer cache for
@@ -182,20 +152,12 @@ def emulated_forward(
     for idx, layer in enumerate(model.layers):
         if layer.kind == "flatten":
             cache.append({"kind": "flatten", "in_shape": x.shape})
-            x = x.reshape(x.shape[0], -1)
+            x = flatten(x)
             continue
-
-        m = np.array([r.m for r in layer.rescalers], dtype=np.float64)
-        s = np.array([r.s for r in layer.rescalers], dtype=np.float64)
-        for r in layer.rescalers:
-            if r.k != model.k:
-                raise ShapeError(
-                    f"layer {idx}: rescaler width {r.k} != shadow k {model.k}"
-                )
+        m, s = rescaler_vectors(layer, model.k)
 
         if layer.kind == "avgpool":
-            shifted = np.clip(_emulated_rescale(window_sum(x, layer.window), m[0], s[0],
-                                                rounding), _INT32_LO, _INT32_HI)
+            shifted = _rescale(window_sum(x, layer.window), m, s, rounding)
             cache.append({
                 "kind": "avgpool",
                 "window": layer.window,
@@ -216,21 +178,17 @@ def emulated_forward(
         else:
             w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
             b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
-        z_in = model.input_params.zero_point if idx == 0 else \
-            model.layers[idx - 1].output.zero_point
         if layer.kind == "dense" and x.ndim != 2:
             raise ShapeError(f"layer {idx}: dense expects a flat batch")
         # The MAC over the zero-point-corrected input is exactly the engine's
         # MAC plus effective bias.
-        x = x - z_in
+        x = x - layer_input_params(model, idx).zero_point
         acc, entry = _mac(layer, x, w_fq)
-        acc = acc + b_fq
-        _check_envelope(acc)
+        check_envelope(acc, b_fq)
+        acc += b_fq
 
         lo, hi = activation_clamp(layer.activation, layer.output)
-        shifted = np.clip(_emulated_rescale(acc, m, s, rounding),
-                          _INT32_LO, _INT32_HI)
-        raw = shifted + layer.output.zero_point
+        raw = _rescale(acc, m, s, rounding) + layer.output.zero_point
         x = np.clip(raw, lo, hi)
         entry.update(
             w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
@@ -274,16 +232,14 @@ def _input_grad(g: np.ndarray, entry: dict) -> np.ndarray:
     return dx_pad[:, top : top + h, left : left + w_, :]
 
 
-def ste_backward(
-    shadow: ShadowModel | None, cache: list[dict], grad_out: np.ndarray
-) -> Gradients:
+def ste_backward(cache: list[dict], grad_out: np.ndarray) -> Gradients:
     """Backpropagate through a cached forward with clipped STE.
 
-    ``cache`` comes from :func:`emulated_forward` or from float training;
-    it holds everything the pass reads, so ``shadow`` may be ``None``.
-    ``grad_out`` is the loss gradient with respect to the final outputs.
-    Returns gradients aligned with the cached layers (``None`` for layers
-    without parameters).  The input gradient of layer 0 is never formed.
+    ``cache`` comes from :func:`emulated_forward` or from float training
+    and holds everything the pass reads.  ``grad_out`` is the loss gradient
+    with respect to the final outputs.  Returns gradients aligned with the
+    cached layers (``None`` for layers without parameters).  The input
+    gradient of layer 0 is never formed.
     """
     d_weights: list[np.ndarray | None] = [None] * len(cache)
     d_biases: list[np.ndarray | None] = [None] * len(cache)
@@ -445,9 +401,9 @@ def finetune(
     """Rescale-aware fine-tuning at width ``k`` with plain SGD.
 
     Shadow weights start as exact copies of the integers; every forward
-    pass replays the integer engine in float64; after each epoch the shadow
-    is re-deployed (rounded back to integers) and evaluated.  Quantization
-    parameters and rescalers never change.
+    pass is the bit-exact emulation of the integer engine; after each epoch
+    the shadow is re-deployed (rounded back to integers) and evaluated.
+    Quantization parameters and rescalers never change.
     """
     base = materialize_rescalers(model, k) if model.k != k else model
     shadow = init_shadow(base)
@@ -468,7 +424,7 @@ def finetune(
             logits, cache = emulated_forward(shadow, x_q)
             loss, grad = softmax_cross_entropy(logits, labels[sel],
                                                base.layers[-1].output)
-            grads = ste_backward(shadow, cache, grad)
+            grads = ste_backward(cache, grad)
             for i in range(len(shadow.weights)):
                 if grads.weights[i] is None:
                     continue
@@ -506,7 +462,7 @@ def _float_forward(model, x: np.ndarray) -> tuple[np.ndarray, list[dict]]:
     for layer in floatnet.LAYERS:
         if layer.kind == "flatten":
             cache.append({"kind": "flatten", "in_shape": x.shape})
-            x = x.reshape(x.shape[0], -1)
+            x = flatten(x)
         elif layer.kind == "avgpool":
             area = layer.window[0] * layer.window[1]
             cache.append({"kind": "avgpool", "window": layer.window, "in_shape": x.shape,
@@ -557,7 +513,7 @@ def train_float(
             sel = order[start : start + cfg.batch_size]
             logits, cache = _float_forward(model, x_all[sel])
             loss, grad = softmax_cross_entropy(logits, labels[sel], real_logits)
-            grads = ste_backward(None, cache, grad)
+            grads = ste_backward(cache, grad)
             for layer, d_w, d_b in zip(floatnet.LAYERS, grads.weights, grads.biases):
                 if layer.param is not None:
                     w, b = floatnet.layer_params(model, layer)

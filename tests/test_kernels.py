@@ -1,7 +1,12 @@
 """Integer kernel tests: frozen examples, oracle fuzz, and algebraic laws."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescale_lab.errors import OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import (
@@ -17,6 +22,8 @@ from rescale_lab.kernels import (
     layer_accumulator,
     layer_forward_int,
     quantize_real,
+    rescale_accumulator,
+    rescaler_vectors,
     window_sum,
 )
 from rescale_lab.model_io import LayerSpec
@@ -333,6 +340,22 @@ class TestLayerForward:
         assert out.data.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
 
+class TestRescalerVectors:
+    def test_int64_vectors_per_channel(self):
+        layer = dense_layer([[1], [2]], [0, 0], in_scale=0.5, w_scales=[0.25, 0.75],
+                            out_scale=1.0, k=8)
+        m, s = rescaler_vectors(layer, 8)
+        assert m.dtype == np.int64 and s.dtype == np.int64
+        assert m.tolist() == [r.m for r in layer.rescalers]
+        assert s.tolist() == [r.s for r in layer.rescalers]
+
+    def test_avgpool_has_one_entry(self):
+        layer = LayerSpec(kind="avgpool", window=(2, 2), output=QP,
+                          rescalers=[quantize_rescaler(0.25, 4)])
+        m, s = rescaler_vectors(layer, 4)
+        assert (m.tolist(), s.tolist()) == ([8], [5])
+
+
 class TestActivationClamp:
     def test_none(self):
         assert activation_clamp("none", QuantParams(0.1, 5)) == (-128, 127)
@@ -542,3 +565,91 @@ def test_avgpool_matches_requantize_semantics():
         for v in sums[i, a, b]] for b in range(2)] for a in range(2)]
         for i in range(1)])
     assert np.array_equal(out.data, want)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized rescale against the arbitrary-precision oracle
+# ---------------------------------------------------------------------------
+
+ACC_EDGES = (INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX)
+
+
+def tie_accumulators(m, s):
+    """The int32 accumulators ``a`` closest to zero whose product ``a*m``
+    lies exactly half-way between multiples of ``2**s``."""
+    if m == 0:
+        return []
+    t = (m & -m).bit_length() - 1  # m = odd * 2**t
+    if t >= s:
+        return []  # every product is a multiple of 2**s
+    period = 1 << (s - t)
+    a0 = ((1 << (s - 1 - t)) * pow(m >> t, -1, period)) % period
+    return [a for a in (a0, a0 - period) if INT32_MIN <= a <= INT32_MAX]
+
+
+@st.composite
+def rescaler_channels(draw):
+    """Per-channel rescalers at one width k: from quantize_rescaler's normal
+    range (down to 2**-25, whose shift is the budget 24 + k), including the all-ones multiplicands
+    of values just under a power of two, or clamp-policy underflows whose
+    multiplicand lost bits, down to m=0."""
+    k = draw(st.integers(2, 32))
+    just_under = st.integers(0, 24).map(lambda e: math.nextafter(2.0**-e, 0.0))
+    rescalers = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            value = draw(st.one_of(st.floats(2.0**-25, 1.0), just_under))
+            rescalers.append(quantize_rescaler(value, k))
+        else:
+            value = draw(st.floats(2.0**-(k + 30), 2.0**-25, exclude_max=True))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rescalers.append(quantize_rescaler(value, k, on_underflow="clamp"))
+    return rescalers
+
+
+class TestRescaleAccumulator:
+    @settings(max_examples=300, deadline=None)
+    @given(rescalers=rescaler_channels(), data=st.data())
+    def test_matches_oracle(self, rescalers, data):
+        # Every channel sees the int32 edges, its own exact ties (0 where it
+        # has none) and a few drawn accumulators.
+        drawn = st.lists(st.integers(INT32_MIN, INT32_MAX), min_size=4, max_size=4)
+        columns = [list(ACC_EDGES) + (tie_accumulators(r.m, r.s) + [0, 0])[:2]
+                   + data.draw(drawn) for r in rescalers]
+        acc = np.array(columns, dtype=np.int64).T
+        m = np.array([r.m for r in rescalers])
+        s = np.array([r.s for r in rescalers])
+        want = [[oracle_rescale(int(a), r.m, r.s) for a, r in zip(row, rescalers)]
+                for row in acc]
+        # The engine passes int32 accumulators, the emulation exact float64.
+        for dtype in (np.int32, np.float64):
+            got = rescale_accumulator(acc.astype(dtype), m, s)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    def test_ties_round_up(self):
+        r = quantize_rescaler(0.75, 8)  # m=192, s=8: 3 * 0.75 = 2.25, 2 * 0.75 = 1.5
+        ties = tie_accumulators(r.m, r.s)
+        assert ties == [2, -2]
+        got = rescale_accumulator(np.array([ties], dtype=np.int32), r.m, r.s)
+        assert got.tolist() == [[2, -1]]
+
+    @pytest.mark.parametrize("e", range(1, 25))
+    def test_half_step_add_cannot_wrap(self, e):
+        # k=32, m = 2**32 - 1 and s = 32 + e: the product with INT32_MAX is
+        # just under 2**63, so adding the half step 2**(s-1) in one go
+        # wraps int64 from s = 34 on.
+        r = quantize_rescaler(2.0**-e * (1 - 2.0**-40), 32)
+        assert (r.m, r.s) == ((1 << 32) - 1, 32 + e)
+        acc = np.array([[INT32_MAX, INT32_MIN, INT32_MAX - 1]], dtype=np.int32)
+        got = rescale_accumulator(acc, np.array([r.m]), np.array([r.s]))
+        assert got.ravel().tolist() == [oracle_rescale(int(a), r.m, r.s)
+                                        for a in acc.ravel()]
+
+    def test_clamp_policy_zero_multiplier(self):
+        with pytest.warns(RuntimeWarning, match="underflows"):
+            r = quantize_rescaler(1.5 * 2.0**-28, 2, on_underflow="clamp")
+        assert r.m == 0
+        acc = np.array([ACC_EDGES], dtype=np.int32).T
+        assert rescale_accumulator(acc, r.m, r.s).ravel().tolist() == [0] * 7
