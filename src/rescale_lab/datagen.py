@@ -82,6 +82,32 @@ _GHOST_PROBABILITY = 1.0
 _CONFUSABLE_PARTNER = {8: 9, 9: 8, 5: 6, 6: 5, 1: 7, 7: 1}
 _LABEL_NOISE_RATE = 0.30
 
+# Images per pass of the stroke geometry.  Its temporaries hold a
+# (pixels, strokes, 2) float64 block per image, about 0.1 MB, so the
+# geometry runs over this many images at a time while each chunk still
+# draws its random numbers at once.
+_GEOMETRY_BATCH = 64
+
+
+def _stroke_ink(grid: np.ndarray, segs: np.ndarray, width: np.ndarray,
+                intensity: np.ndarray) -> np.ndarray:
+    """Ink of every pixel of a batch of images: the brightest stroke within
+    reach, each stroke fading linearly over half its width.  ``segs`` is
+    (b, S, 2, 2) stroke endpoints, ``width`` (b,), ``intensity`` (b, S);
+    returns (b, pixels)."""
+    a = segs[:, :, 0, :]  # (b, S, 2)
+    ab = segs[:, :, 1, :] - a
+    diff = grid[None, :, None, :] - a[:, None, :, :]  # (b, 784, S, 2)
+    denom = np.maximum((ab * ab).sum(-1), 1e-12)  # (b, S)
+    t = (diff * ab[:, None, :, :]).sum(-1) / denom[:, None, :]
+    t = np.clip(t, 0.0, 1.0)
+    closest = a[:, None, :, :] + t[..., None] * ab[:, None, :, :]
+    dist = np.linalg.norm(grid[None, :, None, :] - closest, axis=-1)
+
+    falloff = np.clip((width[:, None, None] - dist)
+                      / (0.5 * width[:, None, None]) + 1.0, 0.0, 1.0)
+    return (falloff * intensity[:, None, :]).max(axis=2)
+
 
 def render_digits(labels: np.ndarray, rng: np.random.Generator,
                   chunk: int = 512) -> np.ndarray:
@@ -153,18 +179,10 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator,
             [seg_intensity, np.where(clutter_live, clutter_level, 0.0)], axis=1
         )  # (b, 7 + C)
 
-        a = segs[:, :, 0, :]  # (b, S, 2)
-        ab = segs[:, :, 1, :] - a
-        diff = grid[None, :, None, :] - a[:, None, :, :]  # (b, 784, S, 2)
-        denom = np.maximum((ab * ab).sum(-1), 1e-12)  # (b, S)
-        t = (diff * ab[:, None, :, :]).sum(-1) / denom[:, None, :]
-        t = np.clip(t, 0.0, 1.0)
-        closest = a[:, None, :, :] + t[..., None] * ab[:, None, :, :]
-        dist = np.linalg.norm(grid[None, :, None, :] - closest, axis=-1)
-
-        falloff = np.clip((width[:, None, None] - dist)
-                          / (0.5 * width[:, None, None]) + 1.0, 0.0, 1.0)
-        ink = (falloff * intensity[:, None, :]).max(axis=2)  # (b, 784)
+        ink = np.empty((b, grid.shape[0]))
+        for lo in range(0, b, _GEOMETRY_BATCH):
+            sub = slice(lo, lo + _GEOMETRY_BATCH)
+            ink[sub] = _stroke_ink(grid, segs[sub], width[sub], intensity[sub])
         img = np.clip(ink * brightness[:, None] + noise, 0.0, 1.0)
         out[start : start + chunk] = np.floor(img * 255.0 + 0.5).astype(
             np.uint8

@@ -195,10 +195,12 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
     :func:`channel_axis`; SAME padding fills with ``pad_value``.  Returns
-    ``(acc, cols, pads)``: ``cols`` is the operand the weights met (``x``
-    itself for dense, the (n, oh, ow, c, kh, kw) window view otherwise) and
+    ``(acc, cols, pads)``: ``cols`` is the operand the weights met and
     ``pads`` the (top, bottom, left, right) padding, both kept for the
-    backward pass.  Integer operands give exact sums.
+    backward pass.  ``cols`` is ``x`` itself for dense, the contiguous
+    im2col matrix (n*oh*ow, kh*kw*c) for conv2d, columns in (kh, kw, c)
+    order, and the (n, oh, ow, c, kh, kw) window view for depthwise.
+    Integer operands give exact sums.
     """
     dtype = _mac_dtype(x, w)
     w = w.astype(dtype, copy=False)
@@ -209,8 +211,8 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
     x_pad = _pad_nhwc(x, pads, pad_value).astype(dtype, copy=False)
     cols = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))[:, ::stride[0], ::stride[1]]
     if kind == "conv2d":
-        flat = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, mac_count(w))
-        acc = flat @ w.reshape(w.shape[0], -1).T
+        cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, mac_count(w))
+        acc = cols @ w.reshape(w.shape[0], -1).T
         acc = acc.reshape(x.shape[0], out_h, out_w, w.shape[0])
     elif kind == "depthwise":
         # One multiply-add per tap, in (kh, kw) order, over rows of

@@ -16,7 +16,11 @@ Backward passes use the straight-through estimator: rounding nodes have
 derivative one, saturation nodes pass gradient only inside their clamp
 range, the rescale node contributes exactly its dyadic factor, and the
 weight fake-quantizer passes gradient only while the shadow weight is
-within the int8 clamp range.
+within the int8 clamp range.  The forward caches the operand each layer's
+weights met; for conv2d that is the im2col matrix ``cols`` of
+:func:`kernels.accumulate`, so the conv weight gradient is one matmul
+with it and the input gradient one matmul with the weights, scattered
+back tap by tap.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import DomainError, ShapeError
 from .kernels import (
     INT8_MAX,
     INT8_MIN,
+    _channel_rows,
     accumulate,
     activation_clamp,
     check_envelope,
@@ -211,23 +216,73 @@ class Gradients:
     biases: list[np.ndarray | None]
 
 
+def _through_nodes(g: np.ndarray, mask, factor) -> np.ndarray:
+    """The gradient through a clamp node (``mask``) and then a rescale node
+    (``factor``: one scalar, or M_q per channel along the last axis, applied
+    over channel-tiled rows).  Float training's identity nodes, ``True``
+    and ``1.0``, are skipped, so the result may be ``g`` itself; only fresh
+    arrays are written in place."""
+    if np.ndim(factor) == 0:
+        if mask is not True:
+            g = g * mask
+        return g if factor == 1.0 else g * factor
+    g = g * mask  # a fresh array, scaled in place below
+    rows, (f_rows,) = _channel_rows(g, factor)
+    rows *= f_rows
+    return g
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a channels-last array over every axis but the last: its
+    channel-tiled rows first, in long loops, then the tiles of one row."""
+    rows, _ = _channel_rows(a)
+    return rows.sum(axis=0).reshape(-1, a.shape[-1]).sum(axis=0)
+
+
+def _weight_grad(g: np.ndarray, entry: dict) -> np.ndarray:
+    """Gradient of a weighted layer's weights from its accumulator gradient
+    and the operand the weights met in the forward."""
+    cols, w = entry["cols"], entry["w_fq"]
+    if entry["kind"] == "dense":
+        return g.T @ cols
+    if entry["kind"] == "conv2d":
+        return (g.reshape(-1, w.shape[0]).T @ cols).reshape(w.shape)
+    # Depthwise: one product per tap with the tap's window slice.
+    d_w = np.empty(w.shape)
+    prod = np.empty(g.shape)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            np.multiply(g, cols[..., i, j], out=prod)
+            d_w[i, j] = _channel_sum(prod)
+    return d_w
+
+
 def _input_grad(g: np.ndarray, entry: dict) -> np.ndarray:
     """Gradient of a weighted layer's input from its accumulator gradient:
-    the transposed MAC, scattered back over the padded windows."""
+    the transposed MAC, scattered back tap by tap over the padded input."""
     w = entry["w_fq"]
     if entry["kind"] == "dense":
         return g @ w
     conv = entry["kind"] == "conv2d"
     k_h, k_w = w.shape[1:3] if conv else w.shape[:2]
-    n, oh, ow, _ = g.shape
+    n, oh, ow, o = g.shape
     _, h, w_, c = entry["in_shape"]
     top, bottom, left, right = entry["pads"]
     s_h, s_w = entry["stride"]
+    if conv:
+        # One matmul gives every tap's columns (col2im scatters them below).
+        taps = (g.reshape(-1, o) @ w.reshape(o, -1)).reshape(n, oh, ow, k_h, k_w, c)
+    else:
+        # Rows of (ow, c) meet the weights tiled to the row's length.
+        g_rows = g.reshape(n, oh, ow * c)
+        w_rows = np.tile(w, (1, 1, ow))
     dx_pad = np.zeros((n, h + top + bottom, w_ + left + right, c))
     for ky in range(k_h):
         for kx in range(k_w):
-            contrib = (np.einsum("nhwo,oc->nhwc", g, w[:, ky, kx, :]) if conv
-                       else g * w[ky, kx, :])
+            contrib = (taps[:, :, :, ky, kx] if conv
+                       else (g_rows * w_rows[ky, kx]).reshape(n, oh, ow, c))
+            # Add into the strided slice itself: reshaping it would copy
+            # at stride 2 and lose the add.
             dx_pad[:, ky : ky + oh * s_h : s_h, kx : kx + ow * s_w : s_w, :] += contrib
     return dx_pad[:, top : top + h, left : left + w_, :]
 
@@ -236,10 +291,12 @@ def ste_backward(cache: list[dict], grad_out: np.ndarray) -> Gradients:
     """Backpropagate through a cached forward with clipped STE.
 
     ``cache`` comes from :func:`emulated_forward` or from float training
-    and holds everything the pass reads.  ``grad_out`` is the loss gradient
-    with respect to the final outputs.  Returns gradients aligned with the
-    cached layers (``None`` for layers without parameters).  The input
-    gradient of layer 0 is never formed.
+    and holds everything the pass reads; neither it nor ``grad_out`` is
+    written.  ``grad_out`` is the loss gradient with respect to the final
+    outputs.  Returns gradients aligned with the cached layers (``None``
+    for layers without parameters).  Weight and input gradients of conv2d
+    layers are matmuls on the cached im2col matrix; the input gradient of
+    layer 0 is never formed.
     """
     d_weights: list[np.ndarray | None] = [None] * len(cache)
     d_biases: list[np.ndarray | None] = [None] * len(cache)
@@ -250,9 +307,10 @@ def ste_backward(cache: list[dict], grad_out: np.ndarray) -> Gradients:
         if kind == "flatten":
             g = g.reshape(entry["in_shape"])
             continue
+        # Clamp node, then rescale node: exactly M_q (per channel for
+        # weighted layers).
+        g = _through_nodes(g, entry["mask"], entry["factor"])
         if kind == "avgpool":
-            g = g * entry["mask"]  # clamp node
-            g = g * entry["factor"]  # rescale node: exactly M_q
             w_h, w_w = entry["window"]
             n, oh, ow, c = g.shape
             g = np.broadcast_to(
@@ -260,23 +318,12 @@ def ste_backward(cache: list[dict], grad_out: np.ndarray) -> Gradients:
             ).reshape(entry["in_shape"])
             continue
 
-        # Weighted layer.
-        g = g * entry["mask"]  # activation / int8 clamp node
-        g_acc = g * entry["factor"]  # rescale node: exactly M_q per channel
-        cols = entry["cols"]
-        if kind == "dense":
-            d_w = g_acc.T @ cols
-        elif kind == "conv2d":
-            d_w = np.einsum("nhwo,nhwckl->oklc", g_acc, cols)
-        else:  # depthwise
-            d_w = np.einsum("nhwc,nhwckl->klc", g_acc, cols)
-        d_b = g_acc.sum(axis=tuple(range(g_acc.ndim - 1)))
-        # Fake-quant STE: gradient passes only while the shadow value is
-        # inside its clamp range.
-        d_weights[idx] = d_w * entry["w_mask"]
-        d_biases[idx] = d_b * entry["b_mask"]
+        # Weighted layer.  Fake-quant STE: gradient passes only while the
+        # shadow value is inside its clamp range.
+        d_weights[idx] = _weight_grad(g, entry) * entry["w_mask"]
+        d_biases[idx] = _channel_sum(g) * entry["b_mask"]
         if idx > 0:
-            g = _input_grad(g_acc, entry)
+            g = _input_grad(g, entry)
     return Gradients(weights=d_weights, biases=d_biases)
 
 

@@ -135,3 +135,53 @@ def oracle_avgpool(x, window, m: int, s: int):
                             total += int(x[i, oy * w_h + ky, ox * w_w + kx, c])
                     out[i, oy, ox, c] = max(-128, min(127, oracle_rescale(total, m, s)))
     return out
+
+
+def oracle_ste_backward(cache, grad_out):
+    """Straight-through backward by einsums over (n, oh, ow, ...) window
+    views, with per-tap einsums scattering the input gradients: the route
+    the trainer took before its matmul backward.  Reads the cache of
+    ``trainer.emulated_forward`` (conv2d's ``cols`` is the im2col matrix)
+    and returns ``(weight_grads, bias_grads)`` aligned with it."""
+    d_weights = [None] * len(cache)
+    d_biases = [None] * len(cache)
+    g = np.asarray(grad_out, dtype=np.float64)
+    for idx in range(len(cache) - 1, -1, -1):
+        entry = cache[idx]
+        kind = entry["kind"]
+        if kind == "flatten":
+            g = g.reshape(entry["in_shape"])
+            continue
+        g = g * entry["mask"] * entry["factor"]
+        if kind == "avgpool":
+            w_h, w_w = entry["window"]
+            n, oh, ow, c = g.shape
+            g = np.broadcast_to(g[:, :, None, :, None, :],
+                                (n, oh, w_h, ow, w_w, c)).reshape(entry["in_shape"])
+            continue
+        w = entry["w_fq"]
+        d_biases[idx] = g.sum(axis=tuple(range(g.ndim - 1))) * entry["b_mask"]
+        if kind == "dense":
+            d_weights[idx] = np.einsum("no,nd->od", g, entry["cols"]) * entry["w_mask"]
+            g = np.einsum("no,od->nd", g, w)
+            continue
+        n, oh, ow, _ = g.shape
+        _, h, w_in, c = entry["in_shape"]
+        top, bottom, left, right = entry["pads"]
+        s_h, s_w = entry["stride"]
+        if kind == "conv2d":
+            o, k_h, k_w, _ = w.shape
+            windows = entry["cols"].reshape(n, oh, ow, k_h, k_w, c)
+            d_w = np.einsum("nhwo,nhwklc->oklc", g, windows)
+        else:
+            k_h, k_w, _ = w.shape
+            d_w = np.einsum("nhwc,nhwckl->klc", g, entry["cols"])
+        d_weights[idx] = d_w * entry["w_mask"]
+        dx_pad = np.zeros((n, h + top + bottom, w_in + left + right, c))
+        for ky in range(k_h):
+            for kx in range(k_w):
+                contrib = (np.einsum("nhwo,oc->nhwc", g, w[:, ky, kx, :])
+                           if kind == "conv2d" else g * w[ky, kx, :])
+                dx_pad[:, ky : ky + oh * s_h : s_h, kx : kx + ow * s_w : s_w, :] += contrib
+        g = dx_pad[:, top : top + h, left : left + w_in, :]
+    return d_weights, d_biases

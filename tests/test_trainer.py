@@ -1,5 +1,6 @@
 """Tests for the float64 training emulation, STE gradients, and fine-tuning."""
 
+import copy
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from rescale_lab.model_io import (
     validate_model,
 )
 from rescale_lab.qcore import QuantParams, quantize_rescaler
+from oracles import oracle_ste_backward
 from rescale_lab.trainer import (
     ShadowModel,
     TrainConfig,
@@ -54,48 +56,79 @@ def small_dense_model(zero_point_in=3, seed=0, n_in=4, n_out=3):
     return model
 
 
+def _weighted_layer(rng, k, kind, shape, in_params, out_qp, activation, stride,
+                    padding, tiny_channel=None):
+    """A random int8 layer whose rescalers come from ``quantize_rescaler`` at
+    width ``k`` under the clamp policy; ``tiny_channel`` gets a multiplier of
+    1.5 * 2**-28, past the shift budget at every width."""
+    w = rng.integers(-128, 128, size=shape).astype(np.int8)
+    channels = kernels.channel_count(w)
+    w_scales = rng.uniform(1e-3, 4e-3, size=channels) * out_qp.scale / in_params.scale
+    if tiny_channel is not None:
+        w_scales[tiny_channel] = 1.5 * 2.0**-28 * out_qp.scale / in_params.scale
+    rescalers = [quantize_rescaler(in_params.scale * float(sc) / out_qp.scale,
+                                   k, on_underflow="clamp") for sc in w_scales]
+    return LayerSpec(
+        kind=kind, activation=activation, weights=QTensor(w, w_scales),
+        bias=rng.integers(-3000, 3000, size=channels).astype(np.int32),
+        bias_scales=in_params.scale * w_scales, stride=stride, padding=padding,
+        output=out_qp, rescalers=rescalers)
+
+
 def strided_uneven_graph(k):
     """A non-desk graph at width ``k``: stride-2 SAME conv, stride-2 VALID
     depthwise, avgpool, flatten, dense; depthwise channel 1 carries a
     multiplier of 1.5 * 2**-28, past the shift budget at every width."""
     rng = np.random.default_rng(21)
     in_qp = QuantParams(0.02, -5)
-
-    def weighted(kind, shape, in_params, out_qp, activation, stride, padding,
-                 tiny_channel=None):
-        w = rng.integers(-128, 128, size=shape).astype(np.int8)
-        channels = kernels.channel_count(w)
-        w_scales = rng.uniform(1e-3, 4e-3, size=channels) * out_qp.scale / in_params.scale
-        if tiny_channel is not None:
-            w_scales[tiny_channel] = 1.5 * 2.0**-28 * out_qp.scale / in_params.scale
-        rescalers = [quantize_rescaler(in_params.scale * float(sc) / out_qp.scale,
-                                       k, on_underflow="clamp") for sc in w_scales]
-        return LayerSpec(
-            kind=kind, activation=activation, weights=QTensor(w, w_scales),
-            bias=rng.integers(-3000, 3000, size=channels).astype(np.int32),
-            bias_scales=in_params.scale * w_scales, stride=stride, padding=padding,
-            output=out_qp, rescalers=rescalers)
-
     conv_qp = QuantParams(0.05, -128)
     dw_qp = QuantParams(0.04, -100)
     logits_qp = QuantParams(0.1, 7)
     layers = [
-        weighted("conv2d", (4, 3, 3, 2), in_qp, conv_qp, "relu6", (2, 2), "SAME"),
-        weighted("depthwise", (3, 3, 4), conv_qp, dw_qp, "relu", (2, 2), "VALID",
-                 tiny_channel=1),
+        _weighted_layer(rng, k, "conv2d", (4, 3, 3, 2), in_qp, conv_qp, "relu6",
+                        (2, 2), "SAME"),
+        _weighted_layer(rng, k, "depthwise", (3, 3, 4), conv_qp, dw_qp, "relu",
+                        (2, 2), "VALID", tiny_channel=1),
         LayerSpec(kind="avgpool", window=(2, 5), output=dw_qp,
                   rescalers=[quantize_rescaler(0.1, k)]),
         LayerSpec(kind="flatten", output=dw_qp),
-        weighted("dense", (3, 12), dw_qp, logits_qp, "none", (1, 1), "VALID"),
+        _weighted_layer(rng, k, "dense", (3, 12), dw_qp, logits_qp, "none",
+                        (1, 1), "VALID"),
     ]
     return ModelGraph(name="strided-uneven", input_params=in_qp, layers=layers, k=k)
 
 
-@pytest.fixture(scope="module")
-def desk_model():
+def strided_conv_graph(k):
+    """A graph at width ``k`` whose second layer is a 3x3, 3-channel,
+    stride-2 SAME conv, so a conv input gradient scatters into a padded,
+    strided buffer: stride-1 SAME conv 11x9x2 -> 11x9x3, stride-2 SAME conv
+    -> 6x5x4, flatten, dense."""
+    rng = np.random.default_rng(22)
+    in_qp = QuantParams(0.02, -5)
+    conv1_qp = QuantParams(0.05, -128)
+    conv2_qp = QuantParams(0.04, -30)
+    logits_qp = QuantParams(0.1, 7)
+    layers = [
+        _weighted_layer(rng, k, "conv2d", (3, 3, 3, 2), in_qp, conv1_qp, "relu6",
+                        (1, 1), "SAME"),
+        _weighted_layer(rng, k, "conv2d", (4, 3, 3, 3), conv1_qp, conv2_qp, "relu",
+                        (2, 2), "SAME"),
+        LayerSpec(kind="flatten", output=conv2_qp),
+        _weighted_layer(rng, k, "dense", (3, 120), conv2_qp, logits_qp, "none",
+                        (1, 1), "VALID"),
+    ]
+    return ModelGraph(name="strided-conv", input_params=in_qp, layers=layers, k=k)
+
+
+def _desk_graph():
     rng = np.random.default_rng(11)
     fm = floatnet.init_float_model(seed=4)
     return quantize_float_model(fm, [rng.random((6, 28, 28, 1))], name="desk-fixture")
+
+
+@pytest.fixture(scope="module")
+def desk_model():
+    return _desk_graph()
 
 
 @pytest.fixture(scope="module")
@@ -557,6 +590,116 @@ class TestFiniteDifference:
         x = rng.integers(-60, 60, size=(2, 4, 4, 2)).astype(np.int8)
         labels = rng.integers(0, 2, size=2)
         assert self._fd_check(model, x, labels, 0) < 1e-6
+
+
+    @pytest.mark.filterwarnings("ignore:.*underflows:RuntimeWarning")
+    @pytest.mark.parametrize("build, shape", [
+        (strided_uneven_graph, (4, 25, 21, 2)),
+        (strided_conv_graph, (4, 11, 9, 2)),
+    ], ids=["strided_uneven", "strided_conv"])
+    def test_strided_graph_fd(self, build, shape):
+        # Every weight tensor: a stride-2 layer after layer 0 passes its
+        # input gradient to the weights before it, so a lost scatter shows
+        # there.  Weights at the int8 edges move one step inside, because
+        # the fake-quant clamp has a kink there that a central difference
+        # cannot see past.
+        model = build(32)
+        weighted = [i for i, l in enumerate(model.layers)
+                    if l.kind in model_io.WEIGHTED_KINDS]
+        for i in weighted:
+            np.clip(model.layers[i].weights.data, -127, 126,
+                    out=model.layers[i].weights.data)
+        rng = np.random.default_rng(40)
+        x = rng.integers(-128, 128, size=shape).astype(np.int8)
+        labels = rng.integers(0, 3, size=shape[0])
+        for i in weighted:
+            assert self._fd_check(model, x, labels, i) < 1e-6, i
+
+
+def _perturbed_cache(model, x, labels, seed):
+    """Emulated forward cache and loss gradient of a shadow moved by up to
+    +-0.4 from the model's integers (some -128 weights leave the clamp
+    range, so the weight masks are exercised too)."""
+    shadow = init_shadow(model)
+    rng = np.random.default_rng(seed)
+    for i, w in enumerate(shadow.weights):
+        if w is not None:
+            shadow.weights[i] = w + rng.uniform(-0.4, 0.4, size=w.shape)
+            shadow.biases[i] = shadow.biases[i] + rng.uniform(-0.4, 0.4, size=shadow.biases[i].shape)
+    logits, cache = emulated_forward(shadow, x)
+    _, grad = softmax_cross_entropy(logits, labels, model.layers[-1].output)
+    return cache, grad
+
+
+def _graph_case(name, k):
+    """(model, x, labels) for one of the graphs the backward is checked on."""
+    rng = np.random.default_rng(k)
+    if name == "desk":
+        model = materialize_rescalers(_desk_graph(), k)
+        shape, classes = (6, 28, 28, 1), 10
+    elif name == "strided_uneven":
+        with pytest.warns(RuntimeWarning, match="underflows"):
+            model = strided_uneven_graph(k)
+        shape, classes = (5, 25, 21, 2), 3
+    else:
+        model = strided_conv_graph(k)
+        shape, classes = (5, 11, 9, 2), 3
+    x = rng.integers(-128, 128, size=shape).astype(np.int8)
+    return model, x, rng.integers(0, classes, size=shape[0])
+
+
+class TestBackwardAgainstOracle:
+    """The matmul backward equals the einsum reference of ``oracles`` to
+    1e-12 relative: the same sums, in another order."""
+
+    @pytest.mark.parametrize("k", [32, 8, 2])
+    @pytest.mark.parametrize("name", ["desk", "strided_uneven", "strided_conv"])
+    def test_matches_einsum_reference(self, name, k):
+        model, x, labels = _graph_case(name, k)
+        cache, grad = _perturbed_cache(model, x, labels, seed=k)
+        got = ste_backward(cache, grad)
+        ref_w, ref_b = oracle_ste_backward(cache, grad)
+        for idx, layer in enumerate(model.layers):
+            if layer.kind not in model_io.WEIGHTED_KINDS:
+                assert got.weights[idx] is None and got.biases[idx] is None
+                continue
+            for mine, ref in ((got.weights[idx], ref_w[idx]), (got.biases[idx], ref_b[idx])):
+                assert mine.shape == ref.shape
+                scale = np.abs(ref).max()
+                assert scale > 0, (idx, layer.kind)
+                assert np.abs(mine - ref).max() <= 1e-12 * scale, (idx, layer.kind)
+
+
+class TestBackwardLeavesInputsAlone:
+    """ste_backward works in place only on arrays it made: two calls on one
+    cache agree, and neither the cache nor ``grad_out`` changes."""
+
+    def _check(self, cache, grad):
+        saved_cache, saved_grad = copy.deepcopy(cache), grad.copy()
+        first = ste_backward(cache, grad)
+        second = ste_backward(cache, grad)
+        for a, b in zip(first.weights + first.biases, second.weights + second.biases):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(grad, saved_grad)
+        for entry, saved in zip(cache, saved_cache):
+            assert entry.keys() == saved.keys()
+            for key in entry:
+                assert np.array_equal(entry[key], saved[key]), (entry["kind"], key)
+
+    @pytest.mark.parametrize("name", ["desk", "strided_uneven", "strided_conv"])
+    def test_emulated_cache(self, name):
+        model, x, labels = _graph_case(name, 2)
+        self._check(*_perturbed_cache(model, x, labels, seed=5))
+
+    def test_float_training_cache(self):
+        # Float training's identity nodes (mask True, factor 1.0) hand
+        # grad_out itself to the dense layer's gradients.
+        rng = np.random.default_rng(6)
+        x = rng.random((4, 28, 28, 1))
+        logits, cache = trainer._float_forward(floatnet.init_float_model(seed=6), x)
+        _, grad = softmax_cross_entropy(logits, np.array([0, 3, 5, 9]),
+                                        QuantParams(scale=1.0))
+        self._check(cache, grad)
 
 
 class TestFinetune:
