@@ -82,45 +82,81 @@ _GHOST_PROBABILITY = 1.0
 _CONFUSABLE_PARTNER = {8: 9, 9: 8, 5: 6, 6: 5, 1: 7, 7: 1}
 _LABEL_NOISE_RATE = 0.30
 
-# Images per pass of the stroke geometry.  Its temporaries hold a
-# (pixels, strokes, 2) float64 block per image, about 0.1 MB, so the
-# geometry runs over this many images at a time while each chunk still
-# draws its random numbers at once.
+# Images per pass of the stroke geometry.  A pass works on four float64
+# (images, 28, 28) planes, about 0.4 MB each at 64 images.  Per image,
+# passes of 32 images measured the same and passes of 128 or more slower,
+# so each 512-image chunk runs its geometry 64 images at a time.
 _GEOMETRY_BATCH = 64
 
 
-def _stroke_ink(grid: np.ndarray, segs: np.ndarray, width: np.ndarray,
+def _stroke_ink(centres: np.ndarray, segs: np.ndarray, width: np.ndarray,
                 intensity: np.ndarray) -> np.ndarray:
     """Ink of every pixel of a batch of images: the brightest stroke within
-    reach, each stroke fading linearly over half its width.  ``segs`` is
-    (b, S, 2, 2) stroke endpoints, ``width`` (b,), ``intensity`` (b, S);
-    returns (b, pixels)."""
-    a = segs[:, :, 0, :]  # (b, S, 2)
-    ab = segs[:, :, 1, :] - a
-    diff = grid[None, :, None, :] - a[:, None, :, :]  # (b, 784, S, 2)
-    denom = np.maximum((ab * ab).sum(-1), 1e-12)  # (b, S)
-    t = (diff * ab[:, None, :, :]).sum(-1) / denom[:, None, :]
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[:, None, :, :] + t[..., None] * ab[:, None, :, :]
-    dist = np.linalg.norm(grid[None, :, None, :] - closest, axis=-1)
+    reach, each stroke fading linearly over half its width.  ``centres``
+    holds the pixel centres along one axis (x along a row, y down a
+    column), ``segs`` (b, S, 2, 2) stroke endpoints, ``width`` (b,),
+    ``intensity`` (b, S); returns (b, pixels).
 
-    falloff = np.clip((width[:, None, None] - dist)
-                      / (0.5 * width[:, None, None]) + 1.0, 0.0, 1.0)
-    return (falloff * intensity[:, None, :]).max(axis=2)
+    The float64 operations per pixel are those of the (b, pixels, S, 2)
+    broadcast in ``tests/oracles.oracle_stroke_ink``, with x and y written
+    out (a two-element sum is exactly ``a + b``), so the ink is the same
+    bit for bit.  Offsets from a stroke's start are separable, (b, 1, 28)
+    and (b, 28, 1), and the strokes run one at a time through in-place
+    (b, 28, 28) planes into a running maximum.
+    """
+    ax, ay = segs[:, :, 0, 0], segs[:, :, 0, 1]
+    abx = segs[:, :, 1, 0] - ax
+    aby = segs[:, :, 1, 1] - ay
+    denom = np.maximum(abx * abx + aby * aby, 1e-12)
+    gx = centres[None, None, :]
+    gy = centres[None, :, None]
+    w = width[:, None, None]
+    half_w = 0.5 * w
+    b, size = segs.shape[0], centres.shape[0]
+    ink = np.zeros((b, size, size))
+    t = np.empty_like(ink)  # projection onto the stroke, clamped to [0, 1]
+    ex = np.empty_like(ink)  # squared x offset from the closest point
+    d = np.empty_like(ink)  # squared y offset, distance, then the stroke's ink
+    for s in range(segs.shape[1]):
+        per_image = (slice(None), s, None, None)
+        np.add((gx - ax[per_image]) * abx[per_image],
+               (gy - ay[per_image]) * aby[per_image], out=t)
+        t /= denom[per_image]
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, abx[per_image], out=ex)
+        ex += ax[per_image]
+        np.subtract(gx, ex, out=ex)
+        ex *= ex
+        np.multiply(t, aby[per_image], out=d)
+        d += ay[per_image]
+        np.subtract(gy, d, out=d)
+        d *= d
+        d += ex
+        np.sqrt(d, out=d)
+        np.subtract(w, d, out=d)
+        d /= half_w
+        d += 1.0
+        np.clip(d, 0.0, 1.0, out=d)
+        d *= intensity[per_image]
+        np.maximum(ink, d, out=ink)
+    return ink.reshape(b, -1)
 
 
 def render_digits(labels: np.ndarray, rng: np.random.Generator,
                   chunk: int = 512) -> np.ndarray:
-    """Render one glyph image per label with random jitter; uint8 (n, 28, 28)."""
+    """Render one glyph image per label with random jitter; uint8 (n, 28, 28).
+
+    ``labels`` must be a one-dimensional array of integers 0..9 (any
+    integer width); anything else raises :class:`DomainError`."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DomainError(f"labels must be one-dimensional, got {labels.shape}")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and not ((labels >= 0) & (labels <= 9)).all():
         raise DomainError("labels must be digits 0..9")
     n = labels.shape[0]
-    px = (np.arange(IMAGE_SIZE) + 0.5) / IMAGE_SIZE
-    gx, gy = np.meshgrid(px, px, indexing="xy")
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)  # (784, 2)
+    centres = (np.arange(IMAGE_SIZE) + 0.5) / IMAGE_SIZE
     out = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.uint8)
     for start in range(0, n, chunk):
         sel = labels[start : start + chunk]
@@ -179,10 +215,11 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator,
             [seg_intensity, np.where(clutter_live, clutter_level, 0.0)], axis=1
         )  # (b, 7 + C)
 
-        ink = np.empty((b, grid.shape[0]))
+        ink = np.empty((b, IMAGE_SIZE * IMAGE_SIZE))
         for lo in range(0, b, _GEOMETRY_BATCH):
             sub = slice(lo, lo + _GEOMETRY_BATCH)
-            ink[sub] = _stroke_ink(grid, segs[sub], width[sub], intensity[sub])
+            ink[sub] = _stroke_ink(centres, segs[sub], width[sub],
+                                   intensity[sub])
         img = np.clip(ink * brightness[:, None] + noise, 0.0, 1.0)
         out[start : start + chunk] = np.floor(img * 255.0 + 0.5).astype(
             np.uint8

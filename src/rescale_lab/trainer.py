@@ -163,14 +163,15 @@ def emulated_forward(
 
         if layer.kind == "avgpool":
             shifted = _rescale(window_sum(x, layer.window), m, s, rounding)
+            out = np.clip(shifted, INT8_MIN, INT8_MAX)
             cache.append({
                 "kind": "avgpool",
                 "window": layer.window,
                 "in_shape": x.shape,
                 "factor": layer.rescalers[0].quantized_value,
-                "mask": (shifted >= INT8_MIN) & (shifted <= INT8_MAX),
+                "mask": out == shifted,
             })
-            x = np.clip(shifted, INT8_MIN, INT8_MAX)
+            x = out
             continue
 
         # Weighted layer: fake-quantize parameters, MAC, rescale, clamp.
@@ -190,16 +191,18 @@ def emulated_forward(
         x = x - layer_input_params(model, idx).zero_point
         acc, entry = _mac(layer, x, w_fq)
         check_envelope(acc, b_fq)
-        acc += b_fq
+        rows, (b_rows,) = _channel_rows(acc, b_fq)
+        rows += b_rows
 
         lo, hi = activation_clamp(layer.activation, layer.output)
-        raw = _rescale(acc, m, s, rounding) + layer.output.zero_point
+        raw = _rescale(acc, m, s, rounding)
+        raw += layer.output.zero_point
         x = np.clip(raw, lo, hi)
         entry.update(
             w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
             b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI),
             factor=np.array([r.quantized_value for r in layer.rescalers]),
-            mask=(raw >= lo) & (raw <= hi),
+            mask=x == raw,  # inside the clamp range
         )
         cache.append(entry)
     return x, cache
