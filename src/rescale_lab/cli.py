@@ -31,7 +31,7 @@ from .errors import (
     RescalerUnderflow,
     ShapeError,
 )
-from .kernels import evaluate_int, predict_int, run_model_int
+from .kernels import evaluate_int, predict_int, run_model_int, unit_images
 from .model_io import (
     load_idx_dataset,
     load_model,
@@ -172,12 +172,9 @@ _CALIB_BATCH_SIZE = 32
 
 
 def _calibration_batches(train_images: np.ndarray) -> list[np.ndarray]:
-    need = _CALIB_BATCHES * _CALIB_BATCH_SIZE
-    if train_images.shape[0] < need:
-        need = train_images.shape[0]
-    chunk = train_images[:need].astype(np.float64)[..., np.newaxis] / 255.0
-    size = max(1, _CALIB_BATCH_SIZE)
-    return [chunk[i : i + size] for i in range(0, chunk.shape[0], size)]
+    chunk = unit_images(train_images[: _CALIB_BATCHES * _CALIB_BATCH_SIZE])
+    return [chunk[i : i + _CALIB_BATCH_SIZE]
+            for i in range(0, chunk.shape[0], _CALIB_BATCH_SIZE)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .kernels import (
     layer_forward_int,
     quantize_real,
     tap_axes,
+    unit_images,
 )
 from .qcore import (
     INT8_MAX,
@@ -74,6 +75,11 @@ def _exact_fraction(value) -> Fraction:
     return Fraction(float(value))
 
 
+def _exact_mismatch(m_real: float, r: DyadicRescaler) -> Fraction:
+    """|M_q - M| as an exact rational."""
+    return abs(Fraction(r.m, 1 << r.s) - _exact_fraction(m_real))
+
+
 def rescale_error_decompose(
     a_q: int, m_real: float, r: DyadicRescaler, s_y: float
 ) -> RescaleError:
@@ -109,16 +115,14 @@ def rescale_error_bound(
     ``|M_q - m_real| * s_y * max_abs_acc + s_y/2``, correctly rounded."""
     if max_abs_acc < 0:
         raise DomainError(f"max_abs_acc must be non-negative, got {max_abs_acc}")
-    mismatch = abs(Fraction(r.m, 1 << r.s) - _exact_fraction(m_real))
     s_y_exact = _exact_fraction(s_y)
-    return float(mismatch * s_y_exact * int(max_abs_acc) + s_y_exact / 2)
+    return float(_exact_mismatch(m_real, r) * s_y_exact * int(max_abs_acc) + s_y_exact / 2)
 
 
 def _mismatch_is_safe(m_real: float, r: DyadicRescaler, max_abs_acc: int) -> bool:
     """Exact test of the degradation-onset condition: scale-mismatch error
     stays at or below half an output step."""
-    mismatch = abs(Fraction(r.m, 1 << r.s) - _exact_fraction(m_real))
-    return mismatch * int(max_abs_acc) <= Fraction(1, 2)
+    return _exact_mismatch(m_real, r) * int(max_abs_acc) <= Fraction(1, 2)
 
 
 def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
@@ -190,22 +194,19 @@ def layer_error_report(
     in_params = layer_input_params(materialized, layer_id)
     channels = len(layer.rescalers)
     max_abs = np.zeros(channels, dtype=np.int64)
-    saw_probe = False
+    saw_image = False
     for batch in probe_batches:
-        saw_probe = True
-        images = np.asarray(batch)
-        if images.ndim == 3:
-            images = images[..., np.newaxis]
-        x = QTensor(
-            quantize_real(images.astype(np.float64) / 255.0, materialized.input_params),
-            materialized.input_params,
-        )
+        if len(batch) == 0:
+            continue
+        saw_image = True
+        x = QTensor(quantize_real(unit_images(batch), materialized.input_params),
+                    materialized.input_params)
         for upstream in materialized.layers[:layer_id]:
             x = layer_forward_int(x, upstream, materialized.k)
         acc = layer_accumulator(x, layer)
         flat = np.abs(acc.astype(np.int64)).reshape(-1, channels)
         np.maximum(max_abs, flat.max(axis=0), out=max_abs)
-    if not saw_probe:
+    if not saw_image:
         raise DomainError("probe set is empty")
 
     s_y = layer.output.scale
@@ -216,11 +217,7 @@ def layer_error_report(
     s_y_exact = _exact_fraction(s_y)
     bound = np.array(
         [
-            float(
-                abs(Fraction(r.m, 1 << r.s) - _exact_fraction(r.real_value))
-                * s_y_exact
-                * int(max_abs[c])
-            )
+            float(_exact_mismatch(r.real_value, r) * s_y_exact * int(max_abs[c]))
             for c, r in enumerate(rescalers)
         ]
     )

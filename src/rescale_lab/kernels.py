@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import OverflowEnvelopeError, ShapeError
+from .errors import DomainError, OverflowEnvelopeError, ShapeError
 from .qcore import INT8_MAX, INT8_MIN, INT32_MAX, INT32_MIN, QuantParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +102,15 @@ def tap_axes(weights: np.ndarray) -> tuple[int, ...]:
 def mac_count(weights: np.ndarray) -> int:
     """Products accumulated per output element: the taps of one channel."""
     return math.prod(weights.shape[a] for a in tap_axes(weights))
+
+
+def unit_images(images_u8: np.ndarray) -> np.ndarray:
+    """uint8 images as float64 values in [0, 1], NHWC: (n, h, w) input
+    gains a channel axis."""
+    images = np.asarray(images_u8)
+    if images.ndim == 3:
+        images = images[..., np.newaxis]
+    return images.astype(np.float64) / 255.0
 
 
 def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -455,23 +464,18 @@ def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 51
     """Classify uint8 images: scale to [0, 1], quantize with the model's
     input parameters, run the engine, argmax (ties to the lowest index)."""
     images = np.asarray(images_u8)
-    if images.ndim == 3:
-        images = images[..., np.newaxis]
     preds = []
     for start in range(0, images.shape[0], batch_size):
-        chunk = images[start : start + batch_size].astype(np.float64) / 255.0
-        x_q = quantize_real(chunk, model.input_params)
+        x_q = quantize_real(unit_images(images[start : start + batch_size]),
+                            model.input_params)
         logits = run_model_int(model, x_q)
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def evaluate_int(
-    model: "ModelGraph",
-    images_u8: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 512,
-) -> float:
+def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of the integer engine on a labeled image set, in percent."""
-    preds = predict_int(model, images_u8, batch_size=batch_size)
+    if len(images_u8) == 0:
+        raise DomainError("accuracy of an empty image set")
+    preds = predict_int(model, images_u8)
     return 100.0 * float(np.mean(preds == np.asarray(labels)))

@@ -44,6 +44,7 @@ from .kernels import (
     quantize_real,
     rescale_accumulator,
     rescaler_vectors,
+    unit_images,
     window_sum,
 )
 from .model_io import (
@@ -74,7 +75,6 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 32
     seed: int = 0
-    train_bias: bool = True
 
     def __post_init__(self) -> None:
         if not self.learning_rate >= 0:
@@ -421,7 +421,7 @@ def weight_change_stats(original: ModelGraph, retrained: ModelGraph) -> WeightCh
 
 
 # ---------------------------------------------------------------------------
-# Fine-tuning
+# Training: one SGD loop for fine-tuning and float baseline training
 # ---------------------------------------------------------------------------
 
 
@@ -430,6 +430,36 @@ class EpochRecord:
     epoch: int
     loss: float
     accuracy: float
+
+
+def _sgd(forward, weights, biases, labels, batch_size, rates, rng, out_params,
+         evaluate) -> list[EpochRecord]:
+    """Plain SGD over shuffled batches, one epoch per learning rate.
+
+    ``forward(sel)`` runs the batch of sample indices ``sel`` and returns
+    logits (dequantized with ``out_params``) and the cache
+    :func:`ste_backward` reads; ``weights`` and ``biases`` are aligned with
+    that cache and updated in place.  ``evaluate()`` gives each epoch's
+    accuracy, or is ``None`` to record NaN.
+    """
+    history: list[EpochRecord] = []
+    for epoch, lr in enumerate(rates):
+        order = rng.permutation(len(labels))
+        losses = []
+        for start in range(0, len(labels), batch_size):
+            sel = order[start : start + batch_size]
+            logits, cache = forward(sel)
+            loss, grad = softmax_cross_entropy(logits, labels[sel], out_params)
+            grads = ste_backward(cache, grad)
+            for w, b, d_w, d_b in zip(weights, biases, grads.weights, grads.biases):
+                if d_w is not None:
+                    w -= lr * d_w
+                    b -= lr * d_b
+            losses.append(loss)
+        history.append(EpochRecord(epoch=epoch + 1,
+                                   loss=float(np.mean(losses)) if losses else math.nan,
+                                   accuracy=evaluate() if evaluate else math.nan))
+    return history
 
 
 @dataclass
@@ -451,50 +481,29 @@ def finetune(
     """Rescale-aware fine-tuning at width ``k`` with plain SGD.
 
     Shadow weights start as exact copies of the integers; every forward
-    pass is the bit-exact emulation of the integer engine; after each epoch
-    the shadow is re-deployed (rounded back to integers) and evaluated.
-    Quantization parameters and rescalers never change.
+    pass is the bit-exact emulation of the integer engine.  With an eval
+    set, the shadow is re-deployed (rounded back to integers) and evaluated
+    after each epoch; it is re-deployed once more at the end to give the
+    result.  Quantization parameters and rescalers never change.
     """
     base = materialize_rescalers(model, k) if model.k != k else model
     shadow = init_shadow(base)
-    rng = np.random.default_rng(cfg.seed)
     images = np.asarray(train_images)
-    if images.ndim == 3:
-        images = images[..., np.newaxis]
-    labels = np.asarray(train_labels)
-    history: list[EpochRecord] = []
-    current = base
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(images.shape[0])
-        losses = []
-        for start in range(0, images.shape[0], cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            x_q = quantize_real(images[sel].astype(np.float64) / 255.0,
-                                base.input_params)
-            logits, cache = emulated_forward(shadow, x_q)
-            loss, grad = softmax_cross_entropy(logits, labels[sel],
-                                               base.layers[-1].output)
-            grads = ste_backward(cache, grad)
-            for i in range(len(shadow.weights)):
-                if grads.weights[i] is None:
-                    continue
-                shadow.weights[i] -= cfg.learning_rate * grads.weights[i]
-                if cfg.train_bias:
-                    shadow.biases[i] -= cfg.learning_rate * grads.biases[i]
-            losses.append(loss)
-        current = redeploy_weights(base, shadow)
-        accuracy = (
-            evaluate_int(current, eval_images, eval_labels)
-            if eval_images is not None
-            else math.nan
-        )
-        history.append(EpochRecord(epoch=epoch + 1,
-                                   loss=float(np.mean(losses)) if losses else math.nan,
-                                   accuracy=accuracy))
-    if cfg.epochs == 0:
-        current = redeploy_weights(base, shadow)
-    stats = weight_change_stats(base, current)
-    return FinetuneResult(model=current, stats=stats, history=history)
+
+    def forward(sel):
+        return emulated_forward(shadow, quantize_real(unit_images(images[sel]),
+                                                      base.input_params))
+
+    def evaluate():
+        return evaluate_int(redeploy_weights(base, shadow), eval_images, eval_labels)
+
+    history = _sgd(forward, shadow.weights, shadow.biases, np.asarray(train_labels),
+                   cfg.batch_size, [cfg.learning_rate] * cfg.epochs,
+                   np.random.default_rng(cfg.seed), base.layers[-1].output,
+                   evaluate if eval_images is not None else None)
+    current = redeploy_weights(base, shadow)
+    return FinetuneResult(model=current, stats=weight_change_stats(base, current),
+                          history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -545,50 +554,29 @@ def train_float(
     accuracy is the float model's own top-1 on the eval set.
     """
     model = floatnet.init_float_model(seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 1)
     images = np.asarray(train_images)
-    if images.ndim == 3:
-        images = images[..., np.newaxis]
-    x_all = images.astype(np.float64) / 255.0
-    labels = np.asarray(train_labels)
-    real_logits = QuantParams(scale=1.0)  # float logits are already real
-    history: list[EpochRecord] = []
-    for epoch in range(cfg.epochs):
-        # Halve the step size each epoch after the second so the weights
-        # settle instead of orbiting the optimum.
-        lr = cfg.learning_rate * 0.5 ** max(0, epoch - 1)
-        order = rng.permutation(x_all.shape[0])
-        losses = []
-        for start in range(0, x_all.shape[0], cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            logits, cache = _float_forward(model, x_all[sel])
-            loss, grad = softmax_cross_entropy(logits, labels[sel], real_logits)
-            grads = ste_backward(cache, grad)
-            for layer, d_w, d_b in zip(floatnet.LAYERS, grads.weights, grads.biases):
-                if layer.param is not None:
-                    w, b = floatnet.layer_params(model, layer)
-                    setattr(model, f"{layer.param}_w", w - lr * d_w)
-                    setattr(model, f"{layer.param}_b", b - lr * d_b)
-            losses.append(loss)
-        accuracy = math.nan
-        if eval_images is not None:
-            accuracy = float_accuracy(model, eval_images, eval_labels)
-        history.append(EpochRecord(epoch=epoch + 1,
-                                   loss=float(np.mean(losses)) if losses else math.nan,
-                                   accuracy=accuracy))
+    weights, biases = zip(*(floatnet.layer_params(model, layer) if layer.param
+                            else (None, None) for layer in floatnet.LAYERS))
+    # Halve the step size each epoch after the second so the weights
+    # settle instead of orbiting the optimum.
+    rates = [cfg.learning_rate * 0.5 ** max(0, epoch - 1) for epoch in range(cfg.epochs)]
+    history = _sgd(lambda sel: _float_forward(model, unit_images(images[sel])),
+                   weights, biases, np.asarray(train_labels), cfg.batch_size, rates,
+                   np.random.default_rng(cfg.seed + 1),
+                   QuantParams(scale=1.0),  # float logits are already real
+                   (lambda: float_accuracy(model, eval_images, eval_labels))
+                   if eval_images is not None else None)
     return model, history
 
 
-def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray,
-                   batch_size: int = 512) -> float:
+def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of the float network on uint8 images, in percent."""
     images = np.asarray(images_u8)
-    if images.ndim == 3:
-        images = images[..., np.newaxis]
+    if images.shape[0] == 0:
+        raise DomainError("accuracy of an empty image set")
     hits = 0
-    for start in range(0, images.shape[0], batch_size):
-        chunk = images[start : start + batch_size].astype(np.float64) / 255.0
-        logits = floatnet.forward(model, chunk)
-        hits += int(np.sum(np.argmax(logits, axis=1) ==
-                           labels[start : start + batch_size]))
+    for start in range(0, images.shape[0], 512):
+        batch = slice(start, start + 512)
+        logits = floatnet.forward(model, unit_images(images[batch]))
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
     return 100.0 * hits / images.shape[0]

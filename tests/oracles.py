@@ -8,9 +8,17 @@ loops instead of vectorized kernels.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from rescale_lab import floatnet
+from rescale_lab.kernels import evaluate_int, quantize_real
+from rescale_lab.model_io import materialize_rescalers, redeploy_weights
+from rescale_lab.qcore import QuantParams
+from rescale_lab.trainer import (_float_forward, emulated_forward, init_shadow,
+                                 softmax_cross_entropy, ste_backward)
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -209,3 +217,93 @@ def oracle_stroke_ink(segs: np.ndarray, width: np.ndarray,
     falloff = np.clip((width[:, None, None] - dist)
                       / (0.5 * width[:, None, None]) + 1.0, 0.0, 1.0)
     return (falloff * intensity[:, None, :]).max(axis=2)
+
+
+def oracle_finetune_loop(model, images, labels, cfg, k, eval_images, eval_labels):
+    """Fine-tuning as its own epoch loop, the route the trainer took before
+    float training and fine-tuning shared one: shuffle, emulated forward,
+    STE backward and SGD step per batch, a redeploy and an evaluation after
+    every epoch.  Biases always train.  Returns ``(model, history)`` with
+    history as ``(epoch, loss, accuracy)`` tuples."""
+    base = materialize_rescalers(model, k) if model.k != k else model
+    shadow = init_shadow(base)
+    rng = np.random.default_rng(cfg.seed)
+    images = np.asarray(images)
+    if images.ndim == 3:
+        images = images[..., np.newaxis]
+    labels = np.asarray(labels)
+    history = []
+    current = base
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(images.shape[0])
+        losses = []
+        for start in range(0, images.shape[0], cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            x_q = quantize_real(images[sel].astype(np.float64) / 255.0,
+                                base.input_params)
+            logits, cache = emulated_forward(shadow, x_q)
+            loss, grad = softmax_cross_entropy(logits, labels[sel],
+                                               base.layers[-1].output)
+            grads = ste_backward(cache, grad)
+            for i in range(len(shadow.weights)):
+                if grads.weights[i] is None:
+                    continue
+                shadow.weights[i] -= cfg.learning_rate * grads.weights[i]
+                shadow.biases[i] -= cfg.learning_rate * grads.biases[i]
+            losses.append(loss)
+        current = redeploy_weights(base, shadow)
+        accuracy = (evaluate_int(current, eval_images, eval_labels)
+                    if eval_images is not None else math.nan)
+        history.append((epoch + 1, float(np.mean(losses)) if losses else math.nan,
+                        accuracy))
+    if cfg.epochs == 0:
+        current = redeploy_weights(base, shadow)
+    return current, history
+
+
+def oracle_train_float_loop(images, labels, cfg, eval_images, eval_labels):
+    """Float training as its own epoch loop over a float64 copy of the
+    whole training set, replacing each parameter array by ``w - lr * d_w``
+    after every batch, with the step size halved each epoch after the
+    second, and float accuracy counted as ``100.0 * hits / n``.  Returns
+    ``(model, history)`` with history as ``(epoch, loss, accuracy)``."""
+    def accuracy_of(model):
+        x = np.asarray(eval_images)
+        if x.ndim == 3:
+            x = x[..., np.newaxis]
+        x = x.astype(np.float64) / 255.0
+        hits = 0
+        for start in range(0, x.shape[0], 512):
+            logits = floatnet.forward(model, x[start : start + 512])
+            hits += int(np.sum(np.argmax(logits, axis=1) ==
+                               eval_labels[start : start + 512]))
+        return 100.0 * hits / x.shape[0]
+
+    model = floatnet.init_float_model(seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    images = np.asarray(images)
+    if images.ndim == 3:
+        images = images[..., np.newaxis]
+    x_all = images.astype(np.float64) / 255.0
+    labels = np.asarray(labels)
+    real_logits = QuantParams(scale=1.0)
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * 0.5 ** max(0, epoch - 1)
+        order = rng.permutation(x_all.shape[0])
+        losses = []
+        for start in range(0, x_all.shape[0], cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            logits, cache = _float_forward(model, x_all[sel])
+            loss, grad = softmax_cross_entropy(logits, labels[sel], real_logits)
+            grads = ste_backward(cache, grad)
+            for layer, d_w, d_b in zip(floatnet.LAYERS, grads.weights, grads.biases):
+                if layer.param is not None:
+                    w, b = floatnet.layer_params(model, layer)
+                    setattr(model, f"{layer.param}_w", w - lr * d_w)
+                    setattr(model, f"{layer.param}_b", b - lr * d_b)
+            losses.append(loss)
+        accuracy = accuracy_of(model) if eval_images is not None else math.nan
+        history.append((epoch + 1, float(np.mean(losses)) if losses else math.nan,
+                        accuracy))
+    return model, history

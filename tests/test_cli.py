@@ -1,5 +1,7 @@
 """End-to-end tests for the rescale-lab command line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from rescale_lab.model_io import (
     ModelGraph,
     load_model,
     save_idx_images,
+    save_idx_labels,
     save_model,
     validate_model,
 )
@@ -324,4 +327,35 @@ class TestExitCodes:
                      "--k", "4", "--epochs", "1", "--lr", "-2",
                      "--out", "/tmp/unused.rlab"])
         capsys.readouterr()
+        assert code == EXIT_NUMERIC
+
+
+@pytest.fixture(scope="module")
+def empty_test_dir(tmp_path_factory, data_dir):
+    # The shared training set next to a valid IDX test set of 0 images.
+    path = tmp_path_factory.mktemp("empty-test")
+    src, dst = datagen.dataset_paths(data_dir), datagen.dataset_paths(str(path))
+    shutil.copy(src["train_images"], dst["train_images"])
+    shutil.copy(src["train_labels"], dst["train_labels"])
+    save_idx_images(dst["test_images"], np.zeros((0, 28, 28), dtype=np.uint8))
+    save_idx_labels(dst["test_labels"], np.zeros(0, dtype=np.uint8))
+    return str(path)
+
+
+class TestEmptyTestSet:
+    def test_train_float_is_numeric_error(self, empty_test_dir, tmp_path, capsys):
+        code = main(["train-float", "--data-dir", empty_test_dir, "--epochs", "1",
+                     "--out", str(tmp_path / "float.npz")])
+        assert "empty" in capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+
+    def test_sweep_is_numeric_error(self, model_path, empty_test_dir, capsys):
+        code = main(["sweep", "--model", model_path, "--data-dir", empty_test_dir])
+        assert "empty" in capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+
+    def test_analyze_is_numeric_error(self, model_path, empty_test_dir, capsys):
+        code = main(["analyze", "--model", model_path, "--data-dir", empty_test_dir,
+                     "--k", "8"])
+        assert "empty" in capsys.readouterr().err
         assert code == EXIT_NUMERIC

@@ -242,6 +242,15 @@ class TestLayerErrorReport:
         with pytest.raises(DomainError, match="empty"):
             layer_error_report(model, 1, [], k=8)
 
+    def test_zero_image_batches_are_skipped(self):
+        model = one_channel_tenth_model()
+        empty = np.zeros((0, 1, 1), dtype=np.uint8)
+        with pytest.raises(DomainError, match="empty"):
+            layer_error_report(model, 1, empty, k=8)
+        probe = np.full((4, 1, 1), 255, dtype=np.uint8)
+        report = layer_error_report(model, 1, [empty, probe, empty], k=32)
+        assert report.max_abs_acc.tolist() == [200]
+
     def test_flatten_has_no_rescale_stage(self):
         model = one_channel_tenth_model()
         with pytest.raises(DomainError, match="flatten"):

@@ -24,6 +24,7 @@ from rescale_lab.kernels import (
     quantize_real,
     rescale_accumulator,
     rescaler_vectors,
+    unit_images,
     window_sum,
 )
 from rescale_lab.model_io import LayerSpec
@@ -373,6 +374,18 @@ class TestActivationClamp:
     def test_unknown_activation(self):
         with pytest.raises(ShapeError):
             activation_clamp("gelu", QP)
+
+
+class TestUnitImages:
+    def test_adds_channel_axis_and_scales_to_unit_range(self):
+        images = np.array([[[0, 51], [255, 128]]], dtype=np.uint8)
+        x = unit_images(images)
+        assert x.shape == (1, 2, 2, 1) and x.dtype == np.float64
+        assert x[..., 0].tolist() == [[[0.0, 0.2], [1.0, 128 / 255]]]
+
+    def test_keeps_nhwc_input(self):
+        images = np.full((3, 2, 2, 1), 255, dtype=np.uint8)
+        assert np.array_equal(unit_images(images), np.ones((3, 2, 2, 1)))
 
 
 class TestQuantizeReal:

@@ -18,7 +18,7 @@ from rescale_lab.model_io import (
     validate_model,
 )
 from rescale_lab.qcore import QuantParams, quantize_rescaler
-from oracles import oracle_ste_backward
+from oracles import oracle_finetune_loop, oracle_ste_backward, oracle_train_float_loop
 from rescale_lab.trainer import (
     ShadowModel,
     TrainConfig,
@@ -145,7 +145,6 @@ class TestTrainConfig:
         assert cfg.learning_rate == 0.01
         assert cfg.epochs == 2
         assert cfg.batch_size == 32
-        assert cfg.train_bias is True
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -782,19 +781,34 @@ class TestFinetune:
         losses = [e.loss for e in result.history]
         assert losses[-1] < losses[0]
 
-    def test_bias_training_can_be_disabled(self, desk_model, toy_images):
+    def test_matches_the_separate_loop_bit_for_bit(self, desk_model, toy_images):
         images, labels = toy_images
-        cfg = TrainConfig(learning_rate=500.0, epochs=2, batch_size=16, seed=3,
-                          train_bias=False)
-        result = finetune(desk_model, images, labels, cfg, k=8)
-        base = materialize_rescalers(desk_model, 8)
-        for before, after in zip(base.layers, result.model.layers):
-            if before.kind in model_io.WEIGHTED_KINDS:
-                assert np.array_equal(after.bias, before.bias)
-        assert result.stats.bias_changed_ratio == 0.0
+        cfg = TrainConfig(learning_rate=500.0, epochs=2, batch_size=20, seed=4)
+        result = finetune(desk_model, images, labels, cfg, k=2,
+                          eval_images=images[:30], eval_labels=labels[:30])
+        model, history = oracle_finetune_loop(desk_model, images, labels, cfg, 2,
+                                              images[:30], labels[:30])
+        assert result.stats.changed_ratio > 0
+        assert models_equal(result.model, model)  # every weight and bias byte
+        assert [(e.epoch, e.loss, e.accuracy) for e in result.history] == history
 
 
 class TestTrainFloat:
+    def test_matches_the_separate_loop_bit_for_bit(self):
+        # Three epochs so the step size halves; (n, h, w) images with a
+        # ragged last batch; an eval set so every epoch measures accuracy.
+        rng = np.random.default_rng(41)
+        images = rng.integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=40)
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=16, seed=7)
+        got, history = train_float(images, labels, cfg,
+                                   eval_images=images[:24], eval_labels=labels[:24])
+        want, want_history = oracle_train_float_loop(images, labels, cfg,
+                                                     images[:24], labels[:24])
+        for name in vars(want):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert [(e.epoch, e.loss, e.accuracy) for e in history] == want_history
+
     def test_deterministic(self, toy_images):
         images, labels = toy_images
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9)
@@ -864,6 +878,18 @@ class TestTrainFloat:
                 fd = (up - dn) / (2 * h)
                 an = grads[name][ix]
                 assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd)), (name, ix, fd, an)
+
+
+class TestEmptyEvalSet:
+    def test_evaluate_int_rejects_no_images(self, desk_model):
+        with pytest.raises(DomainError, match="empty"):
+            kernels.evaluate_int(desk_model, np.zeros((0, 28, 28), np.uint8),
+                                 np.zeros(0, np.uint8))
+
+    def test_float_accuracy_rejects_no_images(self):
+        with pytest.raises(DomainError, match="empty"):
+            trainer.float_accuracy(floatnet.init_float_model(seed=0),
+                                   np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
 
 
 class TestWeightChangeStats:
