@@ -7,14 +7,16 @@ single inputs, and check training/deployment parity.
 
 Every command is deterministic given its flags, seed, and input files; CSV
 output carries a fixed versioned header line so downstream tooling can
-detect schema changes.  Exit codes: 0 success, 2 usage, 3 file-format
-errors, 4 numeric/domain errors.
+detect schema changes.  argparse checks the flags, so a missing required
+flag or a malformed width is a usage error in argparse's words.  Each data
+split a command needs is loaded before any work starts, and an empty one
+is a domain error.  Exit codes: 0 success, 2 usage, 3 file-format errors,
+4 numeric/domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -22,20 +24,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import datagen, floatnet
-from .errors import (
-    CalibrationError,
-    DomainError,
-    FormatError,
-    OverflowEnvelopeError,
-    RescaleLabError,
-    RescalerUnderflow,
-    ShapeError,
-)
+from .errmodel import model_error_report
+from .errors import DomainError, FormatError, RescaleLabError, RescalerUnderflow
 from .kernels import evaluate_int, predict_int, run_model_int, unit_images
 from .model_io import (
+    IDX_IMAGES_MAGIC,
+    _read_idx,
     load_idx_dataset,
     load_model,
     materialize_rescalers,
+    quantize_float_model,
     save_model,
 )
 from .trainer import TrainConfig, emulated_forward, finetune, init_shadow, train_float
@@ -46,17 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
-
-_USAGE_ERRORS = (FileNotFoundError,)
-_FORMAT_ERRORS = (FormatError,)
-_NUMERIC_ERRORS = (
-    DomainError,
-    ShapeError,
-    RescalerUnderflow,
-    OverflowEnvelopeError,
-    CalibrationError,
-    OverflowError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -118,33 +105,41 @@ def run_sweep(model, images, labels, k_list, threshold=0.5) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_data_dir(args) -> str:
-    data_dir = args.data_dir or os.environ.get("RESCALE_LAB_DATA")
-    if not data_dir:
-        raise UsageError("--data-dir is required (or set RESCALE_LAB_DATA)")
-    return data_dir
-
-
 class UsageError(Exception):
     pass
 
 
-def _load_train(data_dir):
+def _load(args, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Images and labels of one split ("train" or "test") of the data set
+    in ``--data-dir``, else in ``$RESCALE_LAB_DATA``."""
+    data_dir = args.data_dir or os.environ.get("RESCALE_LAB_DATA")
+    if not data_dir:
+        raise UsageError("no data directory: pass --data-dir or set RESCALE_LAB_DATA")
     paths = datagen.dataset_paths(data_dir)
-    return load_idx_dataset(paths["train_images"], paths["train_labels"])
+    images, labels = load_idx_dataset(paths[f"{split}_images"],
+                                      paths[f"{split}_labels"])
+    if len(labels) == 0:
+        raise DomainError(f"the {split} set in {data_dir} is empty")
+    return images, labels
 
 
-def _load_test(data_dir):
-    paths = datagen.dataset_paths(data_dir)
-    return load_idx_dataset(paths["test_images"], paths["test_labels"])
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write_csv(header: str, rows, out: str | None = None, **footers) -> None:
+    """The version line, the column ``header``, one line per row and one
+    ``# key=value`` line per footer, to the file ``out`` or to stdout."""
+    lines = [CSV_HEADER, header]
+    lines += [",".join(map(str, row)) for row in rows]
+    lines += [f"# {key}={value}" for key, value in footers.items()]
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_history(history, **footers) -> None:
+    rows = [(r.epoch, _fmt(r.loss), _fmt(r.accuracy, 2)) for r in history]
+    _write_csv("epoch,loss,accuracy", rows, **footers)
 
 
 def _fmt(value: float | None, digits: int = 4) -> str:
@@ -153,18 +148,14 @@ def _fmt(value: float | None, digits: int = 4) -> str:
     return f"{value:.{digits}f}"
 
 
-def _parse_k(value: str) -> int:
-    try:
-        k = int(value)
-    except ValueError as exc:
-        raise UsageError(f"width must be an integer, got {value!r}") from exc
-    return k
+def width_list(value: str) -> list[int]:
+    """``--k-list``: comma-separated integer widths, at least one."""
+    return [int(part) for part in value.split(",")]
 
 
-def _parse_k_list(value: str) -> list[int]:
-    if not value.strip():
-        raise UsageError("--k-list must name at least one width")
-    return [_parse_k(part) for part in value.split(",")]
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                       batch_size=32, seed=args.seed)
 
 
 _CALIB_BATCHES = 8
@@ -183,8 +174,6 @@ def _calibration_batches(train_images: np.ndarray) -> list[np.ndarray]:
 
 
 def cmd_gen_data(args) -> int:
-    if not args.out:
-        raise UsageError("--out directory is required")
     paths = datagen.generate_dataset(args.out, seed=args.seed)
     for name in ("train_images", "train_labels", "test_images", "test_labels"):
         print(f"wrote {paths[name]}")
@@ -192,40 +181,19 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_float(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not args.out:
-        raise UsageError("--out file is required")
-    (train_images, train_labels) = _load_train(data_dir)
-    (test_images, test_labels) = _load_test(data_dir)
-    cfg = TrainConfig(
-        learning_rate=args.lr if args.lr is not None else 0.1,
-        epochs=args.epochs if args.epochs is not None else 3,
-        batch_size=32,
-        seed=args.seed,
-    )
-    model, history = train_float(train_images, train_labels, cfg,
+    train_images, train_labels = _load(args, "train")
+    test_images, test_labels = _load(args, "test")
+    model, history = train_float(train_images, train_labels, _train_config(args),
                                  eval_images=test_images, eval_labels=test_labels)
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    buf.write("epoch,loss,accuracy\n")
-    for record in history:
-        buf.write(f"{record.epoch},{_fmt(record.loss)},{_fmt(record.accuracy, 2)}\n")
-    sys.stdout.write(buf.getvalue())
+    _write_history(history)
     floatnet.save_float_model(model, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_quantize(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not args.model:
-        raise UsageError("--model (float model file) is required")
-    if not args.out:
-        raise UsageError("--out file is required")
     float_model = floatnet.load_float_model(args.model)
-    (train_images, _) = _load_train(data_dir)
-    from .model_io import quantize_float_model
-
+    train_images, _ = _load(args, "train")
     model = quantize_float_model(float_model, _calibration_batches(train_images))
     save_model(model, args.out)
     print(f"wrote {args.out} (widths start at k=32)")
@@ -233,84 +201,47 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not args.model:
-        raise UsageError("--model is required")
-    k_list = _parse_k_list(args.k_list) if args.k_list else [32, 16, 12, 8, 6, 5, 4, 3, 2]
     model = load_model(args.model)
-    (test_images, test_labels) = _load_test(data_dir)
-    result = run_sweep(model, test_images, test_labels, k_list,
+    test_images, test_labels = _load(args, "test")
+    result = run_sweep(model, test_images, test_labels, args.k_list,
                        threshold=args.threshold)
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    buf.write("k,accuracy,delta_vs_base,note\n")
-    for row in result.rows:
-        buf.write(f"{row.k},{_fmt(row.accuracy, 2)},"
-                  f"{_fmt(row.delta_vs_base, 2)},{row.note}\n")
+    rows = [(row.k, _fmt(row.accuracy, 2), _fmt(row.delta_vs_base, 2), row.note)
+            for row in result.rows]
     point = result.degradation_point
-    buf.write(f"# base_accuracy={result.base_accuracy:.2f}\n")
-    buf.write(f"# degradation_point={'none' if point is None else point}\n")
-    _emit(buf.getvalue(), args.out)
+    _write_csv("k,accuracy,delta_vs_base,note", rows, args.out,
+               base_accuracy=f"{result.base_accuracy:.2f}",
+               degradation_point="none" if point is None else point)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not args.model:
-        raise UsageError("--model is required")
-    if args.k is None:
-        raise UsageError("--k is required")
-    from .errmodel import model_error_report
-
     model = load_model(args.model)
-    (test_images, _) = _load_test(data_dir)
-    probes = test_images[:256]
-    reports = model_error_report(model, probes, k=_parse_k(args.k))
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    buf.write("layer,kind,k,out_scale,max_abs_acc,analytic_max_abs_acc,"
-              "mismatch_bound,rounding_floor,safe\n")
-    for r in reports:
-        buf.write(
-            f"{r.layer_id},{r.kind},{r.k},{_fmt(r.s_y, 6)},"
-            f"{int(np.max(r.max_abs_acc))},{int(np.max(r.analytic_max_abs_acc))},"
-            f"{np.max(r.mismatch_bound):.6e},{_fmt(r.rounding_floor, 6)},"
-            f"{'yes' if r.all_safe else 'no'}\n"
-        )
-    _emit(buf.getvalue(), args.out)
+    test_images, _ = _load(args, "test")
+    reports = model_error_report(model, test_images[:256], k=args.k)
+    rows = [
+        (r.layer_id, r.kind, r.k, _fmt(r.s_y, 6),
+         int(np.max(r.max_abs_acc)), int(np.max(r.analytic_max_abs_acc)),
+         f"{np.max(r.mismatch_bound):.6e}", _fmt(r.rounding_floor, 6),
+         "yes" if r.all_safe else "no")
+        for r in reports
+    ]
+    _write_csv("layer,kind,k,out_scale,max_abs_acc,analytic_max_abs_acc,"
+               "mismatch_bound,rounding_floor,safe", rows, args.out)
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not args.model:
-        raise UsageError("--model is required")
-    if args.k is None:
-        raise UsageError("--k is required")
-    if not args.out:
-        raise UsageError("--out file is required")
     model = load_model(args.model)
-    (train_images, train_labels) = _load_train(data_dir)
-    (test_images, test_labels) = _load_test(data_dir)
-    cfg = TrainConfig(
-        learning_rate=args.lr if args.lr is not None else 10.0,
-        epochs=args.epochs if args.epochs is not None else 2,
-        batch_size=32,
-        seed=args.seed,
-    )
-    result = finetune(model, train_images, train_labels, cfg, k=_parse_k(args.k),
-                      eval_images=test_images, eval_labels=test_labels)
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    buf.write("epoch,loss,accuracy\n")
-    for record in result.history:
-        buf.write(f"{record.epoch},{_fmt(record.loss)},{_fmt(record.accuracy, 2)}\n")
+    train_images, train_labels = _load(args, "train")
+    test_images, test_labels = _load(args, "test")
+    result = finetune(model, train_images, train_labels, _train_config(args),
+                      k=args.k, eval_images=test_images, eval_labels=test_labels)
     stats = result.stats
-    buf.write(f"# changed_ratio={stats.changed_ratio:.6f}\n")
-    buf.write(f"# mean_abs_diff={stats.mean_abs_diff:.6f}\n")
-    buf.write(f"# layers_affected={stats.layers_affected}\n")
-    buf.write(f"# bias_changed_ratio={stats.bias_changed_ratio:.6f}\n")
-    sys.stdout.write(buf.getvalue())
+    _write_history(result.history,
+                   changed_ratio=f"{stats.changed_ratio:.6f}",
+                   mean_abs_diff=f"{stats.mean_abs_diff:.6f}",
+                   layers_affected=stats.layers_affected,
+                   bias_changed_ratio=f"{stats.bias_changed_ratio:.6f}")
     # The checkpoint keeps the input model's rescaler widths; the training
     # width k only selects the deployment the weights were adapted to.
     layers = [
@@ -325,25 +256,18 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if not args.model:
-        raise UsageError("--model is required")
     model = load_model(args.model)
     if args.k is not None:
-        model = materialize_rescalers(model, _parse_k(args.k))
-    from .model_io import IDX_IMAGES_MAGIC, _read_idx
-
+        model = materialize_rescalers(model, args.k)
     images = _read_idx(args.input, IDX_IMAGES_MAGIC, 3)
-    classes = predict_int(model, images)
-    for value in classes:
+    for value in predict_int(model, images):
         print(int(value))
     return EXIT_OK
 
 
 def cmd_parity(args) -> int:
-    if not args.model:
-        raise UsageError("--model is required")
     model = load_model(args.model)
-    k = _parse_k(args.k) if args.k is not None else model.k
+    k = model.k if args.k is None else args.k
     mk = materialize_rescalers(model, k)
     shadow = init_shadow(mk)
     rng = np.random.default_rng(args.seed)
@@ -363,97 +287,70 @@ def cmd_parity(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 2 with message on stderr
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+# Every flag a command may take, with its argparse options.  argparse exits
+# with EXIT_USAGE (2) and its own message on a missing or malformed flag.
+_FLAGS = {
+    "model": {"required": True},
+    "data-dir": {},
+    "k": {"type": int},
+    "k-list": {"type": width_list, "default": (32, 16, 12, 8, 6, 5, 4, 3, 2)},
+    "epochs": {"type": int},
+    "lr": {"type": float},
+    "seed": {"type": int, "default": 0},
+    "out": {},
+    "threshold": {"type": float, "default": 0.5},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rescale-lab",
-                     description="Integer-only inference with dyadic rescalers")
+    parser = argparse.ArgumentParser(
+        prog="rescale-lab", description="Integer-only inference with dyadic rescalers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *names):
-        if "model" in names:
-            p.add_argument("--model")
-        if "data" in names:
-            p.add_argument("--data-dir", dest="data_dir")
-        if "k" in names:
-            p.add_argument("--k")
-        if "k_list" in names:
-            p.add_argument("--k-list", dest="k_list")
-        if "epochs" in names:
-            p.add_argument("--epochs", type=int)
-        if "lr" in names:
-            p.add_argument("--lr", type=float)
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=0)
-        if "out" in names:
-            p.add_argument("--out")
-        if "threshold" in names:
-            p.add_argument("--threshold", type=float, default=0.5)
+    def command(name, func, summary, flags, required=(), **defaults):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **{"required": flag in required, **_FLAGS[flag]})
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("gen-data", help="render the synthetic digit dataset")
-    common(p, "seed", "out")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-float", help="train the float reference network")
-    common(p, "data", "epochs", "lr", "seed", "out")
-    p.set_defaults(func=cmd_train_float)
-
-    p = sub.add_parser("quantize", help="post-training quantize a float model")
-    common(p, "model", "data", "out")
-    p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("sweep", help="accuracy across rescaler widths")
-    common(p, "model", "data", "k_list", "threshold", "out")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("analyze", help="per-layer rescale error report")
-    common(p, "model", "data", "k", "out")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("finetune", help="rescale-aware fine-tuning at width k")
-    common(p, "model", "data", "k", "epochs", "lr", "seed", "out")
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("infer", help="classify images from an IDX file")
-    common(p, "model", "k")
+    command("gen-data", cmd_gen_data, "render the synthetic digit dataset",
+            ["seed", "out"], required=["out"])
+    command("train-float", cmd_train_float, "train the float reference network",
+            ["data-dir", "epochs", "lr", "seed", "out"], required=["out"],
+            lr=0.1, epochs=3)
+    command("quantize", cmd_quantize, "post-training quantize a float model",
+            ["model", "data-dir", "out"], required=["out"])
+    command("sweep", cmd_sweep, "accuracy across rescaler widths",
+            ["model", "data-dir", "k-list", "threshold", "out"])
+    command("analyze", cmd_analyze, "per-layer rescale error report",
+            ["model", "data-dir", "k", "out"], required=["k"])
+    command("finetune", cmd_finetune, "rescale-aware fine-tuning at width k",
+            ["model", "data-dir", "k", "epochs", "lr", "seed", "out"],
+            required=["k", "out"], lr=10.0, epochs=2)
+    p = command("infer", cmd_infer, "classify images from an IDX file", ["model", "k"])
     p.add_argument("input", help="IDX image file")
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("parity", help="training emulation vs integer engine")
-    common(p, "model", "k", "seed")
+    p = command("parity", cmd_parity, "training emulation vs integer engine",
+                ["model", "k", "seed"])
     p.add_argument("batches", nargs="?", type=int, default=20)
-    p.set_defaults(func=cmd_parity)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _FORMAT_ERRORS as exc:
+    except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
+    except (RescaleLabError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RescaleLabError as exc:  # catch-all for library errors
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .errors import DomainError
-from .model_io import save_idx_images, save_idx_labels
+from .model_io import load_idx_dataset, save_idx_images, save_idx_labels
 
 IMAGE_SIZE = 28
 
@@ -82,6 +82,10 @@ _GHOST_PROBABILITY = 1.0
 _CONFUSABLE_PARTNER = {8: 9, 9: 8, 5: 6, 6: 5, 1: 7, 7: 1}
 _LABEL_NOISE_RATE = 0.30
 
+# Images per draw of the random jitter.  The draws are made chunk by chunk,
+# so the rendered pixels depend on this value: changing it changes the data.
+_CHUNK = 512
+
 # Images per pass of the stroke geometry.  A pass works on four float64
 # (images, 28, 28) planes, about 0.4 MB each at 64 images.  Per image,
 # passes of 32 images measured the same and passes of 128 or more slower,
@@ -142,8 +146,7 @@ def _stroke_ink(centres: np.ndarray, segs: np.ndarray, width: np.ndarray,
     return ink.reshape(b, -1)
 
 
-def render_digits(labels: np.ndarray, rng: np.random.Generator,
-                  chunk: int = 512) -> np.ndarray:
+def render_digits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Render one glyph image per label with random jitter; uint8 (n, 28, 28).
 
     ``labels`` must be a one-dimensional array of integers 0..9 (any
@@ -158,8 +161,8 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator,
     n = labels.shape[0]
     centres = (np.arange(IMAGE_SIZE) + 0.5) / IMAGE_SIZE
     out = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.uint8)
-    for start in range(0, n, chunk):
-        sel = labels[start : start + chunk]
+    for start in range(0, n, _CHUNK):
+        sel = labels[start : start + _CHUNK]
         b = sel.shape[0]
         lit = LIT_MASK[sel]  # (b, 7)
 
@@ -221,7 +224,7 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator,
             ink[sub] = _stroke_ink(centres, segs[sub], width[sub],
                                    intensity[sub])
         img = np.clip(ink * brightness[:, None] + noise, 0.0, 1.0)
-        out[start : start + chunk] = np.floor(img * 255.0 + 0.5).astype(
+        out[start : start + _CHUNK] = np.floor(img * 255.0 + 0.5).astype(
             np.uint8
         ).reshape(b, IMAGE_SIZE, IMAGE_SIZE)
     return out
@@ -279,8 +282,6 @@ def generate_dataset(
 
 def load_dataset(data_dir: str):
     """Load the four IDX files produced by :func:`generate_dataset`."""
-    from .model_io import load_idx_dataset
-
     paths = dataset_paths(data_dir)
     train = load_idx_dataset(paths["train_images"], paths["train_labels"])
     test = load_idx_dataset(paths["test_images"], paths["test_labels"])

@@ -30,6 +30,7 @@ from .kernels import (
     tap_axes,
     unit_images,
 )
+from .model_io import layer_input_params, materialize_rescalers
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -179,9 +180,6 @@ def layer_error_report(
     per-channel peak |accumulator| feeds the mismatch bound; the safe flag
     is an exact rational comparison against the half-step rounding floor.
     """
-    # local: avoid import cycle
-    from .model_io import layer_input_params, materialize_rescalers
-
     if isinstance(probe_batches, np.ndarray):
         probe_batches = [probe_batches]
     if not 0 <= layer_id < len(model.layers):

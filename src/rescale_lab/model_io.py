@@ -178,7 +178,7 @@ def quantize_bias(b: np.ndarray, bias_scales: np.ndarray) -> np.ndarray:
 
 
 def _build_rescalers(
-    in_scale: float, weight_scales: np.ndarray, out_scale: float, k: int
+    in_scale: float, weight_scales: np.ndarray, out_scale: float
 ) -> list[DyadicRescaler]:
     rescalers = []
     for c, w_scale in enumerate(weight_scales):
@@ -188,7 +188,7 @@ def _build_rescalers(
                 f"channel {c}: rescale factor {m_real!r} outside (0, 1]; "
                 "the accumulator scale must not exceed the output scale"
             )
-        rescalers.append(quantize_rescaler(m_real, k))
+        rescalers.append(quantize_rescaler(m_real, 32))
     return rescalers
 
 
@@ -239,7 +239,7 @@ def quantize_float_model(
                 stride=layer.stride,
                 padding=layer.padding,
                 output=out_qp,
-                rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale, 32),
+                rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale),
             ))
             in_qp = out_qp
     model = ModelGraph(name=name, input_params=input_params, layers=layers, k=32)

@@ -286,19 +286,29 @@ class TestParity:
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code = main(["sweep", "--model", "x", "--frobnicate", "9"])
-        capsys.readouterr()
+        assert "error: unrecognized arguments: --frobnicate 9" in capsys.readouterr().err
         assert code == EXIT_USAGE
 
     def test_missing_required_out_is_usage_error(self, capsys):
         code = main(["gen-data"])
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required: --out" in err
         assert code == EXIT_USAGE
 
     def test_bad_k_list_is_usage_error(self, model_path, data_dir, capsys):
-        code = main(["sweep", "--model", model_path, "--data-dir", data_dir,
-                     "--k-list", "8,banana"])
-        capsys.readouterr()
-        assert code == EXIT_USAGE
+        for k_list in ("8,banana", " ", ""):
+            code = main(["sweep", "--model", model_path, "--data-dir", data_dir,
+                         "--k-list", k_list])
+            assert "argument --k-list" in capsys.readouterr().err
+            assert code == EXIT_USAGE
+
+    def test_reason_follows_the_usage_line(self, capsys):
+        assert main(["infer", "--model", "m.rqm"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rescale-lab infer")
+        assert "error: the following arguments are required: input" in err
+        assert main(["frobnicate"]) == EXIT_USAGE
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_missing_model_file_is_usage_error(self, data_dir, capsys):
         code = main(["sweep", "--model", "/nonexistent/model.rlab",
@@ -330,24 +340,60 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
 
 
-@pytest.fixture(scope="module")
-def empty_test_dir(tmp_path_factory, data_dir):
-    # The shared training set next to a valid IDX test set of 0 images.
-    path = tmp_path_factory.mktemp("empty-test")
+def _with_empty_split(tmp_path_factory, data_dir, split):
+    # The shared data set with ``split`` replaced by a valid IDX set of 0 images.
+    path = tmp_path_factory.mktemp(f"empty-{split}")
     src, dst = datagen.dataset_paths(data_dir), datagen.dataset_paths(str(path))
-    shutil.copy(src["train_images"], dst["train_images"])
-    shutil.copy(src["train_labels"], dst["train_labels"])
-    save_idx_images(dst["test_images"], np.zeros((0, 28, 28), dtype=np.uint8))
-    save_idx_labels(dst["test_labels"], np.zeros(0, dtype=np.uint8))
+    for name in src:
+        shutil.copy(src[name], dst[name])
+    save_idx_images(dst[f"{split}_images"], np.zeros((0, 28, 28), dtype=np.uint8))
+    save_idx_labels(dst[f"{split}_labels"], np.zeros(0, dtype=np.uint8))
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def empty_test_dir(tmp_path_factory, data_dir):
+    return _with_empty_split(tmp_path_factory, data_dir, "test")
+
+
+@pytest.fixture(scope="module")
+def empty_train_dir(tmp_path_factory, data_dir):
+    return _with_empty_split(tmp_path_factory, data_dir, "train")
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    # An empty data set must stop a command before any training starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started on an empty data set")
+
+    monkeypatch.setattr(cli, "train_float", refuse)
+    monkeypatch.setattr(cli, "finetune", refuse)
+
+
+def _training_argv(command, data, model_path, out):
+    argv = [command, "--data-dir", data, "--epochs", "1", "--out", str(out)]
+    if command == "finetune":
+        argv += ["--model", model_path, "--k", "4"]
+    return argv
+
+
+@pytest.mark.usefixtures("no_training")
 class TestEmptyTestSet:
     def test_train_float_is_numeric_error(self, empty_test_dir, tmp_path, capsys):
-        code = main(["train-float", "--data-dir", empty_test_dir, "--epochs", "1",
-                     "--out", str(tmp_path / "float.npz")])
+        out = tmp_path / "float.npz"
+        code = main(_training_argv("train-float", empty_test_dir, None, out))
         assert "empty" in capsys.readouterr().err
         assert code == EXIT_NUMERIC
+        assert not out.exists()
+
+    def test_finetune_is_numeric_error(self, model_path, empty_test_dir, tmp_path,
+                                       capsys):
+        out = tmp_path / "tuned.rlab"
+        code = main(_training_argv("finetune", empty_test_dir, model_path, out))
+        assert "the test set" in capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
 
     def test_sweep_is_numeric_error(self, model_path, empty_test_dir, capsys):
         code = main(["sweep", "--model", model_path, "--data-dir", empty_test_dir])
@@ -359,3 +405,14 @@ class TestEmptyTestSet:
                      "--k", "8"])
         assert "empty" in capsys.readouterr().err
         assert code == EXIT_NUMERIC
+
+
+@pytest.mark.usefixtures("no_training")
+@pytest.mark.parametrize("command", ["train-float", "finetune"])
+def test_empty_train_set_is_numeric_error(command, model_path, empty_train_dir,
+                                          tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(_training_argv(command, empty_train_dir, model_path, out))
+    assert "the train set" in capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert not out.exists()
