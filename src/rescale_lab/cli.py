@@ -8,10 +8,11 @@ single inputs, and check training/deployment parity.
 Every command is deterministic given its flags, seed, and input files; CSV
 output carries a fixed versioned header line so downstream tooling can
 detect schema changes.  argparse checks the flags, so a missing required
-flag or a malformed width is a usage error in argparse's words.  Each data
-split a command needs is loaded before any work starts, and an empty one
-is a domain error.  Exit codes: 0 success, 2 usage, 3 file-format errors,
-4 numeric/domain errors.
+flag, a malformed width, or an ``--out`` file that names a directory or
+sits in a missing one is a usage error in argparse's words, raised before
+any work.  Each data split a command needs is loaded before any work
+starts, and an empty one is a domain error.  Exit codes: 0 success,
+2 usage, 3 file-format errors, 4 numeric/domain errors.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ def _fmt(value: float | None, digits: int = 4) -> str:
     if value is None:
         return ""
     return f"{value:.{digits}f}"
+
+
+def out_file(path: str) -> str:
+    """``--out`` of a command that writes one file: its directory must
+    exist and the path must not be a directory, checked before any work."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent} for {path}")
+    return path
 
 
 def width_list(value: str) -> list[int]:
@@ -297,7 +309,7 @@ _FLAGS = {
     "epochs": {"type": int},
     "lr": {"type": float},
     "seed": {"type": int, "default": 0},
-    "out": {},
+    "out": {"type": out_file},
     "threshold": {"type": float, "default": 0.5},
 }
 
@@ -314,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, **defaults)
         return p
 
-    command("gen-data", cmd_gen_data, "render the synthetic digit dataset",
-            ["seed", "out"], required=["out"])
+    p = command("gen-data", cmd_gen_data, "render the synthetic digit dataset",
+                ["seed"])
+    p.add_argument("--out", required=True)  # a directory, made if missing
     command("train-float", cmd_train_float, "train the float reference network",
             ["data-dir", "epochs", "lr", "seed", "out"], required=["out"],
             lr=0.1, epochs=3)

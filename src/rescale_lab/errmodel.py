@@ -201,9 +201,15 @@ def layer_error_report(
                     materialized.input_params)
         for upstream in materialized.layers[:layer_id]:
             x = layer_forward_int(x, upstream, materialized.k)
+        # Peak |acc| per channel from the int32 extremes, reduced over the
+        # images first (one long row each) and widened to int64 after the
+        # reduction, so that |-2**31| does not wrap.
         acc = layer_accumulator(x, layer)
-        flat = np.abs(acc.astype(np.int64)).reshape(-1, channels)
-        np.maximum(max_abs, flat.max(axis=0), out=max_abs)
+        rows = acc.reshape(acc.shape[0], -1)
+        hi = rows.max(axis=0).reshape(-1, channels).max(axis=0)
+        lo = rows.min(axis=0).reshape(-1, channels).min(axis=0)
+        peak = np.maximum(hi.astype(np.int64), -lo.astype(np.int64))
+        np.maximum(max_abs, peak, out=max_abs)
     if not saw_image:
         raise DomainError("probe set is empty")
 

@@ -6,9 +6,13 @@ The multiply-accumulate stage runs in floats for speed (matmuls, and one
 multiply-add per tap for depthwise) and is exact because every partial sum
 is an integer the float type holds: float32 when both operands are int8
 and the MAC count N has N * 2**14 <= 2**24, float64 otherwise (partial
-sums below 2**30, far under 2**53).  The bias is added in int32 once the
-int32 envelope check has proven that it cannot wrap; the rescaling stage
-runs in place on one int64 buffer.  The same MAC core (:func:`accumulate`,
+sums below 2**30, far under 2**53).  conv2d builds its im2col matrix
+tap-major, one strided copy (with the cast) per layer into (kh, kw, c)
+planes of (n, oh, ow), and hands BLAS its transpose.  The bias is added in
+int32 once the int32 envelope check has proven that it cannot wrap; the
+rescaling stage runs in place on one int64 buffer, which is clamped
+straight into int8 before the output zero point is added in int8.  The
+same MAC core (:func:`accumulate`,
 :func:`window_sum`) also serves the training emulation and the float
 reference network, and the emulation runs its exact float64 accumulators
 through this module's :func:`check_envelope` and
@@ -206,10 +210,11 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
     :func:`channel_axis`; SAME padding fills with ``pad_value``.  Returns
     ``(acc, cols, pads)``: ``cols`` is the operand the weights met and
     ``pads`` the (top, bottom, left, right) padding, both kept for the
-    backward pass.  ``cols`` is ``x`` itself for dense, the contiguous
-    im2col matrix (n*oh*ow, kh*kw*c) for conv2d, columns in (kh, kw, c)
-    order, and the (n, oh, ow, c, kh, kw) window view for depthwise.
-    Integer operands give exact sums.
+    backward pass.  ``cols`` is ``x`` itself for dense, the im2col matrix
+    (n*oh*ow, kh*kw*c) for conv2d, columns in (kh, kw, c) order, and the
+    (n, oh, ow, c, kh, kw) window view for depthwise.  conv2d's matrix is
+    Fortran-ordered: the transpose of contiguous tap-major planes
+    (kh, kw, c, n, oh, ow).  Integer operands give exact sums.
     """
     dtype = _mac_dtype(x, w)
     w = w.astype(dtype, copy=False)
@@ -217,10 +222,17 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
         return x.astype(dtype, copy=False) @ w.T, x, None
     k_h, k_w = w.shape[1:3] if kind == "conv2d" else w.shape[:2]
     out_h, out_w, pads = _conv_geometry(x.shape, k_h, k_w, stride, padding)
-    x_pad = _pad_nhwc(x, pads, pad_value).astype(dtype, copy=False)
+    x_pad = _pad_nhwc(x, pads, pad_value)
+    if kind == "depthwise":
+        x_pad = x_pad.astype(dtype, copy=False)
     cols = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))[:, ::stride[0], ::stride[1]]
     if kind == "conv2d":
-        cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(-1, mac_count(w))
+        # Each tap's (n, oh, ow) plane is a strided run of the input, so
+        # this one copy (which also casts) moves whole rows, where the
+        # row-major im2col copy moved c elements at a time.
+        planes = np.empty((k_h, k_w, x.shape[3], x.shape[0], out_h, out_w), dtype)
+        np.copyto(planes, cols.transpose(4, 5, 3, 0, 1, 2))
+        cols = planes.reshape(mac_count(w), -1).T
         acc = cols @ w.reshape(w.shape[0], -1).T
         acc = acc.reshape(x.shape[0], out_h, out_w, w.shape[0])
     elif kind == "depthwise":
@@ -364,22 +376,33 @@ def rescale_accumulator(
     dyadic multipliers, saturated to int32: ``floor((acc*m + 2**(s-1)) /
     2**s)``.
 
-    ``acc`` may be integer or integer-valued float (the emulation passes its
-    exact float64 accumulator); ``m`` and ``s`` broadcast against the
-    trailing (channel) axis.  The rescale runs in place on one int64 buffer.
-    The product cannot wrap (|acc| <= 2**31, m < 2**32), but adding the
-    half step to it could, so the shift goes in two steps:
-    ``((acc*m >> (s-1)) + 1) >> 1`` is the same floor.
+    ``acc`` must lie in int32; it may be integer or integer-valued float
+    (the emulation passes its exact float64 accumulator).  ``m`` and ``s``
+    broadcast against the trailing (channel) axis.  The rescale runs in
+    place on one int64 buffer.  The product cannot wrap (|acc| <= 2**31,
+    m < 2**32).  Adding the half step to it cannot either while
+    ``2**31 * max(m) + 2**(max(s)-1) < 2**63``, which holds for every width
+    below 32; otherwise the shift goes in two steps, as
+    ``((acc*m >> (s-1)) + 1) >> 1`` is the same floor.  When every channel
+    has ``m <= 2**s`` (``M_q <= 1``) each result lies between 0 and its
+    accumulator, so the saturation runs only when some ``m > 2**s``.
     """
+    m = np.asarray(m, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
     out = np.empty(acc.shape, np.int64)
-    rows, (m64, s64) = _channel_rows(out, np.asarray(m, dtype=np.int64),
-                                     np.asarray(s, dtype=np.int64))
+    rows, (m64, s64) = _channel_rows(out, m, s)
     # Cast to int64 and multiply in one pass.
     np.multiply(acc.reshape(rows.shape), m64, out=rows, dtype=np.int64,
                 casting="unsafe")
-    rows >>= s64 - 1
-    rows += 1
-    rows >>= 1
+    if (int(m.max()) << 31) + (1 << (int(s.max()) - 1)) < 1 << 63:
+        rows += np.left_shift(1, s64 - 1)
+        rows >>= s64
+    else:
+        rows >>= s64 - 1
+        rows += 1
+        rows >>= 1
+    if np.all(m <= np.ldexp(1.0, s)):  # exact: m < 2**53, 2**s a power of two
+        return out
     return np.clip(out, INT32_MIN, INT32_MAX, out=out)
 
 
@@ -443,12 +466,18 @@ def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
     m, s = rescaler_vectors(layer, k)
     acc = layer_accumulator(x, layer)
     shifted = rescale_accumulator(acc, m, s)
+    out = np.empty(shifted.shape, np.int8)
     if layer.kind == "avgpool":
-        np.clip(shifted, INT8_MIN, INT8_MAX, out=shifted)
-        return QTensor(shifted.astype(np.int8), x.qparams)
-    shifted += layer.output.zero_point
-    np.clip(shifted, *activation_clamp(layer.activation, layer.output), out=shifted)
-    return QTensor(shifted.astype(np.int8), layer.output)
+        np.clip(shifted, INT8_MIN, INT8_MAX, out=out, casting="unsafe")
+        return QTensor(out, x.qparams)
+    # Clamp to [lo - z, hi - z] and cast to int8 in one pass, then add the
+    # zero point z in int8: the cast may wrap, but v + z lies in [lo, hi]
+    # inside int8, so the wrapped sum is exact (two's complement).
+    z = layer.output.zero_point
+    lo, hi = activation_clamp(layer.activation, layer.output)
+    np.clip(shifted, lo - z, hi - z, out=out, casting="unsafe")
+    out += np.int8(z)
+    return QTensor(out, layer.output)
 
 
 def run_model_int(model: "ModelGraph", x_q: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rescale_lab import floatnet
 from rescale_lab.kernels import evaluate_int, quantize_real
@@ -101,6 +102,19 @@ def oracle_conv2d(x, w, b_eff, stride, pad_top, pad_left, out_h, out_w, pad_valu
                                 acc += v * int(w[oc, ky, kx, ic])
                     out[i, oy, ox, oc] = acc
     return out
+
+
+def oracle_im2col(x, k_h, k_w, stride, pads, pad_value):
+    """The conv2d im2col matrix (n*oh*ow, kh*kw*c), columns in (kh, kw, c)
+    order, by the route the engine took before tap-major planes: the
+    padded input's window view transposed to (n, oh, ow, kh, kw, c) and
+    reshaped row by row."""
+    top, bottom, left, right = pads
+    x_pad = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)),
+                   constant_values=pad_value)
+    windows = sliding_window_view(x_pad, (k_h, k_w), axis=(1, 2))
+    windows = windows[:, :: stride[0], :: stride[1]]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k_h * k_w * x.shape[3])
 
 
 def oracle_depthwise(x, w, b_eff, stride, pad_top, pad_left, out_h, out_w, pad_value):

@@ -416,3 +416,58 @@ def test_empty_train_set_is_numeric_error(command, model_path, empty_train_dir,
     assert "the train set" in capsys.readouterr().err
     assert code == EXIT_NUMERIC
     assert not out.exists()
+
+
+def _writing_argv(command, data, model_path, out):
+    # Every command that writes one file, with valid inputs and ``out``.
+    argv = {
+        "train-float": ["train-float", "--data-dir", data, "--epochs", "1"],
+        "quantize": ["quantize", "--model", model_path, "--data-dir", data],
+        "sweep": ["sweep", "--model", model_path, "--data-dir", data],
+        "analyze": ["analyze", "--model", model_path, "--data-dir", data, "--k", "8"],
+        "finetune": ["finetune", "--model", model_path, "--data-dir", data,
+                     "--k", "4", "--epochs", "1"],
+    }[command]
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.usefixtures("no_training")
+@pytest.mark.parametrize("command", ["train-float", "quantize", "sweep", "analyze",
+                                     "finetune"])
+class TestUnwritableOut:
+    @pytest.fixture(autouse=True)
+    def no_loading(self, monkeypatch):
+        # The check must come before the command loads any data.
+        def refuse(*args, **kwargs):
+            raise AssertionError("data loaded before --out was checked")
+
+        monkeypatch.setattr(cli, "_load", refuse)
+
+    def test_missing_directory_is_usage_error(self, command, model_path, data_dir,
+                                              tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.file"
+        code = main(_writing_argv(command, data_dir, model_path, out))
+        captured = capsys.readouterr()
+        assert f"error: argument --out: no directory {out.parent}" in captured.err
+        assert captured.out == ""
+        assert code == EXIT_USAGE
+        assert not out.parent.exists()
+
+    def test_existing_directory_is_usage_error(self, command, model_path, data_dir,
+                                               tmp_path, capsys):
+        code = main(_writing_argv(command, data_dir, model_path, tmp_path))
+        captured = capsys.readouterr()
+        assert f"error: argument --out: {tmp_path} is a directory" in captured.err
+        assert captured.out == ""
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_out_is_a_directory_it_makes(tmp_path, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(datagen, "generate_dataset",
+                        lambda out, seed: made.append(out) or datagen.dataset_paths(out))
+    out = str(tmp_path / "new" / "data")
+    assert main(["gen-data", "--out", out]) == EXIT_OK
+    assert made == [out]
+    capsys.readouterr()

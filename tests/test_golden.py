@@ -1,0 +1,77 @@
+"""Golden digests of the integer engine's outputs.
+
+The committed float model ``perfbench/desk_cnn_v1_float.npz``, quantized on
+seed-0 data exactly as the ``quantize`` command does, gives fixed int8
+logits and fixed error-report peaks at every width.  The digests below pin
+those bytes, so a speed change to the engine or the error model cannot move
+a single bit unnoticed.  ``perfbench/expected.json`` pins only the argmax.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from rescale_lab import cli, datagen, floatnet
+from rescale_lab.errmodel import model_error_report
+from rescale_lab.kernels import quantize_real, run_model_int, unit_images
+from rescale_lab.model_io import materialize_rescalers, quantize_float_model
+
+FLOAT_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "desk_cnn_v1_float.npz")
+TRAIN, TEST = 256, 256
+
+# sha256 of the int8 logits of run_model_int on the TEST images.
+LOGITS = {
+    32: "92237f595e7892b486a0cd36e211e9a4fc41c25c00088d19fa663b1b7e355e6b",
+    8: "37e77ca1567051b408408d4a0857b3c63e1d4e286ac1b227c7a075dae9990e03",
+    4: "f0cf42e747f4983e266c8175a68245077c1043447c7148e5fb03d73bfb7abfda",
+    2: "922c078ff4ed4a6bdc095aee976d968793ba705def347b0b363278fd965ca4d4",
+}
+# sha256 of model_error_report's per-layer max_abs_acc (int64) and safe
+# (one byte per channel) on the TEST images as probes.
+REPORTS = {
+    32: "ca86e6aaa39faa93e9360219a506943227f09dc5dc2240a2509754f1fd3a6e13",
+    8: "5e4768763db4142f05608983adc7ff3fc675d03c331ce36327c7cf3b5c904bd7",
+    4: "1237cc76684d5a0089bdbde5003585b507febbf39675b3291bf5b8db84d81a10",
+    2: "458d78d21bd3253e0297d8febd91196a1d24d31e08788094cf745b990444bcc7",
+}
+
+
+def sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def deployment(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("golden"))
+    datagen.generate_dataset(path, TRAIN, TEST, seed=0)
+    (train_x, _), (test_x, _) = datagen.load_dataset(path)
+    model = quantize_float_model(floatnet.load_float_model(FLOAT_MODEL),
+                                 cli._calibration_batches(train_x))
+    return model, test_x
+
+
+@pytest.mark.parametrize("k", sorted(LOGITS, reverse=True))
+def test_engine_logits_are_pinned(deployment, k):
+    model, images = deployment
+    mk = materialize_rescalers(model, k)
+    logits = run_model_int(mk, quantize_real(unit_images(images), mk.input_params))
+    assert logits.dtype == np.int8 and logits.shape == (TEST, 10)
+    assert sha256(logits) == LOGITS[k]
+
+
+@pytest.mark.parametrize("k", sorted(REPORTS, reverse=True))
+def test_error_report_peaks_are_pinned(deployment, k):
+    model, images = deployment
+    reports = model_error_report(model, images, k)
+    assert len(reports) == 6
+    parts = [a for r in reports
+             for a in (r.max_abs_acc.astype(np.int64), r.safe.astype(np.uint8))]
+    assert sha256(*parts) == REPORTS[k]

@@ -35,6 +35,7 @@ from oracles import (
     oracle_conv2d,
     oracle_dense,
     oracle_depthwise,
+    oracle_im2col,
     oracle_rescale,
 )
 
@@ -227,6 +228,47 @@ class TestConv2d:
                        np.array([0]), padding="FULL")
 
 
+class TestConvColumns:
+    """conv2d's columns come from tap-major planes; they must equal the
+    row-major im2col matrix, and the accumulator the product with it."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    @pytest.mark.parametrize("padding", ["SAME", "VALID"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 8])
+    def test_columns_equal_im2col(self, c, k, stride, padding, dtype):
+        rng = np.random.default_rng(c * 100 + k * 10 + stride)
+        if dtype == np.int8:
+            x = rng.integers(-128, 128, size=(3, 7, 6, c)).astype(np.int8)
+            w = rng.integers(-128, 128, size=(4, k, k, c)).astype(np.int8)
+            pad_value = -5
+        else:
+            # Multiples of 1/8: every sum is exact whatever the BLAS order.
+            x = rng.integers(-64, 64, size=(3, 7, 6, c)) / 8.0
+            w = rng.integers(-64, 64, size=(4, k, k, c)) / 8.0
+            pad_value = 0.375
+        acc, cols, pads = accumulate(x, w, "conv2d", (stride, stride), padding,
+                                     pad_value)
+        if padding == "SAME":
+            out_h, top = same_pads(7, k, stride)
+            out_w, left = same_pads(6, k, stride)
+            bottom = max((out_h - 1) * stride + k - 7, 0) - top
+            right = max((out_w - 1) * stride + k - 6, 0) - left
+            want_pads = (top, bottom, left, right)
+        else:
+            out_h, out_w = (7 - k) // stride + 1, (6 - k) // stride + 1
+            want_pads = (0, 0, 0, 0)
+        assert pads == want_pads
+        mac = np.float32 if dtype == np.int8 else np.float64
+        want_cols = oracle_im2col(x, k, k, (stride, stride), pads,
+                                  pad_value).astype(mac)
+        assert cols.dtype == acc.dtype == mac
+        assert np.array_equal(cols, want_cols)
+        want_acc = want_cols @ w.reshape(4, -1).T.astype(mac)
+        assert np.array_equal(acc, want_acc.reshape(3, out_h, out_w, 4))
+
+
 class TestDepthwise:
     def test_identity(self):
         x = qt(np.arange(-8, 8).reshape(1, 4, 4, 1))
@@ -339,6 +381,72 @@ class TestLayerForward:
         out = layer_forward_int(x, LayerSpec(kind="flatten", output=QP), k=8)
         assert out.data.shape == (1, 8)
         assert out.data.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]]
+
+
+class TestLayerForwardTail:
+    """The weighted tail clamps to [lo - z, hi - z], casts to int8 and adds
+    the output zero point z in int8.  At z = 127 and no activation,
+    lo - z = -255 lies outside int8, so the cast wraps and the sum must
+    wrap back; the reference adds z and clamps in Python ints."""
+
+    OUT_SCALE = 0.04  # ReLU6 ceiling 150 + z before saturation
+
+    @staticmethod
+    def bounds(activation, z):
+        if activation == "none":
+            return -128, 127
+        if activation == "relu":
+            return z, 127
+        return z, min(127, math.floor(6.0 / TestLayerForwardTail.OUT_SCALE + 0.5) + z)
+
+    @staticmethod
+    def layer(kind, w, bias, acc_peak, activation, z):
+        # Multipliers spread the raw outputs over about +-600 output steps.
+        channels = w.shape[0]
+        values = [600.0 / acc_peak * (1 - 0.05 * ch) for ch in range(channels)]
+        return LayerSpec(kind=kind, activation=activation,
+                         weights=QTensor(w, np.ones(channels)), bias=bias,
+                         stride=(2, 2), padding="SAME",
+                         output=QuantParams(TestLayerForwardTail.OUT_SCALE, z),
+                         rescalers=[quantize_rescaler(v, 16) for v in values])
+
+    def check(self, x, layer, acc, activation, z):
+        m, s = rescaler_vectors(layer, 16)
+        raw = np.vectorize(oracle_rescale)(acc, m, s)
+        lo, hi = self.bounds(activation, z)
+        assert raw.min() < lo - z and raw.max() > hi - z  # both edges clamp
+        want = np.clip(raw + z, lo, hi)
+        got = layer_forward_int(x, layer, 16)
+        assert got.data.dtype == np.int8
+        assert got.qparams == layer.output
+        assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "relu6"])
+    @pytest.mark.parametrize("z", [-128, 0, 127])
+    def test_conv2d_against_oracle(self, z, activation):
+        rng = np.random.default_rng(7)
+        z_in = -9
+        x = rng.integers(-128, 128, size=(2, 7, 6, 3)).astype(np.int8)
+        w = rng.integers(-128, 128, size=(5, 3, 3, 3)).astype(np.int8)
+        bias = rng.integers(-3000, 3000, size=5).astype(np.int32)
+        out_h, top = same_pads(7, 3, 2)
+        out_w, left = same_pads(6, 3, 2)
+        acc = oracle_conv2d(x.astype(np.int64) - z_in, w, bias, (2, 2), top, left,
+                            out_h, out_w, 0)
+        layer = self.layer("conv2d", w, bias, np.abs(acc).max(), activation, z)
+        self.check(QTensor(x, QuantParams(0.1, z_in)), layer, acc, activation, z)
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "relu6"])
+    @pytest.mark.parametrize("z", [-128, 0, 127])
+    def test_dense_against_oracle(self, z, activation):
+        rng = np.random.default_rng(8)
+        z_in = 11
+        x = rng.integers(-128, 128, size=(40, 12)).astype(np.int8)
+        w = rng.integers(-128, 128, size=(6, 12)).astype(np.int8)
+        bias = rng.integers(-3000, 3000, size=6).astype(np.int32)
+        acc = oracle_dense(x.astype(np.int64) - z_in, w, bias)
+        layer = self.layer("dense", w, bias, np.abs(acc).max(), activation, z)
+        self.check(QTensor(x, QuantParams(0.1, z_in)), layer, acc, activation, z)
 
 
 class TestRescalerVectors:
@@ -659,6 +767,18 @@ class TestRescaleAccumulator:
         got = rescale_accumulator(acc, np.array([r.m]), np.array([r.s]))
         assert got.ravel().tolist() == [oracle_rescale(int(a), r.m, r.s)
                                         for a in acc.ravel()]
+
+    def test_multiplier_above_one_saturates_both_edges(self):
+        # Channel 1 has m = 3 > 2**s = 2 (M_q = 1.5), so results leave int32
+        # and the saturation must run; channel 0 (M_q = 1) keeps its input.
+        m, s = np.array([2, 3]), np.array([1, 1])
+        acc = np.array([[INT32_MAX, INT32_MAX], [INT32_MIN, INT32_MIN],
+                        [1000, 1000], [-1001, -1001]], dtype=np.int32)
+        got = rescale_accumulator(acc, m, s)
+        assert got.tolist() == [[INT32_MAX, INT32_MAX], [INT32_MIN, INT32_MIN],
+                                [1000, 1500], [-1001, -1501]]
+        assert got.tolist() == [[oracle_rescale(int(a), int(mc), int(sc))
+                                 for a, mc, sc in zip(row, m, s)] for row in acc]
 
     def test_clamp_policy_zero_multiplier(self):
         with pytest.warns(RuntimeWarning, match="underflows"):
