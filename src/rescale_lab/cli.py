@@ -26,7 +26,7 @@ import numpy as np
 
 from . import datagen, floatnet
 from .errmodel import model_error_report
-from .errors import DomainError, FormatError, RescaleLabError, RescalerUnderflow
+from .errors import DomainError, FormatError, RescaleLabError, RescalerUnderflow, ShapeError
 from .kernels import evaluate_int, predict_int, run_model_int, unit_images
 from .model_io import (
     IDX_IMAGES_MAGIC,
@@ -277,15 +277,36 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
+_MAX_SIDE = 1024  # the largest square input side parity tries
+
+
+def parity_input_shape(model) -> tuple[int, ...]:
+    """The shape of one image the engine runs ``model`` on, without the
+    batch axis: ``(c,)`` if that runs, else the smallest square
+    ``(s, s, c)``, with ``c`` the input channels (features, for dense) of
+    the first weighted layer.  The graph records no input shape, so each
+    candidate is tried on an empty batch."""
+    c = next((l.weights.data.shape[-1] for l in model.layers if l.weights is not None), 1)
+    for shape in [(c,)] + [(side, side, c) for side in range(1, _MAX_SIDE + 1)]:
+        try:
+            run_model_int(model, np.zeros((0,) + shape, np.int8))
+            return shape
+        except ShapeError:
+            continue
+    raise DomainError(f"no input of shape ({c},) or (s, s, {c}) with s <= {_MAX_SIDE} "
+                      "fits the model")
+
+
 def cmd_parity(args) -> int:
     model = load_model(args.model)
     k = model.k if args.k is None else args.k
     mk = materialize_rescalers(model, k)
     shadow = init_shadow(mk)
+    shape = parity_input_shape(mk)
     rng = np.random.default_rng(args.seed)
     batches = args.batches
     for i in range(batches):
-        x = rng.integers(-128, 128, size=(4, 28, 28, 1)).astype(np.int8)
+        x = rng.integers(-128, 128, size=(4,) + shape).astype(np.int8)
         ref = run_model_int(mk, x).astype(np.float64)
         emu, _ = emulated_forward(shadow, x)
         if not np.array_equal(ref, emu):

@@ -200,7 +200,7 @@ def layer_error_report(
         x = QTensor(quantize_real(unit_images(batch), materialized.input_params),
                     materialized.input_params)
         for upstream in materialized.layers[:layer_id]:
-            x = layer_forward_int(x, upstream, materialized.k)
+            x = layer_forward_int(x, upstream)
         # Peak |acc| per channel from the int32 extremes, reduced over the
         # images first (one long row each) and widened to int64 after the
         # reduction, so that |-2**31| does not wrap.

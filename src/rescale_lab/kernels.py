@@ -438,12 +438,9 @@ def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
     raise ShapeError(f"layer kind {layer.kind!r} has no rescale stage")
 
 
-def rescaler_vectors(layer: "LayerSpec", k: int) -> tuple[np.ndarray, np.ndarray]:
+def rescaler_vectors(layer: "LayerSpec") -> tuple[np.ndarray, np.ndarray]:
     """The layer's per-channel multiplicands and shifts as int64 vectors
-    (one entry for avgpool); raises if a rescaler is not at width ``k``."""
-    for r in layer.rescalers:
-        if r.k != k:
-            raise ShapeError(f"layer rescaler width {r.k} does not match k={k}")
+    (one entry for avgpool)."""
     return (np.array([r.m for r in layer.rescalers], dtype=np.int64),
             np.array([r.s for r in layer.rescalers], dtype=np.int64))
 
@@ -453,17 +450,16 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
-def layer_forward_int(x: QTensor, layer: "LayerSpec", k: int) -> QTensor:
-    """Run one layer of the integer engine.
+def layer_forward_int(x: QTensor, layer: "LayerSpec") -> QTensor:
+    """Run one layer of the integer engine at the width its rescalers carry.
 
-    The layer's rescalers must already be materialized at width ``k``.
     Weighted layers end with rescale, zero-point add, and activation clamp;
-    avgpool rescales its window sums by the k-bit encoding of 1/area and
+    avgpool rescales its window sums by the dyadic encoding of 1/area and
     keeps the input's quantization parameters.
     """
     if layer.kind == "flatten":
         return QTensor(flatten(x.data), x.qparams)
-    m, s = rescaler_vectors(layer, k)
+    m, s = rescaler_vectors(layer)
     acc = layer_accumulator(x, layer)
     shifted = rescale_accumulator(acc, m, s)
     out = np.empty(shifted.shape, np.int8)
@@ -485,7 +481,7 @@ def run_model_int(model: "ModelGraph", x_q: np.ndarray) -> np.ndarray:
     return the int8 logits."""
     tensor = QTensor(np.asarray(x_q, dtype=np.int8), model.input_params)
     for layer in model.layers:
-        tensor = layer_forward_int(tensor, layer, model.k)
+        tensor = layer_forward_int(tensor, layer)
     return tensor.data
 
 

@@ -73,7 +73,6 @@ class LayerSpec:
     activation: str = "none"
     weights: QTensor | None = None
     bias: np.ndarray | None = None
-    bias_scales: np.ndarray | None = None
     stride: tuple[int, int] = (1, 1)
     padding: str = "VALID"
     window: tuple[int, int] | None = None
@@ -83,12 +82,21 @@ class LayerSpec:
 
 @dataclass
 class ModelGraph:
-    """Ordered quantized layers plus input quantization and metadata."""
+    """Ordered quantized layers plus input quantization and metadata.  The
+    rescalers are the only record of the width."""
 
     name: str
     input_params: QuantParams
     layers: list[LayerSpec]
-    k: int
+
+    @property
+    def k(self) -> int:
+        """The one width every rescaler carries; raises ShapeError for mixed
+        widths or a graph without rescalers."""
+        widths = sorted({r.k for layer in self.layers for r in layer.rescalers})
+        if len(widths) != 1:
+            raise ShapeError(f"model needs one rescaler width, has {widths or 'none'}")
+        return widths[0]
 
 
 @dataclass
@@ -235,14 +243,13 @@ def quantize_float_model(
                 activation=layer.activation,
                 weights=weights,
                 bias=quantize_bias(b_real, bias_scales),
-                bias_scales=bias_scales,
                 stride=layer.stride,
                 padding=layer.padding,
                 output=out_qp,
                 rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale),
             ))
             in_qp = out_qp
-    model = ModelGraph(name=name, input_params=input_params, layers=layers, k=32)
+    model = ModelGraph(name=name, input_params=input_params, layers=layers)
     validate_model(model)
     return model
 
@@ -260,9 +267,7 @@ def materialize_rescalers(model: ModelGraph, k: int) -> ModelGraph:
                     f"layer {idx} ({layer.kind}) channel {c}: {exc}"
                 ) from exc
         new_layers.append(replace(layer, rescalers=rescalers))
-    return ModelGraph(
-        name=model.name, input_params=model.input_params, layers=new_layers, k=k
-    )
+    return replace(model, layers=new_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def validate_model(model: ModelGraph) -> None:
         if layer.output is None:
             raise ShapeError(f"layer {idx}: missing output parameters")
         if layer.kind in WEIGHTED_KINDS:
-            _validate_weighted(layer, idx, in_params, model.k)
+            _validate_weighted(layer, idx, in_params)
         elif layer.kind == "avgpool":
             if layer.window is None or min(layer.window) < 1:
                 raise ShapeError(f"layer {idx}: avgpool needs a window")
@@ -297,8 +302,6 @@ def validate_model(model: ModelGraph) -> None:
             area = layer.window[0] * layer.window[1]
             if layer.rescalers[0].real_value != 1.0 / area:
                 raise ShapeError(f"layer {idx}: avgpool rescaler is not 1/area")
-            if layer.rescalers[0].k != model.k:
-                raise ShapeError(f"layer {idx}: rescaler width != model k")
             if layer.output != in_params:
                 raise ShapeError(f"layer {idx}: avgpool must keep qparams")
         else:  # flatten
@@ -306,30 +309,24 @@ def validate_model(model: ModelGraph) -> None:
                 raise ShapeError(f"layer {idx}: flatten takes no rescalers")
             if layer.output != in_params:
                 raise ShapeError(f"layer {idx}: flatten must keep qparams")
+    model.k  # the one-width rule: raises ShapeError unless every rescaler agrees
 
 
-def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams, k: int) -> None:
-    if layer.weights is None or layer.bias is None or layer.bias_scales is None:
+def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> None:
+    if layer.weights is None or layer.bias is None:
         raise ShapeError(f"layer {idx}: weighted layer missing weights or bias")
     if not layer.weights.is_per_channel:
         raise ShapeError(f"layer {idx}: weights must carry per-channel scales")
     channels = channel_count(layer.weights.data)
-    if layer.bias.shape != (channels,) or layer.bias_scales.shape != (channels,):
+    if layer.bias.shape != (channels,):
         raise ShapeError(f"layer {idx}: bias shape does not match {channels} channels")
     if len(layer.rescalers) != channels:
         raise ShapeError(f"layer {idx}: {len(layer.rescalers)} rescalers "
                          f"for {channels} channels")
     w_scales = np.asarray(layer.weights.qparams, dtype=np.float64)
-    expected_bias_scales = in_params.scale * w_scales
-    if not np.array_equal(layer.bias_scales, expected_bias_scales):
-        raise ShapeError(
-            f"layer {idx}: bias scales differ from input-scale x weight-scale"
-        )
     out_scale = layer.output.scale
     for c, r in enumerate(layer.rescalers):
         r.validate()
-        if r.k != k:
-            raise ShapeError(f"layer {idx} channel {c}: rescaler width {r.k} != model k {k}")
         expected_m = in_params.scale * float(w_scales[c]) / out_scale
         if r.real_value != expected_m:
             raise ShapeError(
@@ -410,7 +407,8 @@ def model_to_bytes(model: ModelGraph) -> bytes:
             entry["weight_scales"] = [
                 float_to_hex(v) for v in np.asarray(layer.weights.qparams)
             ]
-            entry["bias_scales"] = [float_to_hex(v) for v in layer.bias_scales]
+            bias_scales = layer_input_params(model, idx).scale * layer.weights.qparams
+            entry["bias_scales"] = [float_to_hex(v) for v in bias_scales]
             w_bytes = np.ascontiguousarray(layer.weights.data, dtype=np.int8).tobytes()
             b_bytes = layer.bias.astype("<i4").tobytes()
             entry["tensors"] = {
@@ -482,7 +480,10 @@ def _read_tensor(blob: bytes, meta: dict, dtype: str, where: str) -> np.ndarray:
 
 
 def model_from_bytes(data: bytes) -> ModelGraph:
-    """Parse and fully re-validate an RQM1 container."""
+    """Parse and fully re-validate an RQM1 container.  Only the canonical
+    encoding loads: the file must equal :func:`model_to_bytes` of the model
+    it parses to, so a stored copy of a fact (the manifest ``k``, the bias
+    scales) must agree with the graph."""
     if len(data) < 16:
         raise FormatError(f"truncated header: {len(data)} bytes, need at least 16")
     if data[:8] != MAGIC:
@@ -520,7 +521,6 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         if manifest["blob_crc32"] != zlib.crc32(blob):
             raise FormatError("blob checksum mismatch: tensor data corrupted")
         name = manifest["name"]
-        k = int(manifest["k"])
         input_params = _qparams_from_json(manifest["input"], "input")
         layer_entries = manifest["layers"]
         if not isinstance(layer_entries, list):
@@ -537,11 +537,13 @@ def model_from_bytes(data: bytes) -> ModelGraph:
             raise
         except (KeyError, TypeError, ValueError, DomainError, ShapeError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
-    model = ModelGraph(name=name, input_params=input_params, layers=layers, k=k)
+    model = ModelGraph(name=name, input_params=input_params, layers=layers)
     try:
         validate_model(model)
     except (DomainError, ShapeError, OverflowError) as exc:
         raise FormatError(f"model fails validation: {exc}") from exc
+    if model_to_bytes(model) != data:
+        raise FormatError("not the canonical RQM1 encoding of the model it describes")
     return model
 
 
@@ -557,14 +559,14 @@ def _layer_from_json(entry: dict, blob: bytes, where: str) -> LayerSpec:
             s=int(robj["s"]),
             k=int(robj["k"]),
             real_value=hex_to_float(robj["real"]),
-            underflowed=bool(robj.get("underflowed", False)),
+            underflowed=bool(robj["underflowed"]),
         )
         try:
             rescaler.validate()
         except DomainError as exc:
             raise FormatError(f"{where} rescaler {c}: {exc}") from exc
         rescalers.append(rescaler)
-    spec = LayerSpec(kind=kind, activation=entry.get("activation", "none"),
+    spec = LayerSpec(kind=kind, activation=entry["activation"],
                      output=output, rescalers=rescalers)
     if kind in WEIGHTED_KINDS:
         stride = entry["stride"]
@@ -578,7 +580,6 @@ def _layer_from_json(entry: dict, blob: bytes, where: str) -> LayerSpec:
         spec.weights = QTensor(w_data, w_scales)
         spec.bias = _read_tensor(blob, entry["tensors"]["bias"], "int32",
                                  f"{where} tensor 'bias'")
-        spec.bias_scales = np.array([hex_to_float(v) for v in entry["bias_scales"]])
     elif kind == "avgpool":
         window = entry["window"]
         spec.window = (int(window[0]), int(window[1]))
@@ -591,15 +592,20 @@ def save_model(model: ModelGraph, path: str) -> None:
         fh.write(data)
 
 
-def load_model(path: str) -> ModelGraph:
+def _read_file(path: str) -> bytes:
+    """The bytes of ``path``.  A missing file stays FileNotFoundError (a
+    usage error to the CLI); any other OSError becomes a FormatError."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return model_from_bytes(data)
+
+
+def load_model(path: str) -> ModelGraph:
+    return model_from_bytes(_read_file(path))
 
 
 def models_equal(a: ModelGraph, b: ModelGraph) -> bool:
@@ -644,9 +650,7 @@ def redeploy_weights(model: ModelGraph, shadow: "ShadowModel") -> ModelGraph:
         new_layers.append(
             replace(layer, weights=QTensor(w_int, layer.weights.qparams), bias=b_int)
         )
-    return ModelGraph(
-        name=model.name, input_params=model.input_params, layers=new_layers, k=model.k
-    )
+    return replace(model, layers=new_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +662,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    data = _read_file(path)
     header = 4 + 4 * rank
     if len(data) < header:
         raise FormatError(f"{path}: truncated IDX header")

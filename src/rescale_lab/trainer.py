@@ -99,10 +99,6 @@ class ShadowModel:
     weights: list[np.ndarray | None]
     biases: list[np.ndarray | None]
 
-    @property
-    def k(self) -> int:
-        return self.graph.k
-
 
 def init_shadow(model: ModelGraph) -> ShadowModel:
     weights: list[np.ndarray | None] = []
@@ -159,7 +155,7 @@ def emulated_forward(
             cache.append({"kind": "flatten", "in_shape": x.shape})
             x = flatten(x)
             continue
-        m, s = rescaler_vectors(layer, model.k)
+        m, s = rescaler_vectors(layer)
 
         if layer.kind == "avgpool":
             shifted = _rescale(window_sum(x, layer.window), m, s, rounding)

@@ -413,7 +413,6 @@ def _random_fd_case(case: int, boost: float):
             kind="dense", activation="none",
             weights=QTensor(w, w_scales),
             bias=rng.integers(-40, 41, size=n_out).astype(np.int32),
-            bias_scales=in_qp.scale * w_scales,
             output=out_qp,
             rescalers=[quantize_rescaler(in_qp.scale * float(s) / out_scale, 32)
                        for s in w_scales],
@@ -424,7 +423,7 @@ def _random_fd_case(case: int, boost: float):
         n_out = int(rng.integers(2, 5))
         layer = dense_layer(n_in, n_out, in_params, final=True)
         model = ModelGraph(name=f"fd-{case}", input_params=in_params,
-                           layers=[layer], k=32)
+                           layers=[layer])
         x = rng.integers(-60, 61, size=(3, n_in)).astype(np.int8)
         labels = rng.integers(0, n_out, size=3)
     else:
@@ -445,7 +444,6 @@ def _random_fd_case(case: int, boost: float):
             kind=kind, activation="none",
             weights=QTensor(w, w_scales),
             bias=rng.integers(-30, 31, size=channels_out).astype(np.int32),
-            bias_scales=in_scale * w_scales,
             padding="SAME",
             output=mid_params,
             rescalers=[quantize_rescaler(in_scale * float(s) / mid_scale, 32)
@@ -454,7 +452,7 @@ def _random_fd_case(case: int, boost: float):
         flat = LayerSpec(kind="flatten", output=mid_params)
         head = dense_layer(side * side * channels_out, 3, mid_params, final=True)
         model = ModelGraph(name=f"fd-{case}", input_params=in_params,
-                           layers=[layer, flat, head], k=32)
+                           layers=[layer, flat, head])
         x = rng.integers(-60, 61,
                          size=(2, side, side, channels_in)).astype(np.int8)
         labels = rng.integers(0, 3, size=2)
@@ -514,7 +512,6 @@ def _random_container_model(seed: int) -> ModelGraph:
             kind=kind, activation=activation,
             weights=QTensor(w, w_scales),
             bias=rng.integers(-5000, 5001, size=n_ch).astype(np.int32),
-            bias_scales=in_qp.scale * w_scales,
             padding="SAME" if spatial else "VALID",
             output=out_qp,
             rescalers=[quantize_rescaler(in_qp.scale * float(s) / out_scale, k)
@@ -551,7 +548,7 @@ def _random_container_model(seed: int) -> ModelGraph:
                             qp, spatial=False)
         layers.append(head)
     model = ModelGraph(name=f"fuzz-{seed}", input_params=in_params,
-                       layers=layers, k=k)
+                       layers=layers)
     validate_model(model)
     return model
 

@@ -16,7 +16,7 @@ from rescale_lab.cli import (
     main,
     run_sweep,
 )
-from rescale_lab.errors import RescalerUnderflow
+from rescale_lab.errors import DomainError, RescalerUnderflow
 from rescale_lab.kernels import QTensor
 from rescale_lab.model_io import (
     LayerSpec,
@@ -240,7 +240,6 @@ def _constant_logit_model():
         activation="none",
         weights=QTensor(w, w_scales),
         bias=bias,
-        bias_scales=in_qp.scale * w_scales,
         output=out_qp,
         rescalers=[
             quantize_rescaler(in_qp.scale * 0.5 / out_qp.scale, 32)
@@ -248,7 +247,7 @@ def _constant_logit_model():
         ],
     )
     model = ModelGraph(name="tie-break", input_params=in_qp,
-                       layers=[flatten, dense], k=32)
+                       layers=[flatten, dense])
     validate_model(model)
     return model
 
@@ -274,6 +273,35 @@ class TestInfer:
         assert out.strip().splitlines() == ["0", "0", "0"]
 
 
+def _weighted(kind, w, in_qp, out_qp, **kwargs):
+    """A weighted layer with unit weight scales and the matching k=32
+    rescalers."""
+    channels = w.shape[-1] if kind == "depthwise" else w.shape[0]
+    return LayerSpec(kind=kind, weights=QTensor(w, np.ones(channels)),
+                     bias=np.arange(channels, dtype=np.int32), output=out_qp,
+                     rescalers=[quantize_rescaler(in_qp.scale / out_qp.scale, 32)]
+                     * channels, **kwargs)
+
+
+def _dense_only_model():
+    in_qp, out_qp = QuantParams(0.01, -3), QuantParams(0.5, 2)
+    w = np.random.default_rng(1).integers(-128, 128, size=(4, 6)).astype(np.int8)
+    return ModelGraph("dense-only", in_qp, [_weighted("dense", w, in_qp, out_qp)])
+
+
+def _strided_conv_model():
+    """stride-2 SAME conv (c=2 -> 3) on 5x5 -> 3x3, flatten, dense(27 -> 4)."""
+    rng = np.random.default_rng(2)
+    in_qp, mid_qp, out_qp = (QuantParams(0.01, -3), QuantParams(0.2, -100),
+                             QuantParams(2.0, 0))
+    conv = _weighted("conv2d", rng.integers(-128, 128, (3, 3, 3, 2)).astype(np.int8),
+                     in_qp, mid_qp, activation="relu", stride=(2, 2), padding="SAME")
+    dense = _weighted("dense", rng.integers(-128, 128, (4, 27)).astype(np.int8),
+                      mid_qp, out_qp)
+    return ModelGraph("strided", in_qp,
+                      [conv, LayerSpec(kind="flatten", output=mid_qp), dense])
+
+
 class TestParity:
     def test_reports_pass(self, model_path, capsys):
         code = main(["parity", "--model", model_path, "--k", "4",
@@ -281,6 +309,29 @@ class TestParity:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_desk_input_is_28_by_28(self, model_path):
+        assert cli.parity_input_shape(load_model(model_path)) == (28, 28, 1)
+
+    @pytest.mark.parametrize("build, shape", [(_dense_only_model, (6,)),
+                                              (_strided_conv_model, (5, 5, 2))])
+    def test_input_shape_comes_from_the_model(self, build, shape, tmp_path, capsys):
+        model = build()
+        validate_model(model)
+        assert cli.parity_input_shape(model) == shape
+        path = str(tmp_path / "m.rqm")
+        save_model(model, path)
+        code = main(["parity", "--model", path, "--k", "8", "2"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "parity: PASS (2 batches, k=8)\n"
+
+    def test_no_input_fits(self):
+        model = _dense_only_model()
+        model.layers.insert(0, LayerSpec(kind="avgpool", window=(2, 2),
+                                         output=model.input_params,
+                                         rescalers=[quantize_rescaler(0.25, 32)]))
+        with pytest.raises(DomainError, match="no input"):
+            cli.parity_input_shape(model)
 
 
 class TestExitCodes:

@@ -211,12 +211,11 @@ def one_channel_tenth_model():
         kind="dense",
         weights=QTensor(np.array([[100]], dtype=np.int8), w_scales),
         bias=np.array([0], dtype=np.int32),
-        bias_scales=0.5 * w_scales,
         output=out_params,
         rescalers=[quantize_rescaler(0.5 * 0.25 / 1.25, 32)],
     )
     flatten = LayerSpec(kind="flatten", output=in_params)
-    return ModelGraph("tenth", in_params, [flatten, dense], 32)
+    return ModelGraph("tenth", in_params, [flatten, dense])
 
 
 class TestLayerErrorReport:

@@ -4,7 +4,9 @@ The committed float model ``perfbench/desk_cnn_v1_float.npz``, quantized on
 seed-0 data exactly as the ``quantize`` command does, gives fixed int8
 logits and fixed error-report peaks at every width.  The digests below pin
 those bytes, so a speed change to the engine or the error model cannot move
-a single bit unnoticed.  ``perfbench/expected.json`` pins only the argmax.
+a single bit unnoticed, and the RQM1 digests pin the container bytes of the
+quantized model at three widths.  ``perfbench/expected.json`` pins only the
+argmax.
 """
 
 import hashlib
@@ -16,7 +18,12 @@ import pytest
 from rescale_lab import cli, datagen, floatnet
 from rescale_lab.errmodel import model_error_report
 from rescale_lab.kernels import quantize_real, run_model_int, unit_images
-from rescale_lab.model_io import materialize_rescalers, quantize_float_model
+from rescale_lab.model_io import (
+    materialize_rescalers,
+    model_from_bytes,
+    model_to_bytes,
+    quantize_float_model,
+)
 
 FLOAT_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "desk_cnn_v1_float.npz")
@@ -36,6 +43,13 @@ REPORTS = {
     8: "5e4768763db4142f05608983adc7ff3fc675d03c331ce36327c7cf3b5c904bd7",
     4: "1237cc76684d5a0089bdbde5003585b507febbf39675b3291bf5b8db84d81a10",
     2: "458d78d21bd3253e0297d8febd91196a1d24d31e08788094cf745b990444bcc7",
+}
+
+# sha256 of model_to_bytes of the quantized model materialized at width k.
+RQM1 = {
+    32: "cdb048218a22ab6f434b58a6cae34ca17d22c5b9549a160b2a8fb2f6f5586ab1",
+    8: "c4f948961162cfe14aef6d776ecced2ea4c513c4edb89a23a8996821d8f72221",
+    2: "91ce6a363de9e60bff16c4b517132c94c853e306e0edd87e542451fd82d3a45f",
 }
 
 
@@ -75,3 +89,11 @@ def test_error_report_peaks_are_pinned(deployment, k):
     parts = [a for r in reports
              for a in (r.max_abs_acc.astype(np.int64), r.safe.astype(np.uint8))]
     assert sha256(*parts) == REPORTS[k]
+
+
+@pytest.mark.parametrize("k", sorted(RQM1, reverse=True))
+def test_container_bytes_are_pinned(deployment, k):
+    model, _ = deployment
+    data = model_to_bytes(materialize_rescalers(model, k))
+    assert hashlib.sha256(data).hexdigest() == RQM1[k]
+    assert model_to_bytes(model_from_bytes(data)) == data

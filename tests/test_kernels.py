@@ -292,7 +292,7 @@ def avgpool(x, window, k):
     """Run one avgpool layer through the engine at width k."""
     layer = LayerSpec(kind="avgpool", window=window, output=x.qparams,
                       rescalers=[quantize_rescaler(1.0 / (window[0] * window[1]), k)])
-    return layer_forward_int(x, layer, k)
+    return layer_forward_int(x, layer)
 
 
 class TestAvgpool:
@@ -340,7 +340,6 @@ def dense_layer(w, bias, in_scale, w_scales, out_scale, z_out=0, k=8,
         activation=activation,
         weights=QTensor(w, w_scales),
         bias=np.asarray(bias, dtype=np.int32),
-        bias_scales=in_scale * w_scales,
         output=QuantParams(scale=out_scale, zero_point=z_out),
         rescalers=[
             quantize_rescaler(in_scale * float(sc) / out_scale, k) for sc in w_scales
@@ -352,7 +351,7 @@ class TestLayerForward:
     def test_identity_layer(self):
         layer = dense_layer([[1]], [0], in_scale=0.5, w_scales=[1.0], out_scale=0.5)
         x = QTensor(np.array([[7]], dtype=np.int8), QuantParams(0.5, 0))
-        out = layer_forward_int(x, layer, k=8)
+        out = layer_forward_int(x, layer)
         assert out.data.tolist() == [[7]]
         assert out.qparams == layer.output
 
@@ -360,25 +359,26 @@ class TestLayerForward:
         # acc = 111 * 9 = 999; M = 0.5 rescales half-up to 500, which clamps.
         layer = dense_layer([[9]], [0], in_scale=0.5, w_scales=[1.0], out_scale=1.0)
         x = QTensor(np.array([[111]], dtype=np.int8), QuantParams(0.5, 0))
-        assert layer_forward_int(x, layer, k=8).data.tolist() == [[127]]
+        assert layer_forward_int(x, layer).data.tolist() == [[127]]
 
     def test_relu6_ceiling(self):
         # acc = 18, M = 0.5 -> 9; ReLU6 at S_y=1, Z_y=0 clamps to round(6/1)=6.
         layer = dense_layer([[1]], [0], in_scale=0.5, w_scales=[1.0],
                             out_scale=1.0, activation="relu6")
         x = QTensor(np.array([[18]], dtype=np.int8), QuantParams(0.5, 0))
-        assert layer_forward_int(x, layer, k=8).data.tolist() == [[6]]
+        assert layer_forward_int(x, layer).data.tolist() == [[6]]
 
-    def test_rescaler_width_must_match_engine(self):
-        layer = dense_layer([[1]], [0], in_scale=0.5, w_scales=[1.0],
-                            out_scale=0.5, k=8)
-        x = QTensor(np.array([[1]], dtype=np.int8), QuantParams(0.5, 0))
-        with pytest.raises(ShapeError):
-            layer_forward_int(x, layer, k=16)
+    def test_runs_at_the_width_its_rescalers_carry(self):
+        # acc = 100, M = 0.3: k=2 truncates M to 0.25 (m=2, s=3), k=16 keeps 0.3.
+        x = QTensor(np.array([[100]], dtype=np.int8), QuantParams(0.5, 0))
+        for k, want in ((2, 25), (16, 30)):
+            layer = dense_layer([[1]], [0], in_scale=0.5, w_scales=[0.6],
+                                out_scale=1.0, k=k)
+            assert layer_forward_int(x, layer).data.tolist() == [[want]]
 
     def test_flatten(self):
         x = QTensor(np.arange(8, dtype=np.int8).reshape(1, 2, 2, 2), QP)
-        out = layer_forward_int(x, LayerSpec(kind="flatten", output=QP), k=8)
+        out = layer_forward_int(x, LayerSpec(kind="flatten", output=QP))
         assert out.data.shape == (1, 8)
         assert out.data.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
@@ -411,12 +411,12 @@ class TestLayerForwardTail:
                          rescalers=[quantize_rescaler(v, 16) for v in values])
 
     def check(self, x, layer, acc, activation, z):
-        m, s = rescaler_vectors(layer, 16)
+        m, s = rescaler_vectors(layer)
         raw = np.vectorize(oracle_rescale)(acc, m, s)
         lo, hi = self.bounds(activation, z)
         assert raw.min() < lo - z and raw.max() > hi - z  # both edges clamp
         want = np.clip(raw + z, lo, hi)
-        got = layer_forward_int(x, layer, 16)
+        got = layer_forward_int(x, layer)
         assert got.data.dtype == np.int8
         assert got.qparams == layer.output
         assert np.array_equal(got.data, want)
@@ -453,7 +453,7 @@ class TestRescalerVectors:
     def test_int64_vectors_per_channel(self):
         layer = dense_layer([[1], [2]], [0, 0], in_scale=0.5, w_scales=[0.25, 0.75],
                             out_scale=1.0, k=8)
-        m, s = rescaler_vectors(layer, 8)
+        m, s = rescaler_vectors(layer)
         assert m.dtype == np.int64 and s.dtype == np.int64
         assert m.tolist() == [r.m for r in layer.rescalers]
         assert s.tolist() == [r.s for r in layer.rescalers]
@@ -461,7 +461,7 @@ class TestRescalerVectors:
     def test_avgpool_has_one_entry(self):
         layer = LayerSpec(kind="avgpool", window=(2, 2), output=QP,
                           rescalers=[quantize_rescaler(0.25, 4)])
-        m, s = rescaler_vectors(layer, 4)
+        m, s = rescaler_vectors(layer)
         assert (m.tolist(), s.tolist()) == ([8], [5])
 
 

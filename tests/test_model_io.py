@@ -46,11 +46,10 @@ def tiny_dense_model(k=32):
         activation="relu",
         weights=QTensor(w, w_scales),
         bias=np.array([10, -20], dtype=np.int32),
-        bias_scales=0.5 * w_scales,
         output=out_params,
         rescalers=[quantize_rescaler(0.5 * s / 2.0, k) for s in w_scales],
     )
-    return ModelGraph(name="tiny", input_params=in_params, layers=[layer], k=k)
+    return ModelGraph(name="tiny", input_params=in_params, layers=[layer])
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +374,38 @@ class TestContainer:
         with pytest.raises(FormatError, match="manifest checksum"):
             model_from_bytes(bytes(data))
 
+    # Each tampered container below passes both checksums (the blob is
+    # untouched and join_container recomputes the manifest's), every tensor
+    # bound and validate_model, so only the canonical-encoding rule rejects it.
+
+    def test_manifest_k_must_match_the_rescalers(self):
+        manifest, blob = split_container(model_to_bytes(tiny_dense_model(k=8)))
+        assert manifest["k"] == 8
+        manifest["k"] = 32
+        with pytest.raises(FormatError, match="canonical"):
+            model_from_bytes(join_container(manifest, blob))
+
+    def test_bias_scales_one_ulp_off(self):
+        manifest, blob = split_container(model_to_bytes(tiny_dense_model()))
+        scales = manifest["layers"][0]["bias_scales"]
+        scales[1] = float_to_hex(np.nextafter(hex_to_float(scales[1]), 1.0))
+        with pytest.raises(FormatError, match="canonical"):
+            model_from_bytes(join_container(manifest, blob))
+
+    def test_json_layout_must_be_canonical(self):
+        manifest, blob = split_container(model_to_bytes(tiny_dense_model()))
+        mbytes = json.dumps(manifest, sort_keys=True).encode()  # spaces after , and :
+        data = MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + struct.pack(
+            "<Q", len(blob)) + blob
+        with pytest.raises(FormatError, match="canonical"):
+            model_from_bytes(data)
+
+    def test_missing_underflowed_key(self):
+        manifest, blob = split_container(model_to_bytes(tiny_dense_model()))
+        del manifest["layers"][0]["rescalers"][0]["underflowed"]
+        with pytest.raises(FormatError, match="underflowed"):
+            model_from_bytes(join_container(manifest, blob))
+
     def test_byte_flip_fuzz_always_rejected(self):
         """Every single-byte corruption raises FormatError: no byte of the
         container is spare, and nothing else ever escapes."""
@@ -405,19 +436,12 @@ class TestValidateModel:
             kind="dense",
             weights=QTensor(np.ones((1, 1 << 16), dtype=np.int8), w_scales),
             bias=np.array([10_000_000], dtype=np.int32),
-            bias_scales=0.5 * w_scales,
             output=QuantParams(scale=2.0),
             rescalers=[quantize_rescaler(0.5 * 0.25 / 2.0, 32)],
         )
         model = ModelGraph(name="wide", input_params=QuantParams(scale=0.5),
-                           layers=[layer], k=32)
+                           layers=[layer])
         with pytest.raises(ShapeError, match="worst-case accumulator"):
-            validate_model(model)
-
-    def test_bias_scale_mismatch(self):
-        model = tiny_dense_model()
-        model.layers[0].bias_scales = model.layers[0].bias_scales * 2
-        with pytest.raises(ShapeError, match="bias scales"):
             validate_model(model)
 
     def test_rescaler_value_mismatch(self):
@@ -432,11 +456,22 @@ class TestValidateModel:
         with pytest.raises(ShapeError, match="rescalers"):
             validate_model(model)
 
-    def test_rescaler_width_mismatch(self):
+    def test_mixed_widths_rejected(self):
         model = tiny_dense_model()
-        model.k = 8
-        with pytest.raises(ShapeError, match="width"):
+        r = model.layers[0].rescalers[1]
+        model.layers[0].rescalers[1] = quantize_rescaler(r.real_value, 8)
+        with pytest.raises(ShapeError, match=r"one rescaler width, has \[8, 32\]"):
             validate_model(model)
+        with pytest.raises(ShapeError, match="width"):
+            model.k
+
+    def test_rescaler_free_graph_rejected(self):
+        qp = QuantParams(scale=0.5, zero_point=3)
+        model = ModelGraph("flat", qp, [LayerSpec(kind="flatten", output=qp)])
+        with pytest.raises(ShapeError, match="one rescaler width, has none"):
+            validate_model(model)
+        with pytest.raises(ShapeError):
+            model_to_bytes(model)
 
     def test_missing_weights(self):
         model = tiny_dense_model()
@@ -452,7 +487,7 @@ class TestValidateModel:
 
     def test_empty_model(self):
         with pytest.raises(ShapeError, match="no layers"):
-            validate_model(ModelGraph("x", QuantParams(0.1, 0), [], 32))
+            validate_model(ModelGraph("x", QuantParams(0.1, 0), []))
 
     def test_avgpool_must_pass_qparams_through(self, desk_quantized):
         import copy

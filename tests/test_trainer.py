@@ -44,14 +44,13 @@ def small_dense_model(zero_point_in=3, seed=0, n_in=4, n_out=3):
         activation="none",
         weights=QTensor(w, w_scales),
         bias=b,
-        bias_scales=in_qp.scale * w_scales,
         output=out_qp,
         rescalers=[
             quantize_rescaler(in_qp.scale * float(s) / out_qp.scale, 32)
             for s in w_scales
         ],
     )
-    model = ModelGraph(name="unit-dense", input_params=in_qp, layers=[layer], k=32)
+    model = ModelGraph(name="unit-dense", input_params=in_qp, layers=[layer])
     validate_model(model)
     return model
 
@@ -71,7 +70,7 @@ def _weighted_layer(rng, k, kind, shape, in_params, out_qp, activation, stride,
     return LayerSpec(
         kind=kind, activation=activation, weights=QTensor(w, w_scales),
         bias=rng.integers(-3000, 3000, size=channels).astype(np.int32),
-        bias_scales=in_params.scale * w_scales, stride=stride, padding=padding,
+        stride=stride, padding=padding,
         output=out_qp, rescalers=rescalers)
 
 
@@ -95,7 +94,7 @@ def strided_uneven_graph(k):
         _weighted_layer(rng, k, "dense", (3, 12), dw_qp, logits_qp, "none",
                         (1, 1), "VALID"),
     ]
-    return ModelGraph(name="strided-uneven", input_params=in_qp, layers=layers, k=k)
+    return ModelGraph(name="strided-uneven", input_params=in_qp, layers=layers)
 
 
 def strided_conv_graph(k):
@@ -117,7 +116,7 @@ def strided_conv_graph(k):
         _weighted_layer(rng, k, "dense", (3, 120), conv2_qp, logits_qp, "none",
                         (1, 1), "VALID"),
     ]
-    return ModelGraph(name="strided-conv", input_params=in_qp, layers=layers, k=k)
+    return ModelGraph(name="strided-conv", input_params=in_qp, layers=layers)
 
 
 def _desk_graph():
@@ -166,7 +165,6 @@ class TestShadowModel:
             else:
                 assert shadow.weights[idx] is None
                 assert shadow.biases[idx] is None
-        assert shadow.k == desk_model.k
 
     def test_shadow_is_a_copy(self, desk_model):
         shadow = init_shadow(desk_model)
@@ -268,19 +266,6 @@ class TestEmulatedParity:
         assert ref.shape == (5, 3)
         assert np.array_equal(ref, emu)
 
-    def test_width_mismatch_rejected(self, desk_model):
-        mk = materialize_rescalers(desk_model, 8)
-        shadow = init_shadow(mk)
-        bad = [quantize_rescaler(r.real_value, 16) for r in mk.layers[0].rescalers]
-        mk.layers[0].rescalers = bad
-        try:
-            with pytest.raises(ShapeError, match="width"):
-                emulated_forward(shadow, np.zeros((1, 28, 28, 1), dtype=np.int8))
-        finally:
-            mk.layers[0].rescalers = [
-                quantize_rescaler(r.real_value, 8) for r in bad
-            ]
-
     def test_emulated_envelope_check(self):
         model = small_dense_model()
         shadow = init_shadow(model)
@@ -297,9 +282,9 @@ class TestEmulatedParity:
         layer = LayerSpec(
             kind="dense", weights=QTensor(np.array([[-128]], np.int8), [0.005]),
             bias=np.array([-(1 << 31) + 32640], np.int32),
-            bias_scales=np.array([in_qp.scale * 0.005]), output=out_qp,
+            output=out_qp,
             rescalers=[quantize_rescaler(0.02 * 0.005 / 0.05, 32)])
-        model = ModelGraph(name="edge", input_params=in_qp, layers=[layer], k=32)
+        model = ModelGraph(name="edge", input_params=in_qp, layers=[layer])
         x = np.array([[127]], dtype=np.int8)
         assert run_model_int(model, x).tolist() == [[-128]]
         emu, _ = emulated_forward(init_shadow(model), x, rounding=rounding)
@@ -378,10 +363,10 @@ class TestSTEGradients:
         w_scales = np.full(3, 0.1)
         layer = LayerSpec(
             kind="dense", activation="none", weights=QTensor(w, w_scales),
-            bias=b, bias_scales=in_qp.scale * w_scales, output=out_qp,
+            bias=b, output=out_qp,
             rescalers=[quantize_rescaler(0.04, 32)] * 3,
         )
-        model = ModelGraph(name="sat", input_params=in_qp, layers=[layer], k=32)
+        model = ModelGraph(name="sat", input_params=in_qp, layers=[layer])
         shadow = init_shadow(model)
         x = np.full((1, 4), 120, dtype=np.int8)
         out, cache = emulated_forward(shadow, x)
@@ -401,17 +386,17 @@ class TestSTEGradients:
         mk_scales = np.full(2, 0.02)
         layer1 = LayerSpec(
             kind="dense", activation="none", weights=QTensor(w1, mk_scales),
-            bias=np.zeros(2, dtype=np.int32), bias_scales=in_qp.scale * mk_scales,
+            bias=np.zeros(2, dtype=np.int32),
             output=mid_qp, rescalers=[quantize_rescaler(0.008, 32)] * 2,
         )
         w2_scales = np.full(2, 0.1)
         layer2 = LayerSpec(
             kind="dense", activation="none", weights=QTensor(w2, w2_scales),
-            bias=np.zeros(2, dtype=np.int32), bias_scales=mid_qp.scale * w2_scales,
+            bias=np.zeros(2, dtype=np.int32),
             output=out_qp, rescalers=[quantize_rescaler(0.1, 32)] * 2,
         )
         model = ModelGraph(name="sat2", input_params=in_qp,
-                           layers=[layer1, layer2], k=32)
+                           layers=[layer1, layer2])
         shadow = init_shadow(model)
         x = np.full((1, 2), 120, dtype=np.int8)
         out, cache = emulated_forward(shadow, x)
@@ -436,7 +421,7 @@ class TestSTEGradients:
         layer = LayerSpec(kind="avgpool", window=(2, 2),
                           output=QuantParams(scale=0.1, zero_point=0),
                           rescalers=[quantize_rescaler(0.25, 32)])
-        model = ModelGraph(name="pool", input_params=in_qp, layers=[layer], k=32)
+        model = ModelGraph(name="pool", input_params=in_qp, layers=[layer])
         shadow = init_shadow(model)
         x = np.arange(16, dtype=np.int8).reshape(1, 4, 4, 1)
         out, cache = emulated_forward(shadow, x)
@@ -464,10 +449,10 @@ class TestSTEGradients:
         dense = LayerSpec(kind="dense", activation="none",
                           weights=QTensor(w, w_scales),
                           bias=np.zeros(2, dtype=np.int32),
-                          bias_scales=mid_qp.scale * w_scales, output=out_qp,
+                          output=out_qp,
                           rescalers=[quantize_rescaler(0.02, 32)] * 2)
         model = ModelGraph(name="chain", input_params=in_qp,
-                           layers=[pool, flat, dense], k=32)
+                           layers=[pool, flat, dense])
         validate_model(model)
         shadow = init_shadow(model)
         x = rng.integers(-50, 50, size=(2, 4, 4, 1)).astype(np.int8)
@@ -540,7 +525,7 @@ class TestFiniteDifference:
         conv = LayerSpec(kind="conv2d", activation="none",
                          weights=QTensor(w, w_scales),
                          bias=rng.integers(-40, 40, size=2).astype(np.int32),
-                         bias_scales=in_qp.scale * w_scales, padding="SAME",
+                         padding="SAME",
                          output=out_qp,
                          rescalers=[quantize_rescaler(in_qp.scale * s / out_qp.scale, 32)
                                     for s in w_scales])
@@ -552,10 +537,10 @@ class TestFiniteDifference:
         dense = LayerSpec(kind="dense", activation="none",
                           weights=QTensor(wd, wd_scales),
                           bias=np.zeros(3, dtype=np.int32),
-                          bias_scales=mid.scale * wd_scales, output=final_qp,
+                          output=final_qp,
                           rescalers=[quantize_rescaler(mid.scale * 0.01 / final_qp.scale, 32)] * 3)
         model = ModelGraph(name="fd-conv", input_params=in_qp,
-                           layers=[conv, flat, dense], k=32)
+                           layers=[conv, flat, dense])
         validate_model(model)
         x = rng.integers(-60, 60, size=(2, 4, 4, 1)).astype(np.int8)
         labels = rng.integers(0, 3, size=2)
@@ -570,7 +555,7 @@ class TestFiniteDifference:
         dw = LayerSpec(kind="depthwise", activation="none",
                        weights=QTensor(w, w_scales),
                        bias=rng.integers(-30, 30, size=2).astype(np.int32),
-                       bias_scales=in_qp.scale * w_scales, padding="SAME",
+                       padding="SAME",
                        output=out_qp,
                        rescalers=[quantize_rescaler(in_qp.scale * s / out_qp.scale, 32)
                                   for s in w_scales])
@@ -581,10 +566,10 @@ class TestFiniteDifference:
         dense = LayerSpec(kind="dense", activation="none",
                           weights=QTensor(wd, wd_scales),
                           bias=np.zeros(2, dtype=np.int32),
-                          bias_scales=out_qp.scale * wd_scales, output=final_qp,
+                          output=final_qp,
                           rescalers=[quantize_rescaler(out_qp.scale * 0.01 / final_qp.scale, 32)] * 2)
         model = ModelGraph(name="fd-dw", input_params=in_qp,
-                           layers=[dw, flat, dense], k=32)
+                           layers=[dw, flat, dense])
         validate_model(model)
         x = rng.integers(-60, 60, size=(2, 4, 4, 2)).astype(np.int8)
         labels = rng.integers(0, 2, size=2)
@@ -741,7 +726,6 @@ class TestFinetune:
             assert after.padding == before.padding
             if before.kind in model_io.WEIGHTED_KINDS:
                 assert np.array_equal(after.weights.qparams, before.weights.qparams)
-                assert np.array_equal(after.bias_scales, before.bias_scales)
                 for r_b, r_a in zip(before.rescalers, after.rescalers):
                     assert (r_a.m, r_a.s, r_a.k) == (r_b.m, r_b.s, r_b.k)
                     assert r_a.real_value == r_b.real_value
@@ -912,9 +896,9 @@ class TestWeightChangeStats:
         layer = LayerSpec(kind="dense", activation="none",
                           weights=QTensor(w, scales),
                           bias=np.zeros(10, dtype=np.int32),
-                          bias_scales=in_qp.scale * scales, output=out_qp,
+                          output=out_qp,
                           rescalers=[quantize_rescaler(0.004, 32)] * 10)
-        model = ModelGraph(name="stats", input_params=in_qp, layers=[layer], k=32)
+        model = ModelGraph(name="stats", input_params=in_qp, layers=[layer])
         other = self._clone(model)
         other.layers[0].weights.data[3, 7] += 1
         stats = weight_change_stats(model, other)
