@@ -12,8 +12,8 @@ planes of (n, oh, ow), and hands BLAS its transpose.  The bias is added in
 int32 once the int32 envelope check has proven that it cannot wrap; the
 rescaling stage runs in place on one int64 buffer, which is clamped
 straight into int8 before the output zero point is added in int8.  The
-same MAC core (:func:`accumulate`,
-:func:`window_sum`) also serves the training emulation and the float
+same MAC core (:func:`accumulate`, the one check of every MAC's operands,
+and :func:`window_sum`) also serves the training emulation and the float
 reference network, and the emulation runs its exact float64 accumulators
 through this module's :func:`check_envelope` and
 :func:`rescale_accumulator`.
@@ -202,12 +202,18 @@ def _mac_dtype(x: np.ndarray, w: np.ndarray) -> type:
     return np.float64
 
 
+# Operand ranks (x, w) of each layer kind with a multiply-accumulate.
+_MAC_RANKS = {"dense": (2, 2), "conv2d": (4, 4), "depthwise": (4, 3)}
+
+
 def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
     """The multiply-accumulate of one layer, without bias, in the float type
     :func:`_mac_dtype` picks.
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
-    :func:`channel_axis`; SAME padding fills with ``pad_value``.  Returns
+    :func:`channel_axis`; SAME padding fills with ``pad_value``.  An unknown
+    kind, ranks other than the kind's, or ``x`` and ``w`` with different
+    last (input-channel) axes raise ShapeError.  Returns
     ``(acc, cols, pads)``: ``cols`` is the operand the weights met and
     ``pads`` the (top, bottom, left, right) padding, both kept for the
     backward pass.  ``cols`` is ``x`` itself for dense, the im2col matrix
@@ -216,6 +222,12 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
     Fortran-ordered: the transpose of contiguous tap-major planes
     (kh, kw, c, n, oh, ow).  Integer operands give exact sums.
     """
+    ranks = _MAC_RANKS.get(kind)
+    if ranks is None:
+        raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
+    if (x.ndim, w.ndim) != ranks or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"{kind} takes x and weights of ranks {ranks} sharing the "
+                         f"last axis, got {x.shape} and {w.shape}")
     dtype = _mac_dtype(x, w)
     w = w.astype(dtype, copy=False)
     if kind == "dense":
@@ -235,7 +247,7 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
         cols = planes.reshape(mac_count(w), -1).T
         acc = cols @ w.reshape(w.shape[0], -1).T
         acc = acc.reshape(x.shape[0], out_h, out_w, w.shape[0])
-    elif kind == "depthwise":
+    else:  # depthwise
         # One multiply-add per tap, in (kh, kw) order, over rows of
         # (ow, c) that meet the weights tiled to the row's length.
         n, oh, ow, c = cols.shape[:4]
@@ -245,8 +257,6 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
             for j in range(k_w):
                 acc += cols[..., i, j].reshape(n, oh, ow * c) * w_rows[i, j]
         acc = acc.reshape(n, oh, ow, c)
-    else:
-        raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
     return acc, cols, pads
 
 
@@ -321,12 +331,6 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
 
 def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
     """Integer dense layer: returns the int32 accumulator ``x @ w.T + b_eff``."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError("dense expects x (n, d) and weights (out, d)")
-    if x.data.shape[1] != w.data.shape[1]:
-        raise ShapeError(
-            f"dense feature mismatch: x has {x.data.shape[1]}, w has {w.data.shape[1]}"
-        )
     return _int_accumulate(x, w, b_eff, "dense")
 
 
@@ -342,12 +346,6 @@ def conv2d_int(
     SAME padding fills with the input zero point, which contributes nothing
     once the effective bias is in place.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError("conv2d expects x (n, h, w, c) and weights (o, kh, kw, c)")
-    if x.data.shape[3] != w.data.shape[3]:
-        raise ShapeError(
-            f"conv2d channel mismatch: x has {x.data.shape[3]}, w has {w.data.shape[3]}"
-        )
     return _int_accumulate(x, w, b_eff, "conv2d", stride, padding)
 
 
@@ -360,12 +358,6 @@ def depthwise_conv2d_int(
 ) -> np.ndarray:
     """Integer depthwise convolution: each channel filtered independently
     with its (kh, kw) slice of the (kh, kw, channels) weights."""
-    if x.data.ndim != 4 or w.data.ndim != 3:
-        raise ShapeError("depthwise expects x (n, h, w, c) and weights (kh, kw, c)")
-    if x.data.shape[3] != w.data.shape[2]:
-        raise ShapeError(
-            f"depthwise channel mismatch: x has {x.data.shape[3]}, w has {w.data.shape[2]}"
-        )
     return _int_accumulate(x, w, b_eff, "depthwise", stride, padding)
 
 

@@ -281,7 +281,8 @@ def layer_input_params(model: ModelGraph, index: int) -> QuantParams:
 
 
 def validate_model(model: ModelGraph) -> None:
-    """Re-check every structural invariant; raises ShapeError/DomainError."""
+    """Check every field of every layer, the one judge of the graphs that
+    load_model reads and save_model writes; raises ShapeError/DomainError."""
     if not model.layers:
         raise ShapeError("model has no layers")
     if not isinstance(model.input_params, QuantParams):
@@ -292,6 +293,16 @@ def validate_model(model: ModelGraph) -> None:
             raise ShapeError(f"layer {idx}: unknown kind {layer.kind!r}")
         if layer.output is None:
             raise ShapeError(f"layer {idx}: missing output parameters")
+        activations = (("none", "relu", "relu6") if layer.kind in WEIGHTED_KINDS
+                       else ("none",))
+        if layer.activation not in activations:
+            raise ShapeError(f"layer {idx}: {layer.kind} takes no activation "
+                             f"{layer.activation!r}")
+        for c, r in enumerate(layer.rescalers):
+            try:
+                r.validate()
+            except DomainError as exc:
+                raise DomainError(f"layer {idx} rescaler {c}: {exc}") from exc
         if layer.kind in WEIGHTED_KINDS:
             _validate_weighted(layer, idx, in_params)
         elif layer.kind == "avgpool":
@@ -313,6 +324,10 @@ def validate_model(model: ModelGraph) -> None:
 
 
 def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> None:
+    if layer.padding not in ("SAME", "VALID"):
+        raise ShapeError(f"layer {idx}: unknown padding {layer.padding!r}")
+    if len(layer.stride) != 2 or min(layer.stride) < 1:
+        raise ShapeError(f"layer {idx}: stride {layer.stride} needs two steps >= 1")
     if layer.weights is None or layer.bias is None:
         raise ShapeError(f"layer {idx}: weighted layer missing weights or bias")
     if not layer.weights.is_per_channel:
@@ -326,7 +341,6 @@ def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> No
     w_scales = np.asarray(layer.weights.qparams, dtype=np.float64)
     out_scale = layer.output.scale
     for c, r in enumerate(layer.rescalers):
-        r.validate()
         expected_m = in_params.scale * float(w_scales[c]) / out_scale
         if r.real_value != expected_m:
             raise ShapeError(
@@ -535,7 +549,7 @@ def model_from_bytes(data: bytes) -> ModelGraph:
             layers.append(_layer_from_json(entry, blob, where))
         except FormatError:
             raise
-        except (KeyError, TypeError, ValueError, DomainError, ShapeError) as exc:
+        except (LookupError, TypeError, ValueError, DomainError, ShapeError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
     model = ModelGraph(name=name, input_params=input_params, layers=layers)
     try:
@@ -549,31 +563,23 @@ def model_from_bytes(data: bytes) -> ModelGraph:
 
 def _layer_from_json(entry: dict, blob: bytes, where: str) -> LayerSpec:
     kind = entry["kind"]
-    if kind not in LAYER_KINDS:
-        raise FormatError(f"{where}: unknown kind {kind!r}")
     output = _qparams_from_json(entry["output"], where)
-    rescalers = []
-    for c, robj in enumerate(entry["rescalers"]):
-        rescaler = DyadicRescaler(
+    rescalers = [
+        DyadicRescaler(
             m=int(robj["m"]),
             s=int(robj["s"]),
             k=int(robj["k"]),
             real_value=hex_to_float(robj["real"]),
             underflowed=bool(robj["underflowed"]),
         )
-        try:
-            rescaler.validate()
-        except DomainError as exc:
-            raise FormatError(f"{where} rescaler {c}: {exc}") from exc
-        rescalers.append(rescaler)
+        for robj in entry["rescalers"]
+    ]
     spec = LayerSpec(kind=kind, activation=entry["activation"],
                      output=output, rescalers=rescalers)
     if kind in WEIGHTED_KINDS:
         stride = entry["stride"]
         spec.stride = (int(stride[0]), int(stride[1]))
         spec.padding = entry["padding"]
-        if spec.padding not in ("SAME", "VALID"):
-            raise FormatError(f"{where}: unknown padding {spec.padding!r}")
         w_scales = np.array([hex_to_float(v) for v in entry["weight_scales"]])
         w_data = _read_tensor(blob, entry["tensors"]["weights"], "int8",
                               f"{where} tensor 'weights'")
@@ -587,6 +593,8 @@ def _layer_from_json(entry: dict, blob: bytes, where: str) -> LayerSpec:
 
 
 def save_model(model: ModelGraph, path: str) -> None:
+    """Write ``model`` as RQM1 if :func:`validate_model` accepts it."""
+    validate_model(model)
     data = model_to_bytes(model)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -672,7 +680,7 @@ def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
             f"{path}: IDX magic 0x{got_magic:08x}, expected 0x{magic:08x}"
         )
     dims = struct.unpack(f">{rank}I", data[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(data) != header + count:
         raise FormatError(
             f"{path}: {len(data) - header} payload bytes for dimensions {dims}"

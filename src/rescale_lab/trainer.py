@@ -180,8 +180,6 @@ def emulated_forward(
         else:
             w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
             b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
-        if layer.kind == "dense" and x.ndim != 2:
-            raise ShapeError(f"layer {idx}: dense expects a flat batch")
         # The MAC over the zero-point-corrected input is exactly the engine's
         # MAC plus effective bias.
         x = x - layer_input_params(model, idx).zero_point

@@ -1,6 +1,7 @@
 """End-to-end tests for the rescale-lab command line interface."""
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rescale_lab.model_io import (
     LayerSpec,
     ModelGraph,
     load_model,
+    model_to_bytes,
     save_idx_images,
     save_idx_labels,
     save_model,
@@ -373,6 +375,33 @@ class TestExitCodes:
         bad.write_bytes(b"this is not a model")
         code = main(["sweep", "--model", str(bad), "--data-dir", data_dir])
         capsys.readouterr()
+        assert code == EXIT_FORMAT
+
+    def test_zero_stride_model_file_is_format_error(self, model_path, tmp_path,
+                                                    capsys):
+        # model_to_bytes writes any graph, so the file is CRC-valid; only
+        # validate_model at load time can refuse the stride.
+        model = load_model(model_path)
+        model.layers[0].stride = (0, 0)
+        bad = tmp_path / "stride0.rlab"
+        bad.write_bytes(model_to_bytes(model))
+        code = main(["parity", "--model", str(bad), "2"])
+        assert "stride" in capsys.readouterr().err
+        assert code == EXIT_FORMAT
+
+    def test_idx_dims_past_int64_are_format_error(self, tmp_path_factory, data_dir,
+                                                  capsys):
+        # 2**22 * 2**22 * 2**20 wraps to 0 in int64: the 16-byte header alone
+        # looked like a complete file.
+        path = tmp_path_factory.mktemp("huge-dims")
+        src, dst = datagen.dataset_paths(data_dir), datagen.dataset_paths(str(path))
+        for name in src:
+            shutil.copy(src[name], dst[name])
+        with open(dst["train_images"], "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x803, 1 << 22, 1 << 22, 1 << 20))
+        code = main(["train-float", "--data-dir", str(path), "--epochs", "1",
+                     "--out", str(path / "float.npz")])
+        assert "payload" in capsys.readouterr().err
         assert code == EXIT_FORMAT
 
     def test_out_of_range_width_is_numeric_error(self, model_path, data_dir,

@@ -163,6 +163,23 @@ class TestMacPrecision:
             assert np.array_equal(got, want)
 
 
+class TestAccumulateOperands:
+    """accumulate is the one operand check of every MAC: the engine, the
+    emulation and the float network all reach it."""
+
+    def test_dense_rejects_an_image_batch(self):
+        with pytest.raises(ShapeError, match="dense"):
+            accumulate(np.zeros((2, 3, 3, 4)), np.zeros((5, 4)), "dense")
+
+    def test_depthwise_channel_mismatch(self):
+        with pytest.raises(ShapeError, match="depthwise"):
+            accumulate(np.zeros((1, 3, 3, 2)), np.zeros((3, 3, 4)), "depthwise")
+
+    def test_unknown_kind_raises_up_front(self):
+        with pytest.raises(ShapeError, match="'avgpool' has no multiply-accumulate"):
+            accumulate(np.zeros((1, 4)), np.zeros((2, 4)), "avgpool")
+
+
 class TestEnvelopeCheck:
     """The whole-tensor bound is only a shortcut: the decision is per
     channel.  Two channels with accumulators +-16129 and the bias of the

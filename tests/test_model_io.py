@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rescale_lab import floatnet
-from rescale_lab.errors import FormatError, RescalerUnderflow, ShapeError
+from rescale_lab.errors import DomainError, FormatError, RescalerUnderflow, ShapeError
 from rescale_lab.kernels import QTensor, quantize_real, run_model_int
 from rescale_lab.model_io import (
     MAGIC,
@@ -32,7 +32,7 @@ from rescale_lab.model_io import (
     validate_model,
     weight_channel_scales,
 )
-from rescale_lab.qcore import QuantParams, quantize_rescaler
+from rescale_lab.qcore import DyadicRescaler, QuantParams, quantize_rescaler
 
 
 def tiny_dense_model(k=32):
@@ -406,6 +406,29 @@ class TestContainer:
         with pytest.raises(FormatError, match="underflowed"):
             model_from_bytes(join_container(manifest, blob))
 
+    # Each tampered container below passes both checksums and every tensor
+    # bound; it describes a field outside its domain, which validate_model
+    # (or, for a short list, the parser) rejects and the loader reports as
+    # FormatError.
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("conv2d", "stride", [0, 0], "stride"),
+        ("conv2d", "stride", [-1, -1], "stride"),
+        ("dense", "activation", "gelu", "activation"),
+        ("avgpool", "activation", "relu", "activation"),
+        ("conv2d", "padding", "FULL", "padding"),
+        ("conv2d", "stride", [1], "out of range"),
+        ("avgpool", "window", [2], "out of range"),
+    ], ids=["stride-0", "stride-minus-1", "dense-gelu", "avgpool-relu", "padding-full",
+            "one-stride", "one-window"])
+    def test_field_outside_its_domain(self, desk_quantized, kind, field, value,
+                                      message):
+        manifest, blob = split_container(model_to_bytes(desk_quantized))
+        entry = next(e for e in manifest["layers"] if e["kind"] == kind)
+        entry[field] = value
+        with pytest.raises(FormatError, match=message):
+            model_from_bytes(join_container(manifest, blob))
+
     def test_byte_flip_fuzz_always_rejected(self):
         """Every single-byte corruption raises FormatError: no byte of the
         container is spare, and nothing else ever escapes."""
@@ -484,6 +507,19 @@ class TestValidateModel:
         model.layers[0].kind = "attention"
         with pytest.raises(ShapeError, match="unknown kind"):
             validate_model(model)
+
+    def test_avgpool_rescaler_is_validated(self, tmp_path):
+        # 0.25 is 1/area, but m=1 lacks the leading bit a k=8 rescaler needs.
+        qp = QuantParams(scale=0.5, zero_point=3)
+        pool = LayerSpec(kind="avgpool", window=(2, 2), output=qp,
+                         rescalers=[DyadicRescaler(m=1, s=2, k=8, real_value=0.25)])
+        model = ModelGraph("pool", qp, [pool])
+        with pytest.raises(DomainError, match="layer 0 rescaler 0: .*leading bit"):
+            validate_model(model)
+        path = tmp_path / "pool.rqm"
+        with pytest.raises(DomainError, match="leading bit"):
+            save_model(model, str(path))
+        assert not path.exists()
 
     def test_empty_model(self):
         with pytest.raises(ShapeError, match="no layers"):
@@ -600,6 +636,15 @@ class TestIdx:
         write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
         write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
         with pytest.raises(FormatError, match="3 images but 2 labels"):
+            load_idx_dataset(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
+
+    def test_dims_whose_product_wraps_int64(self, tmp_path):
+        # 2**22 * 2**22 * 2**20 = 2**64 is 0 in int64, which matched the
+        # empty payload of this 16-byte file.
+        with open(tmp_path / "imgs", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x803, 1 << 22, 1 << 22, 1 << 20))
+        write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
+        with pytest.raises(FormatError, match="payload"):
             load_idx_dataset(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
 
     def test_truncated_payload(self, tmp_path):
