@@ -66,9 +66,6 @@ class SweepResult:
     rows: list[SweepRow]
     degradation_point: int | None
 
-    def accuracies(self) -> dict[int, float]:
-        return {r.k: r.accuracy for r in self.rows if r.accuracy is not None}
-
 
 def degradation_point(
     base_acc: float, per_k_acc: dict[int, float], threshold: float = 0.5

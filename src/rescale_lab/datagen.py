@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model_io import load_idx_dataset, save_idx_images, save_idx_labels
+from .qcore import round_half_up
 
 IMAGE_SIZE = 28
 
@@ -224,7 +225,7 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             ink[sub] = _stroke_ink(centres, segs[sub], width[sub],
                                    intensity[sub])
         img = np.clip(ink * brightness[:, None] + noise, 0.0, 1.0)
-        out[start : start + _CHUNK] = np.floor(img * 255.0 + 0.5).astype(
+        out[start : start + _CHUNK] = round_half_up(img * 255.0).astype(
             np.uint8
         ).reshape(b, IMAGE_SIZE, IMAGE_SIZE)
     return out

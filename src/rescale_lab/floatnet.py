@@ -12,6 +12,7 @@ calibrates on the per-tensor intermediates this module exposes.
 from __future__ import annotations
 
 import io
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -144,6 +145,8 @@ def save_float_model(model: FloatModel, path: str) -> None:
 
 
 def load_float_model(path: str) -> FloatModel:
+    """Read a :func:`save_float_model` file; raises FormatError unless it
+    holds every array, shaped as :data:`LAYERS` declares."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "magic" not in data or str(data["magic"]) != _FLOAT_MAGIC:
@@ -154,6 +157,13 @@ def load_float_model(path: str) -> FloatModel:
             }
     except (FormatError, FileNotFoundError):
         raise
-    except (OSError, KeyError, ValueError, io.UnsupportedOperation) as exc:
+    except (OSError, KeyError, ValueError, io.UnsupportedOperation, EOFError,
+            NotImplementedError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: cannot read float model ({exc})") from exc
-    return FloatModel(**kwargs)
+    model = FloatModel(**kwargs)
+    for layer in (layer for layer in LAYERS if layer.param is not None):
+        shapes = tuple(a.shape for a in layer_params(model, layer))
+        if shapes != (layer.shape, (channel_count(np.empty(layer.shape)),)):
+            raise FormatError(f"{path}: {layer.param}_w, {layer.param}_b have shapes "
+                              f"{shapes}, not those of layer {layer.name}")
+    return model

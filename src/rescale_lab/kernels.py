@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, OverflowEnvelopeError, ShapeError
-from .qcore import INT8_MAX, INT8_MIN, INT32_MAX, INT32_MIN, QuantParams
+from .qcore import INT8_MAX, INT8_MIN, INT32_MAX, INT32_MIN, QuantParams, round_half_up
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model_io import LayerSpec, ModelGraph
@@ -120,7 +120,7 @@ def unit_images(images_u8: np.ndarray) -> np.ndarray:
 def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize real values to int8: round-half-up of value/scale, plus the
     zero point, clamped."""
-    q = np.floor(np.asarray(values, dtype=np.float64) / params.scale + 0.5)
+    q = round_half_up(np.asarray(values, dtype=np.float64) / params.scale)
     q += params.zero_point
     return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
 
@@ -410,7 +410,7 @@ def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int
     if activation == "relu":
         return z, INT8_MAX
     if activation == "relu6":
-        hi = math.floor(6.0 / out_params.scale + 0.5) + z
+        hi = int(round_half_up(6.0 / out_params.scale)) + z
         return z, max(INT8_MIN, min(INT8_MAX, hi))
     raise ShapeError(f"unknown activation {activation!r}")
 

@@ -27,14 +27,7 @@ import numpy as np
 
 from . import floatnet
 from .errors import CalibrationError, DomainError, FormatError, RescalerUnderflow, ShapeError
-from .kernels import (
-    MAX_MAC_COUNT,
-    QTensor,
-    channel_axis,
-    channel_count,
-    compute_effective_bias,
-    mac_count,
-)
+from .kernels import MAX_MAC_COUNT, QTensor, channel_count, mac_count, tap_axes
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -43,6 +36,8 @@ from .qcore import (
     DyadicRescaler,
     QuantParams,
     quantize_rescaler,
+    rescale_factors,
+    round_half_up,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,11 +114,6 @@ class CalibrationStats:
         return self.ranges[name]
 
 
-def round_half_up(values: np.ndarray) -> np.ndarray:
-    """Elementwise round-half-up toward +inf, the engine's convention."""
-    return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
-
-
 def fake_quantize_weights(w: np.ndarray) -> np.ndarray:
     """Deployment-identical integerization of real-valued weights: round
     half-up, clamp to int8.  Returns float64."""
@@ -156,48 +146,27 @@ def activation_qparams(lo: float, hi: float) -> QuantParams:
     scale = (hi - lo) / _ACT_LEVELS
     if scale < _SCALE_FLOOR:
         return QuantParams(scale=_SCALE_FLOOR, zero_point=0)
-    zero_point = int(np.floor(-128.0 - lo / scale + 0.5))
+    zero_point = int(round_half_up(-128.0 - lo / scale))
     zero_point = max(INT8_MIN, min(INT8_MAX, zero_point))
     return QuantParams(scale=scale, zero_point=zero_point)
 
 
-def weight_channel_scales(w: np.ndarray, channel_axis: int) -> np.ndarray:
+def weight_channel_scales(w: np.ndarray) -> np.ndarray:
     """Symmetric per-channel scales max|w_c| / 127, floored at 1e-7."""
-    axes = tuple(a for a in range(w.ndim) if a != channel_axis)
-    peak = np.max(np.abs(w), axis=axes)
+    peak = np.max(np.abs(w), axis=tap_axes(w))
     return np.maximum(peak / _WEIGHT_LEVELS, _SCALE_FLOOR)
 
 
-def quantize_weights(w: np.ndarray, channel_axis: int) -> QTensor:
+def quantize_weights(w: np.ndarray) -> QTensor:
     """Per-channel symmetric int8 weights (channel scales, zero point 0)."""
-    scales = weight_channel_scales(w, channel_axis)
-    shape = [1] * w.ndim
-    shape[channel_axis] = -1
-    ints = round_half_up(w / scales.reshape(shape))
-    ints = np.clip(ints, -127, 127).astype(np.int8)
-    # Weight QTensors key their scale vector to the output-channel axis the
-    # kernels expect; reorder is only needed if callers pass exotic layouts.
-    return QTensor(ints, scales)
+    scales = weight_channel_scales(w)
+    ints = round_half_up(w / np.expand_dims(scales, tap_axes(w)))
+    return QTensor(np.clip(ints, -127, 127).astype(np.int8), scales)
 
 
 def quantize_bias(b: np.ndarray, bias_scales: np.ndarray) -> np.ndarray:
     ints = round_half_up(np.asarray(b, dtype=np.float64) / bias_scales)
     return np.clip(ints, INT32_MIN, INT32_MAX).astype(np.int32)
-
-
-def _build_rescalers(
-    in_scale: float, weight_scales: np.ndarray, out_scale: float
-) -> list[DyadicRescaler]:
-    rescalers = []
-    for c, w_scale in enumerate(weight_scales):
-        m_real = in_scale * float(w_scale) / out_scale
-        if not 0.0 < m_real <= 1.0:
-            raise DomainError(
-                f"channel {c}: rescale factor {m_real!r} outside (0, 1]; "
-                "the accumulator scale must not exceed the output scale"
-            )
-        rescalers.append(quantize_rescaler(m_real, 32))
-    return rescalers
 
 
 def quantize_float_model(
@@ -236,7 +205,7 @@ def quantize_float_model(
         else:
             out_qp = activation_qparams(*stats.range_of(layer.name))
             w_real, b_real = floatnet.layer_params(float_model, layer)
-            weights = quantize_weights(w_real, channel_axis(w_real))
+            weights = quantize_weights(w_real)
             bias_scales = in_qp.scale * np.asarray(weights.qparams, dtype=np.float64)
             layers.append(LayerSpec(
                 kind=layer.kind,
@@ -246,7 +215,8 @@ def quantize_float_model(
                 stride=layer.stride,
                 padding=layer.padding,
                 output=out_qp,
-                rescalers=_build_rescalers(in_qp.scale, weights.qparams, out_qp.scale),
+                rescalers=[quantize_rescaler(m, 32) for m in
+                           rescale_factors(in_qp.scale, weights.qparams, out_qp.scale)],
             ))
             in_qp = out_qp
     model = ModelGraph(name=name, input_params=input_params, layers=layers)
@@ -338,25 +308,22 @@ def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> No
     if len(layer.rescalers) != channels:
         raise ShapeError(f"layer {idx}: {len(layer.rescalers)} rescalers "
                          f"for {channels} channels")
-    w_scales = np.asarray(layer.weights.qparams, dtype=np.float64)
-    out_scale = layer.output.scale
-    for c, r in enumerate(layer.rescalers):
-        expected_m = in_params.scale * float(w_scales[c]) / out_scale
+    factors = rescale_factors(in_params.scale, layer.weights.qparams, layer.output.scale)
+    for c, (r, expected_m) in enumerate(zip(layer.rescalers, factors)):
         if r.real_value != expected_m:
             raise ShapeError(
                 f"layer {idx} channel {c}: stored rescale factor "
                 f"{r.real_value!r} != S_x*S_w/S_y {expected_m!r}"
             )
     # No-overflow envelope: |acc| <= N * 128 * 255 + |b_q| must fit int32;
-    # redeployed weights may reach -128.
+    # redeployed weights may reach -128.  It also bounds the effective bias:
+    # |b_q - z * sum(w_c)| <= |b_q| + 128 * 128 * N.
     macs = mac_count(layer.weights.data)
     if macs > MAX_MAC_COUNT:
         raise ShapeError(f"layer {idx}: MAC count {macs} exceeds 2^16")
     worst = macs * 128 * 255 + int(np.max(np.abs(layer.bias.astype(np.int64))))
     if worst >= (1 << 31):
         raise ShapeError(f"layer {idx}: worst-case accumulator {worst} leaves int32")
-    # Confirm the effective bias itself stays in range for this input zero point.
-    compute_effective_bias(layer.bias, layer.weights, in_params.zero_point)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +521,7 @@ def model_from_bytes(data: bytes) -> ModelGraph:
     model = ModelGraph(name=name, input_params=input_params, layers=layers)
     try:
         validate_model(model)
-    except (DomainError, ShapeError, OverflowError) as exc:
+    except (DomainError, ShapeError) as exc:
         raise FormatError(f"model fails validation: {exc}") from exc
     if model_to_bytes(model) != data:
         raise FormatError("not the canonical RQM1 encoding of the model it describes")

@@ -1,7 +1,10 @@
-"""Fixed-point quantization core.
+"""Fixed-point quantization core: each formula of the int8 scheme, once.
 
-Integer-only inference replaces each real-valued output multiplier
-``M`` in ``(0, 1]`` with a dyadic approximation ``M_q = m * 2**-s``,
+Reals map to int8 as ``real = S * (q - Z)``, rounded by :func:`round_half_up`,
+the only float rounding; output channel c of a weighted layer carries the
+real factor ``M_c = S_x * S_w,c / S_y`` of :func:`rescale_factors`, which
+the quantizer and the validator share.  Integer-only inference replaces
+each ``M`` in ``(0, 1]`` with a dyadic approximation ``M_q = m * 2**-s``,
 where ``m`` is a k-bit unsigned multiplicand with a forced leading one
 bit and ``s`` is a right-shift amount.  Applying ``M_q`` to a 32-bit
 accumulator then needs one widening multiply, one add, and one
@@ -16,6 +19,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, RescalerUnderflow
 
@@ -32,6 +37,19 @@ def shift_budget(k: int) -> int:
     """Largest shift a k-bit rescaler may use: 32-bit accumulators can be
     shifted right by at most ``32 + k - 8`` before every input maps to zero."""
     return 32 + k - 8
+
+
+def round_half_up(values: np.ndarray) -> np.ndarray:
+    """Elementwise round-half-up toward +inf, ``floor(v + 0.5)`` in binary64:
+    the engine's convention.  Returns float64."""
+    return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
+
+
+def rescale_factors(in_scale: float, weight_scales: np.ndarray,
+                    out_scale: float) -> list[float]:
+    """The real factors ``M_c = S_x * S_w,c / S_y`` of a weighted layer, one
+    per output channel."""
+    return [in_scale * float(w) / out_scale for w in weight_scales]
 
 
 @dataclass(frozen=True)

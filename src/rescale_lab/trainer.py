@@ -39,6 +39,7 @@ from .kernels import (
     accumulate,
     activation_clamp,
     check_envelope,
+    dequantize_real,
     evaluate_int,
     flatten,
     quantize_real,
@@ -338,8 +339,7 @@ def softmax_cross_entropy(
     logits (chain rule through ``y_real = scale * (y_q - zero_point)``).
     """
     n = logits_q.shape[0]
-    y_real = out_params.scale * (np.asarray(logits_q, dtype=np.float64)
-                                 - out_params.zero_point)
+    y_real = dequantize_real(logits_q, out_params)
     shifted = y_real - y_real.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)

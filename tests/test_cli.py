@@ -2,11 +2,12 @@
 
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rescale_lab import cli, datagen
+from rescale_lab import cli, datagen, floatnet
 from rescale_lab.cli import (
     CSV_HEADER,
     EXIT_FORMAT,
@@ -388,6 +389,23 @@ class TestExitCodes:
         code = main(["parity", "--model", str(bad), "2"])
         assert "stride" in capsys.readouterr().err
         assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize("corruption", ["truncated", "short-bias"])
+    def test_corrupt_float_model_is_format_error(self, float_path, data_dir, tmp_path,
+                                                 capsys, corruption):
+        bad = tmp_path / "float.npz"
+        if corruption == "truncated":
+            with open(float_path, "rb") as fh:
+                bad.write_bytes(fh.read(100))
+        else:  # a bias that would broadcast: only the shape check refuses it
+            model = floatnet.load_float_model(float_path)
+            floatnet.save_float_model(replace(model, conv1_b=np.zeros(1)), str(bad))
+        out = tmp_path / "model.rlab"
+        code = main(["quantize", "--model", str(bad), "--data-dir", data_dir,
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_FORMAT
+        assert not out.exists()
 
     def test_idx_dims_past_int64_are_format_error(self, tmp_path_factory, data_dir,
                                                   capsys):

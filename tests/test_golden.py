@@ -6,11 +6,14 @@ logits and fixed error-report peaks at every width.  The digests below pin
 those bytes, so a speed change to the engine or the error model cannot move
 a single bit unnoticed, and the RQM1 digests pin the container bytes of the
 quantized model at three widths.  ``perfbench/expected.json`` pins only the
-argmax.
+argmax.  The training digests pin one epoch of rescale-aware fine-tuning and
+one epoch of float training on the same train images, so the rounding and
+the loss gradient that feed training cannot move a bit unnoticed either.
 """
 
 import hashlib
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from rescale_lab.model_io import (
     model_to_bytes,
     quantize_float_model,
 )
+from rescale_lab.trainer import TrainConfig, finetune, train_float
 
 FLOAT_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "desk_cnn_v1_float.npz")
@@ -52,6 +56,15 @@ RQM1 = {
     2: "91ce6a363de9e60bff16c4b517132c94c853e306e0edd87e542451fd82d3a45f",
 }
 
+# sha256 of model_to_bytes of the k=2 fine-tune (lr 500, 1 epoch, batch 32,
+# seed 3) of the quantized model, and its epoch loss.
+FINETUNE_RQM1 = "c1bd2d4c1736a2d2d59753fb48e54eeb1ff5350c3fdfc9d0e6e7494bb4843422"
+FINETUNE_LOSS = "0x1.204897380f3d3p-1"
+# sha256 of the eight arrays of train_float (lr 0.1, 1 epoch, seed 0), in
+# FloatModel field order, and its epoch loss.
+FLOAT_WEIGHTS = "c600584346dd5363cfa4ad8de0d9db695c1b2b4a0c2b6bc44782af5b9c009c82"
+FLOAT_LOSS = "0x1.2b85910c66771p+1"
+
 
 def sha256(*arrays) -> str:
     h = hashlib.sha256()
@@ -63,10 +76,15 @@ def sha256(*arrays) -> str:
 
 
 @pytest.fixture(scope="module")
-def deployment(tmp_path_factory):
+def dataset(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("golden"))
     datagen.generate_dataset(path, TRAIN, TEST, seed=0)
-    (train_x, _), (test_x, _) = datagen.load_dataset(path)
+    return datagen.load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def deployment(dataset):
+    (train_x, _), (test_x, _) = dataset
     model = quantize_float_model(floatnet.load_float_model(FLOAT_MODEL),
                                  cli._calibration_batches(train_x))
     return model, test_x
@@ -97,3 +115,22 @@ def test_container_bytes_are_pinned(deployment, k):
     data = model_to_bytes(materialize_rescalers(model, k))
     assert hashlib.sha256(data).hexdigest() == RQM1[k]
     assert model_to_bytes(model_from_bytes(data)) == data
+
+
+def test_finetuned_weights_are_pinned(deployment, dataset):
+    # lr 500 moves about 2% of the integer weights in one epoch; at small
+    # rates the result would equal RQM1[2] and pin nothing.
+    model, _ = deployment
+    (train_x, train_y), _ = dataset
+    cfg = TrainConfig(learning_rate=500.0, epochs=1, batch_size=32, seed=3)
+    result = finetune(model, train_x, train_y, cfg, k=2)
+    assert hashlib.sha256(model_to_bytes(result.model)).hexdigest() == FINETUNE_RQM1
+    assert result.history[0].loss.hex() == FINETUNE_LOSS
+
+
+def test_float_trained_weights_are_pinned(dataset):
+    (train_x, train_y), _ = dataset
+    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=32, seed=0)
+    model, history = train_float(train_x, train_y, cfg)
+    assert sha256(*(getattr(model, f.name) for f in fields(model))) == FLOAT_WEIGHTS
+    assert history[0].loss.hex() == FLOAT_LOSS

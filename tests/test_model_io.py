@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,30 +67,48 @@ def desk_quantized():
 # ---------------------------------------------------------------------------
 
 
+def in_layout(rows, layout: str) -> np.ndarray:
+    """A (channels, taps) matrix as dense (out, in), conv (out, 1, taps, 1)
+    or depthwise (1, taps, channels) weights."""
+    rows = np.asarray(rows)
+    if layout == "conv2d":
+        return rows.reshape(rows.shape[0], 1, rows.shape[1], 1)
+    if layout == "depthwise":
+        return rows.T.reshape(1, rows.shape[1], rows.shape[0])
+    return rows
+
+
+LAYOUTS = ("dense", "conv2d", "depthwise")
+
+
 class TestWeightQuantization:
-    def test_symmetric_extremes(self):
-        w = np.array([[-1.27, 1.27]])
-        assert weight_channel_scales(w, 0).tolist() == [0.01]
-        q = quantize_weights(w, 0)
-        assert q.data.tolist() == [[-127, 127]]
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_symmetric_extremes(self, layout):
+        w = in_layout([[-1.27, 1.27]], layout)
+        assert weight_channel_scales(w).tolist() == [0.01]
+        q = quantize_weights(w)
+        assert q.data.tolist() == in_layout([[-127, 127]], layout).tolist()
         assert q.qparams.tolist() == [0.01]
 
-    def test_per_channel_independence(self):
-        w = np.array([[1.27, 0.0], [0.0, 12.7]])
-        q = quantize_weights(w, 0)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_per_channel_independence(self, layout):
+        w = in_layout([[1.27, 0.0], [0.0, 12.7]], layout)
+        q = quantize_weights(w)
         assert q.qparams.tolist() == [1.27 / 127, 12.7 / 127]
         assert q.qparams.tolist() == pytest.approx([0.01, 0.1])
-        assert q.data.tolist() == [[127, 0], [0, 127]]
+        assert q.data.tolist() == in_layout([[127, 0], [0, 127]], layout).tolist()
 
     def test_all_zero_channel_uses_scale_floor(self):
-        q = quantize_weights(np.zeros((1, 4)), 0)
+        q = quantize_weights(np.zeros((1, 4)))
         assert q.qparams.tolist() == [1e-7]
         assert q.data.tolist() == [[0, 0, 0, 0]]
 
-    def test_half_up_rounding(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_half_up_rounding(self, layout):
         # scale 0.01; 0.005/0.01 = 0.5 rounds up, -0.005 rounds to 0.
-        w = np.array([[1.27, 0.005, -0.005]])
-        assert quantize_weights(w, 0).data.tolist() == [[127, 1, 0]]
+        w = in_layout([[1.27, 0.005, -0.005]], layout)
+        q = quantize_weights(w)
+        assert q.data.tolist() == in_layout([[127, 1, 0]], layout).tolist()
 
 
 class TestActivationQuantization:
@@ -190,6 +209,59 @@ class TestQuantizeFloatModel:
         deq = dequantize_real(q_logits, desk_quantized.layers[-1].output)
         scale = desk_quantized.layers[-1].output.scale
         assert np.max(np.abs(deq - float_logits)) < 20 * scale
+
+    def test_rescale_factor_above_one_is_refused(self):
+        # A dead conv1 puts its output scale at the 1e-7 floor, so
+        # M = S_x * S_w / S_y is far above 1 and no rescaler can carry it.
+        fm = replace(floatnet.init_float_model(seed=7), conv1_b=np.full(8, -1e3))
+        rng = np.random.default_rng(7)
+        with pytest.raises(DomainError, match=r"outside \(0, 1\]"):
+            quantize_float_model(fm, [rng.random((4, 28, 28, 1))])
+
+
+class TestFloatModelFile:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = floatnet.init_float_model(seed=7)
+        path = tmp_path / "float.npz"
+        floatnet.save_float_model(model, str(path))
+        return model, path
+
+    def test_every_truncation_and_bit_flip_is_format_error(self, saved, tmp_path):
+        model, path = saved
+        base = path.read_bytes()
+        blobs = [base[:n] for n in range(0, len(base), 211)]
+        for bit in np.random.default_rng(400).integers(0, 8 * len(base), size=400):
+            flipped = bytearray(base)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            blobs.append(bytes(flipped))
+        # The first member's compression method in the central directory, 0 -> 1.
+        method = base.index(b"PK\x01\x02") + 10
+        blobs.append(base[:method] + b"\x01" + base[method + 1:])
+        bad = tmp_path / "bad.npz"
+        escaped, changed = [], []
+        for idx, blob in enumerate(blobs):
+            bad.write_bytes(blob)
+            try:
+                loaded = floatnet.load_float_model(str(bad))
+            except FormatError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - the property is "never a crash"
+                escaped.append((idx, type(exc).__name__))
+                continue
+            if not all(np.array_equal(getattr(loaded, f.name), getattr(model, f.name))
+                       for f in fields(model)):
+                changed.append(idx)
+        assert not escaped, f"non-FormatError escapes: {escaped[:10]}"
+        assert not changed, f"corrupt files loaded different arrays: {changed[:10]}"
+
+    @pytest.mark.parametrize("field,array", [("conv1_b", np.zeros(1)),
+                                             ("dense_w", np.zeros((10, 10)))])
+    def test_wrong_shape_is_format_error(self, saved, field, array):
+        model, path = saved
+        floatnet.save_float_model(replace(model, **{field: array}), str(path))
+        with pytest.raises(FormatError, match=field.split("_")[0]):
+            floatnet.load_float_model(str(path))
 
 
 # ---------------------------------------------------------------------------
