@@ -1,4 +1,4 @@
-"""Anatomy of the rescaling error.
+r"""Anatomy of the rescaling error.
 
 Replacing the real multiplier M with the dyadic M_q = m * 2**-s makes each
 output wrong by
@@ -40,8 +40,8 @@ print(f"k=8: M_q = {r8.quantized_value:.6f}   k=2: M_q = {r2.quantized_value:.6f
 print(f"{'a_q':>8} | {'mismatch@8':>11} {'rounding@8':>11} | "
       f"{'mismatch@2':>11} {'rounding@2':>11}")
 for a_q in (10, 1_000, 100_000):
-    d8 = rescale_error_decompose(a_q, M, r8, S_Y)
-    d2 = rescale_error_decompose(a_q, M, r2, S_Y)
+    d8 = rescale_error_decompose(a_q, r8, S_Y)
+    d2 = rescale_error_decompose(a_q, r2, S_Y)
     print(f"{a_q:>8} | {d8.scale_mismatch:>11.5f} {d8.rounding:>11.5f} | "
           f"{d2.scale_mismatch:>11.5f} {d2.rounding:>11.5f}")
 print()
@@ -58,9 +58,9 @@ rng = np.random.default_rng(0)
 max_abs = 1 << 20
 for k in (2, 8, 16):
     r = quantize_rescaler(M, k)
-    bound = rescale_error_bound(M, r, S_Y, max_abs)
+    bound = rescale_error_bound(r, S_Y, max_abs)
     observed = max(
-        abs(rescale_error_decompose(int(a), M, r, S_Y).eps_r)
+        abs(rescale_error_decompose(int(a), r, S_Y).eps_r)
         for a in rng.integers(-max_abs, max_abs + 1, size=4000)
     )
     print(f"k={k:<2}  bound {bound:.5f}   worst of 4000 random accumulators "

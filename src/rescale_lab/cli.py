@@ -296,15 +296,16 @@ def parity_input_shape(model) -> tuple[int, ...]:
 
 def cmd_parity(args) -> int:
     model = load_model(args.model)
-    k = model.k if args.k is None else args.k
-    mk = materialize_rescalers(model, k)
-    shadow = init_shadow(mk)
-    shape = parity_input_shape(mk)
+    if args.k is not None:
+        model = materialize_rescalers(model, args.k)
+    k = model.k
+    shadow = init_shadow(model)
+    shape = parity_input_shape(model)
     rng = np.random.default_rng(args.seed)
     batches = args.batches
     for i in range(batches):
         x = rng.integers(-128, 128, size=(4,) + shape).astype(np.int8)
-        ref = run_model_int(mk, x).astype(np.float64)
+        ref = run_model_int(model, x).astype(np.float64)
         emu, _ = emulated_forward(shadow, x)
         if not np.array_equal(ref, emu):
             print(f"parity: FAIL at batch {i} (k={k})")

@@ -72,30 +72,25 @@ class LayerErrorReport:
         return bool(np.all(self.safe))
 
 
-def _exact_fraction(value) -> Fraction:
-    return Fraction(float(value))
-
-
-def _exact_mismatch(m_real: float, r: DyadicRescaler) -> Fraction:
+def _exact_mismatch(r: DyadicRescaler) -> Fraction:
     """|M_q - M| as an exact rational."""
-    return abs(Fraction(r.m, 1 << r.s) - _exact_fraction(m_real))
+    return abs(Fraction(r.m, 1 << r.s) - Fraction(float(r.real_value)))
 
 
-def rescale_error_decompose(
-    a_q: int, m_real: float, r: DyadicRescaler, s_y: float
-) -> RescaleError:
+def rescale_error_decompose(a_q: int, r: DyadicRescaler, s_y: float) -> RescaleError:
     """Split the rescale error of one accumulator into its two sources.
 
-    The scale-mismatch term is ``s_y * a_q * (M_q - m_real)`` and the
-    rounding term is ``s_y * delta_r`` with ``delta_r`` the residual of the
-    integer multiply against the exact product ``a_q * M_q``.  In the
-    no-saturation regime ``delta_r`` lies in (-1/2, 1/2].  Every returned
-    float is the correctly rounded value of the exact rational quantity.
+    The scale-mismatch term is ``s_y * a_q * (M_q - M)``, with ``M`` the
+    rescaler's real value, and the rounding term is ``s_y * delta_r`` with
+    ``delta_r`` the residual of the integer multiply against the exact
+    product ``a_q * M_q``.  In the no-saturation regime ``delta_r`` lies in
+    (-1/2, 1/2].  Every returned float is the correctly rounded value of the
+    exact rational quantity.
     """
     a_q = int(a_q)
     m_q = Fraction(r.m, 1 << r.s)
-    m_exact = _exact_fraction(m_real)
-    s_y_exact = _exact_fraction(s_y)
+    m_exact = Fraction(float(r.real_value))
+    s_y_exact = Fraction(float(s_y))
     y_int = multiply_by_quantized_multiplier(a_q, r)
     delta = y_int - a_q * m_q
     mismatch = s_y_exact * a_q * (m_q - m_exact)
@@ -109,21 +104,13 @@ def rescale_error_decompose(
     )
 
 
-def rescale_error_bound(
-    m_real: float, r: DyadicRescaler, s_y: float, max_abs_acc: int
-) -> float:
+def rescale_error_bound(r: DyadicRescaler, s_y: float, max_abs_acc: int) -> float:
     """Worst-case |eps_r| over accumulators up to ``max_abs_acc``:
-    ``|M_q - m_real| * s_y * max_abs_acc + s_y/2``, correctly rounded."""
+    ``|M_q - M| * s_y * max_abs_acc + s_y/2``, correctly rounded."""
     if max_abs_acc < 0:
         raise DomainError(f"max_abs_acc must be non-negative, got {max_abs_acc}")
-    s_y_exact = _exact_fraction(s_y)
-    return float(_exact_mismatch(m_real, r) * s_y_exact * int(max_abs_acc) + s_y_exact / 2)
-
-
-def _mismatch_is_safe(m_real: float, r: DyadicRescaler, max_abs_acc: int) -> bool:
-    """Exact test of the degradation-onset condition: scale-mismatch error
-    stays at or below half an output step."""
-    return _exact_mismatch(m_real, r) * int(max_abs_acc) <= Fraction(1, 2)
+    s_y_exact = Fraction(float(s_y))
+    return float(_exact_mismatch(r) * s_y_exact * int(max_abs_acc) + s_y_exact / 2)
 
 
 def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
@@ -132,12 +119,10 @@ def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
 
     Returns 32 with a RuntimeWarning if no width satisfies the condition.
     """
-    if not 0.0 < float(m_real) <= 1.0:
-        raise DomainError(f"rescale factor {m_real!r} outside (0, 1]")
     if max_abs_acc < 0:
         raise DomainError(f"max_abs_acc must be non-negative, got {max_abs_acc}")
     for k in range(2, 33):
-        if _mismatch_is_safe(m_real, quantize_rescaler(m_real, k), max_abs_acc):
+        if _exact_mismatch(quantize_rescaler(m_real, k)) * int(max_abs_acc) <= Fraction(1, 2):
             return k
     warnings.warn(
         f"no rescaler width up to 32 bits is safe for M={m_real!r} at "
@@ -170,9 +155,9 @@ def layer_error_report(
     model,
     layer_id: int,
     probe_batches: Iterable[np.ndarray],
-    k: int,
 ) -> LayerErrorReport:
-    """Bound the rescale error of one layer from probe data.
+    """Bound the rescale error of one layer from probe data, at the widths
+    the model's rescalers carry.
 
     Probe batches are uint8 image batches; they are quantized with the
     model's input parameters, run through the integer engine up to the
@@ -184,12 +169,11 @@ def layer_error_report(
         probe_batches = [probe_batches]
     if not 0 <= layer_id < len(model.layers):
         raise DomainError(f"layer id {layer_id} outside 0..{len(model.layers) - 1}")
-    materialized = materialize_rescalers(model, k) if model.k != k else model
-    layer = materialized.layers[layer_id]
+    layer = model.layers[layer_id]
     if layer.kind == "flatten":
         raise DomainError("flatten has no rescale stage to analyze")
 
-    in_params = layer_input_params(materialized, layer_id)
+    in_params = layer_input_params(model, layer_id)
     channels = len(layer.rescalers)
     max_abs = np.zeros(channels, dtype=np.int64)
     saw_image = False
@@ -197,9 +181,9 @@ def layer_error_report(
         if len(batch) == 0:
             continue
         saw_image = True
-        x = QTensor(quantize_real(unit_images(batch), materialized.input_params),
-                    materialized.input_params)
-        for upstream in materialized.layers[:layer_id]:
+        x = QTensor(quantize_real(unit_images(batch), model.input_params),
+                    model.input_params)
+        for upstream in model.layers[:layer_id]:
             x = layer_forward_int(x, upstream)
         # Peak |acc| per channel from the int32 extremes, reduced over the
         # images first (one long row each) and widened to int64 after the
@@ -217,42 +201,32 @@ def layer_error_report(
     rescalers = layer.rescalers
     m_real = np.array([r.real_value for r in rescalers])
     m_quant = np.array([r.quantized_value for r in rescalers])
-    mismatch = np.abs(m_quant - m_real)  # exact: M/2 <= M_q <= M
-    s_y_exact = _exact_fraction(s_y)
-    bound = np.array(
-        [
-            float(_exact_mismatch(r.real_value, r) * s_y_exact * int(max_abs[c]))
-            for c, r in enumerate(rescalers)
-        ]
-    )
-    safe = np.array(
-        [
-            _mismatch_is_safe(r.real_value, r, int(max_abs[c]))
-            for c, r in enumerate(rescalers)
-        ]
-    )
+    s_y_exact = Fraction(float(s_y))
+    # |M_q - M| * peak per channel, in output steps, exactly.
+    excess = [_exact_mismatch(r) * int(max_abs[c]) for c, r in enumerate(rescalers)]
     return LayerErrorReport(
         layer_id=layer_id,
         kind=layer.kind,
-        k=k,
+        k=rescalers[0].k,
         s_y=s_y,
         m_real=m_real,
         m_quantized=m_quant,
-        mismatch=mismatch,
+        mismatch=np.abs(m_quant - m_real),  # exact: M/2 <= M_q <= M
         max_abs_acc=max_abs,
         analytic_max_abs_acc=_analytic_worst_case(layer, in_params),
-        mismatch_bound=bound,
+        mismatch_bound=np.array([float(e * s_y_exact) for e in excess]),
         rounding_floor=s_y / 2,
-        safe=safe,
+        safe=np.array([e <= Fraction(1, 2) for e in excess]),
     )
 
 
 def model_error_report(
     model, probe_batches: Sequence[np.ndarray], k: int
 ) -> list[LayerErrorReport]:
-    """Reports for every layer that has a rescale stage."""
+    """Reports for every layer that has a rescale stage, at width ``k``."""
+    model = materialize_rescalers(model, k) if model.k != k else model
     return [
-        layer_error_report(model, i, probe_batches, k)
+        layer_error_report(model, i, probe_batches)
         for i, layer in enumerate(model.layers)
         if layer.kind != "flatten"
     ]

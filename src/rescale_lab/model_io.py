@@ -35,6 +35,7 @@ from .qcore import (
     INT32_MIN,
     DyadicRescaler,
     QuantParams,
+    check_bitwidth,
     quantize_rescaler,
     rescale_factors,
     round_half_up,
@@ -195,11 +196,12 @@ def quantize_float_model(
 
     input_params = in_qp = activation_qparams(*stats.range_of("input"))
     layers = []
-    for layer in floatnet.LAYERS:
+    for idx, layer in enumerate(floatnet.LAYERS):
         if layer.kind == "avgpool":
             area = layer.window[0] * layer.window[1]
             layers.append(LayerSpec(kind="avgpool", window=layer.window, output=in_qp,
-                                    rescalers=[quantize_rescaler(1.0 / area, 32)]))
+                                    rescalers=_layer_rescalers([1.0 / area], 32, idx,
+                                                               layer.kind)))
         elif layer.kind == "flatten":
             layers.append(LayerSpec(kind="flatten", output=in_qp))
         else:
@@ -215,8 +217,9 @@ def quantize_float_model(
                 stride=layer.stride,
                 padding=layer.padding,
                 output=out_qp,
-                rescalers=[quantize_rescaler(m, 32) for m in
-                           rescale_factors(in_qp.scale, weights.qparams, out_qp.scale)],
+                rescalers=_layer_rescalers(
+                    rescale_factors(in_qp.scale, weights.qparams, out_qp.scale),
+                    32, idx, layer.kind),
             ))
             in_qp = out_qp
     model = ModelGraph(name=name, input_params=input_params, layers=layers)
@@ -224,20 +227,26 @@ def quantize_float_model(
     return model
 
 
+def _layer_rescalers(factors, k: int, idx: int, kind: str) -> list[DyadicRescaler]:
+    """Layer ``idx``'s real factors as width-``k`` rescalers; a factor that
+    fails names its layer and channel."""
+    rescalers = []
+    for c, m in enumerate(factors):
+        try:
+            rescalers.append(quantize_rescaler(m, k))
+        except (DomainError, RescalerUnderflow) as exc:
+            raise type(exc)(f"layer {idx} ({kind}) channel {c}: {exc}") from exc
+    return rescalers
+
+
 def materialize_rescalers(model: ModelGraph, k: int) -> ModelGraph:
     """Re-quantize every rescaler at width ``k`` from its stored real value."""
-    new_layers = []
-    for idx, layer in enumerate(model.layers):
-        rescalers = []
-        for c, r in enumerate(layer.rescalers):
-            try:
-                rescalers.append(quantize_rescaler(r.real_value, k))
-            except RescalerUnderflow as exc:
-                raise RescalerUnderflow(
-                    f"layer {idx} ({layer.kind}) channel {c}: {exc}"
-                ) from exc
-        new_layers.append(replace(layer, rescalers=rescalers))
-    return replace(model, layers=new_layers)
+    check_bitwidth(k)  # a bad width is the caller's, not a layer's
+    return replace(model, layers=[
+        replace(layer, rescalers=_layer_rescalers(
+            [r.real_value for r in layer.rescalers], k, idx, layer.kind))
+        for idx, layer in enumerate(model.layers)
+    ])
 
 
 # ---------------------------------------------------------------------------

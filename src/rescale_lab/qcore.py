@@ -149,6 +149,14 @@ def decompose_float(value: float) -> FloatDecomposition:
     return FloatDecomposition(fraction=2.0 * mant - 1.0, exponent=exp - 1)
 
 
+def check_bitwidth(k: int) -> None:
+    """Raise DomainError unless ``k`` is an int in [2, 32]."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DomainError(f"bit-width k must be an int, got {k!r}")
+    if not MIN_BITWIDTH <= k <= MAX_BITWIDTH:
+        raise DomainError(f"bit-width k={k} outside [{MIN_BITWIDTH}, {MAX_BITWIDTH}]")
+
+
 def quantize_rescaler(value: float, k: int, *, on_underflow: str = "error") -> DyadicRescaler:
     """Approximate a real multiplier ``value`` in (0, 1] by ``m * 2**-s``.
 
@@ -161,10 +169,7 @@ def quantize_rescaler(value: float, k: int, *, on_underflow: str = "error") -> D
     ``"clamp"`` emits a warning and returns a degraded rescaler whose
     multiplicand lost its leading bit (possibly all the way to zero).
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"bit-width k must be an int, got {k!r}")
-    if not MIN_BITWIDTH <= k <= MAX_BITWIDTH:
-        raise DomainError(f"bit-width k={k} outside [{MIN_BITWIDTH}, {MAX_BITWIDTH}]")
+    check_bitwidth(k)
     if on_underflow not in ("error", "clamp"):
         raise DomainError(f"unknown underflow policy {on_underflow!r}")
     decomposed = decompose_float(value)

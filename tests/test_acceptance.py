@@ -225,7 +225,7 @@ def test_criterion_4_error_bound_and_decomposition():
         m_exact = Fraction(float(r.real_value))
         s_y_exact = Fraction(s_y)
         bound_exact = abs(m_q - m_exact) * s_y_exact * max_abs_acc + s_y_exact / 2
-        bound_float = rescale_error_bound(r.real_value, r, s_y, max_abs_acc)
+        bound_float = rescale_error_bound(r, s_y, max_abs_acc)
         for a_q in rng.integers(-max_abs_acc, max_abs_acc + 1, size=50).tolist():
             y_int = multiply_by_quantized_multiplier(int(a_q), r)
             delta = y_int - a_q * m_q
@@ -240,7 +240,7 @@ def test_criterion_4_error_bound_and_decomposition():
                 violations += 1
             # The float API reports the correctly rounded values of the same
             # rationals, and its bound still dominates its measured error.
-            decomposed = rescale_error_decompose(int(a_q), r.real_value, r, s_y)
+            decomposed = rescale_error_decompose(int(a_q), r, s_y)
             if decomposed.eps_r != float(eps):
                 violations += 1
             if decomposed.delta_r != float(delta):

@@ -31,6 +31,7 @@ from rescale_lab.model_io import (
     validate_model,
 )
 from rescale_lab.qcore import QuantParams, quantize_rescaler
+from test_model_io import tiny_dense_model
 
 
 class TestDegradationPoint:
@@ -327,6 +328,22 @@ class TestParity:
         code = main(["parity", "--model", path, "--k", "8", "2"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == "parity: PASS (2 batches, k=8)\n"
+
+    def test_without_k_checks_the_model_as_loaded(self, tmp_path, capsys):
+        # Clamp-built k=32 rescalers load and run, but re-quantizing them at
+        # k=32 would raise RescalerUnderflow.
+        model = tiny_dense_model()
+        model.layers[0].output = QuantParams(scale=2.0**26, zero_point=0)
+        with pytest.warns(RuntimeWarning):
+            model.layers[0].rescalers = [
+                quantize_rescaler(0.5 * s / 2.0**26, 32, on_underflow="clamp")
+                for s in model.layers[0].weights.qparams
+            ]
+        path = str(tmp_path / "underflowed.rqm")
+        save_model(model, path)
+        code = main(["parity", "--model", path])
+        assert capsys.readouterr().out == "parity: PASS (20 batches, k=32)\n"
+        assert code == EXIT_OK
 
     def test_no_input_fits(self):
         model = _dense_only_model()

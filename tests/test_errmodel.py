@@ -15,7 +15,7 @@ from rescale_lab.errmodel import (
 )
 from rescale_lab.errors import DomainError
 from rescale_lab.kernels import QTensor
-from rescale_lab.model_io import LayerSpec, ModelGraph
+from rescale_lab.model_io import LayerSpec, ModelGraph, materialize_rescalers
 from rescale_lab.qcore import (
     DyadicRescaler,
     multiply_by_quantized_multiplier,
@@ -36,15 +36,15 @@ class TestDecompose:
     def test_power_of_two_scale_leaves_only_rounding(self):
         r = quantize_rescaler(0.5, 32)
         for a_q in (-999, -1, 0, 1, 7, 1000):
-            parts = rescale_error_decompose(a_q, 0.5, r, 0.01)
+            parts = rescale_error_decompose(a_q, r, 0.01)
             assert parts.scale_mismatch == 0.0
             assert abs(parts.delta_r) <= 0.5
             assert parts.eps_r == parts.rounding
 
     def test_zero_accumulator(self):
         r = quantize_rescaler(0.3, 8)
-        parts = rescale_error_decompose(0, 0.3, r, 0.01)
-        assert parts == rescale_error_decompose(0, 0.3, r, 0.01)
+        parts = rescale_error_decompose(0, r, 0.01)
+        assert parts == rescale_error_decompose(0, r, 0.01)
         assert parts.eps_r == 0.0
         assert parts.delta_r == 0.0
 
@@ -52,7 +52,7 @@ class TestDecompose:
         r = quantize_rescaler(0.1, 4)
         assert (r.m, r.s) == (12, 7)
         assert r.quantized_value == 0.09375
-        parts = rescale_error_decompose(1000, 0.1, r, 0.01)
+        parts = rescale_error_decompose(1000, r, 0.01)
         # Integer path: floor((1000*12 + 64) / 128) = 94.
         assert multiply_by_quantized_multiplier(1000, r) == 94
         assert parts.delta_r == 0.25  # 94 - 93.75, exactly representable
@@ -68,21 +68,27 @@ class TestDecompose:
 class TestBound:
     def test_exact_multiplier_leaves_rounding_floor(self):
         r = quantize_rescaler(0.5, 8)
-        assert rescale_error_bound(0.5, r, 0.01, 12345) == 0.005
+        assert rescale_error_bound(r, 0.01, 12345) == 0.005
 
     def test_hand_worked_case(self):
         r = quantize_rescaler(0.1, 4)
-        bound = rescale_error_bound(0.1, r, 0.01, 1000)
+        bound = rescale_error_bound(r, 0.01, 1000)
         assert bound == pytest.approx(0.0675)
 
     def test_zero_accumulator_peak(self):
         r = quantize_rescaler(0.3, 4)
-        assert rescale_error_bound(0.3, r, 0.01, 0) == 0.005
+        assert rescale_error_bound(r, 0.01, 0) == 0.005
+
+    def test_float32_inputs_are_widened_exactly(self):
+        r = quantize_rescaler(np.float32(0.3), 8)
+        assert rescale_error_bound(r, np.float32(0.01), 10) == float(
+            abs(exact(r) - Fraction(float(np.float32(0.3)))) * 10
+            * Fraction(float(np.float32(0.01))) + Fraction(float(np.float32(0.01))) / 2)
 
     def test_negative_peak_rejected(self):
         r = quantize_rescaler(0.3, 4)
         with pytest.raises(DomainError):
-            rescale_error_bound(0.3, r, 0.01, -1)
+            rescale_error_bound(r, 0.01, -1)
 
 
 class TestMinSafeBitwidth:
@@ -148,7 +154,7 @@ def test_decomposition_identity_exact():
         mismatch_exact = s_y_f * a_q * (exact(r) - m_f)
         delta_exact = y_int - a_q * exact(r)
         assert eps_exact == mismatch_exact + s_y_f * delta_exact
-        parts = rescale_error_decompose(a_q, m_real, r, s_y)
+        parts = rescale_error_decompose(a_q, r, s_y)
         assert parts.eps_r == float(eps_exact)
         assert parts.scale_mismatch == float(mismatch_exact)
         assert parts.delta_r == float(delta_exact)
@@ -158,8 +164,8 @@ def test_decomposition_identity_exact():
 def test_bound_soundness():
     """|eps_r| never exceeds the bound at the accumulator's own magnitude."""
     for a_q, m_real, r, s_y in random_cases(400, seed=5678):
-        parts = rescale_error_decompose(a_q, m_real, r, s_y)
-        bound = rescale_error_bound(m_real, r, s_y, abs(a_q))
+        parts = rescale_error_decompose(a_q, r, s_y)
+        bound = rescale_error_bound(r, s_y, abs(a_q))
         assert abs(parts.eps_r) <= bound
 
 
@@ -222,7 +228,7 @@ class TestLayerErrorReport:
     def test_k32_all_safe(self):
         model = one_channel_tenth_model()
         probe = [np.full((4, 1, 1), 255, dtype=np.uint8)]
-        report = layer_error_report(model, 1, probe, k=32)
+        report = layer_error_report(model, 1, probe)
         assert report.all_safe
         assert report.kind == "dense"
         assert report.max_abs_acc.tolist() == [200]  # quantize(1.0) = 2; 2*100
@@ -230,7 +236,7 @@ class TestLayerErrorReport:
     def test_low_width_unsafe(self):
         model = one_channel_tenth_model()
         probe = [np.full((4, 1, 1), 255, dtype=np.uint8)]
-        report = layer_error_report(model, 1, probe, k=2)
+        report = layer_error_report(materialize_rescalers(model, 2), 1, probe)
         # M_q(2 bits) = 3/32; |0.09375 - 0.1| * 200 = 1.25 > 1/2.
         assert not report.all_safe
         assert report.m_quantized.tolist() == [0.09375]
@@ -239,31 +245,31 @@ class TestLayerErrorReport:
     def test_empty_probe_set(self):
         model = one_channel_tenth_model()
         with pytest.raises(DomainError, match="empty"):
-            layer_error_report(model, 1, [], k=8)
+            layer_error_report(model, 1, [])
 
     def test_zero_image_batches_are_skipped(self):
         model = one_channel_tenth_model()
         empty = np.zeros((0, 1, 1), dtype=np.uint8)
         with pytest.raises(DomainError, match="empty"):
-            layer_error_report(model, 1, empty, k=8)
+            layer_error_report(model, 1, empty)
         probe = np.full((4, 1, 1), 255, dtype=np.uint8)
-        report = layer_error_report(model, 1, [empty, probe, empty], k=32)
+        report = layer_error_report(model, 1, [empty, probe, empty])
         assert report.max_abs_acc.tolist() == [200]
 
     def test_flatten_has_no_rescale_stage(self):
         model = one_channel_tenth_model()
         with pytest.raises(DomainError, match="flatten"):
-            layer_error_report(model, 0, [np.zeros((1, 1, 1), np.uint8)], k=8)
+            layer_error_report(model, 0, [np.zeros((1, 1, 1), np.uint8)])
 
     def test_layer_id_range(self):
         model = one_channel_tenth_model()
         with pytest.raises(DomainError, match="layer id"):
-            layer_error_report(model, 5, [np.zeros((1, 1, 1), np.uint8)], k=8)
+            layer_error_report(model, 5, [np.zeros((1, 1, 1), np.uint8)])
 
     def test_analytic_worst_case_dominates_probe(self):
         model = one_channel_tenth_model()
         probe = [np.full((4, 1, 1), 255, dtype=np.uint8)]
-        report = layer_error_report(model, 1, probe, k=8)
+        report = layer_error_report(materialize_rescalers(model, 8), 1, probe)
         assert (report.analytic_max_abs_acc >= report.max_abs_acc).all()
 
     def test_desk_model_reports(self):
@@ -280,3 +286,25 @@ class TestLayerErrorReport:
         assert all(rep.all_safe for rep in reports)
         assert all((rep.analytic_max_abs_acc >= rep.max_abs_acc).all()
                    for rep in reports)
+
+    def test_mixed_widths_report_each_layer_at_its_own_width(self):
+        from dataclasses import replace
+
+        from rescale_lab import floatnet
+        from rescale_lab.model_io import quantize_float_model
+
+        fm = floatnet.init_float_model(seed=5)
+        rng = np.random.default_rng(5)
+        wide = quantize_float_model(fm, [rng.random((4, 28, 28, 1))])
+        probe = [(rng.random((4, 28, 28)) * 255).astype(np.uint8)]
+        narrow = materialize_rescalers(wide, 2)
+        dense = len(wide.layers) - 1
+        assert wide.layers[dense].kind == "dense"
+        # The dense layer at k=2, every layer before it at k=32.
+        mixed = replace(wide, layers=wide.layers[:dense] + [narrow.layers[dense]])
+        report = layer_error_report(mixed, dense, probe)
+        assert report.k == 2
+        assert report.max_abs_acc.tolist() == \
+            layer_error_report(wide, dense, probe).max_abs_acc.tolist()
+        assert report.m_quantized.tolist() == \
+            layer_error_report(narrow, dense, probe).m_quantized.tolist()

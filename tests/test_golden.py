@@ -2,7 +2,7 @@
 
 The committed float model ``perfbench/desk_cnn_v1_float.npz``, quantized on
 seed-0 data exactly as the ``quantize`` command does, gives fixed int8
-logits and fixed error-report peaks at every width.  The digests below pin
+logits and fixed error reports at every width.  The digests below pin
 those bytes, so a speed change to the engine or the error model cannot move
 a single bit unnoticed, and the RQM1 digests pin the container bytes of the
 quantized model at three widths.  ``perfbench/expected.json`` pins only the
@@ -47,6 +47,14 @@ REPORTS = {
     8: "5e4768763db4142f05608983adc7ff3fc675d03c331ce36327c7cf3b5c904bd7",
     4: "1237cc76684d5a0089bdbde5003585b507febbf39675b3291bf5b8db84d81a10",
     2: "458d78d21bd3253e0297d8febd91196a1d24d31e08788094cf745b990444bcc7",
+}
+# sha256 of every field of every report of model_error_report, in
+# LayerErrorReport field order, on the TEST images as probes.
+REPORT_FIELDS = {
+    32: "515b2178a5158af00ddceac194c091b18a24df973186b2cf8ad91500d41b023d",
+    8: "54e5e91a734bc9f901bb78ac50eb217d4de499334717940fe09929bec5bd0309",
+    4: "680117d42985847119dc8a9d434474986d01ec1fe005fd89edae8a8bfa009766",
+    2: "0e6e71690ca1482aec4cdece3f8e9dd9059331a71fa8b2b4867488ed860802df",
 }
 
 # sha256 of model_to_bytes of the quantized model materialized at width k.
@@ -107,6 +115,14 @@ def test_error_report_peaks_are_pinned(deployment, k):
     parts = [a for r in reports
              for a in (r.max_abs_acc.astype(np.int64), r.safe.astype(np.uint8))]
     assert sha256(*parts) == REPORTS[k]
+
+
+@pytest.mark.parametrize("k", sorted(REPORT_FIELDS, reverse=True))
+def test_error_report_fields_are_pinned(deployment, k):
+    model, images = deployment
+    reports = model_error_report(model, images, k)
+    assert sha256(*(np.asarray(getattr(r, f.name)) for r in reports
+                    for f in fields(r))) == REPORT_FIELDS[k]
 
 
 @pytest.mark.parametrize("k", sorted(RQM1, reverse=True))

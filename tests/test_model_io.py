@@ -215,7 +215,8 @@ class TestQuantizeFloatModel:
         # M = S_x * S_w / S_y is far above 1 and no rescaler can carry it.
         fm = replace(floatnet.init_float_model(seed=7), conv1_b=np.full(8, -1e3))
         rng = np.random.default_rng(7)
-        with pytest.raises(DomainError, match=r"outside \(0, 1\]"):
+        with pytest.raises(DomainError,
+                           match=r"layer 0 \(conv2d\) channel \d+: .*outside \(0, 1\]"):
             quantize_float_model(fm, [rng.random((4, 28, 28, 1))])
 
 
@@ -309,6 +310,11 @@ class TestMaterializeRescalers:
             ]
         with pytest.raises(RescalerUnderflow, match="layer 0 .* channel 0"):
             materialize_rescalers(model, 8)
+
+    @pytest.mark.parametrize("k", [1, 33])
+    def test_bad_width_names_no_layer(self, k):
+        with pytest.raises(DomainError, match=rf"^bit-width k={k} outside \[2, 32\]$"):
+            materialize_rescalers(tiny_dense_model(), k)
 
     def test_original_model_unchanged(self, desk_quantized):
         before = model_to_bytes(desk_quantized)
