@@ -11,8 +11,9 @@ detect schema changes.  argparse checks the flags, so a missing required
 flag, a malformed width, or an ``--out`` file that names a directory or
 sits in a missing one is a usage error in argparse's words, raised before
 any work.  Each data split a command needs is loaded before any work
-starts, and an empty one is a domain error.  Exit codes: 0 success,
-2 usage, 3 file-format errors, 4 numeric/domain errors.
+starts; an empty one is a domain error, and a label outside 0..9 a
+format error.  Exit codes: 0 success, 2 usage, 3 file-format errors,
+4 numeric/domain errors.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ def _load(args, split: str) -> tuple[np.ndarray, np.ndarray]:
     paths = datagen.dataset_paths(data_dir)
     images, labels = load_idx_dataset(paths[f"{split}_images"],
                                       paths[f"{split}_labels"])
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FormatError(f"{paths[f'{split}_labels']}: label {labels[bad[0]]} at "
+                          f"index {bad[0]} is not a class 0..9")
     if len(labels) == 0:
         raise DomainError(f"the {split} set in {data_dir} is empty")
     return images, labels
@@ -160,6 +165,14 @@ def out_file(path: str) -> str:
 def width_list(value: str) -> list[int]:
     """``--k-list``: comma-separated integer widths, at least one."""
     return [int(part) for part in value.split(",")]
+
+
+def batch_count(value: str) -> int:
+    """``parity``'s batch count: an integer of at least 1."""
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"batch count must be >= 1, got {count}")
+    return count
 
 
 def _train_config(args) -> TrainConfig:
@@ -364,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="IDX image file")
     p = command("parity", cmd_parity, "training emulation vs integer engine",
                 ["model", "k", "seed"])
-    p.add_argument("batches", nargs="?", type=int, default=20)
+    p.add_argument("batches", nargs="?", type=batch_count, default=20)
     return parser
 
 

@@ -74,7 +74,7 @@ class LayerErrorReport:
 
 def _exact_mismatch(r: DyadicRescaler) -> Fraction:
     """|M_q - M| as an exact rational."""
-    return abs(Fraction(r.m, 1 << r.s) - Fraction(float(r.real_value)))
+    return abs(Fraction(r.m, 1 << r.s) - Fraction(r.real_value))
 
 
 def rescale_error_decompose(a_q: int, r: DyadicRescaler, s_y: float) -> RescaleError:
@@ -89,7 +89,7 @@ def rescale_error_decompose(a_q: int, r: DyadicRescaler, s_y: float) -> RescaleE
     """
     a_q = int(a_q)
     m_q = Fraction(r.m, 1 << r.s)
-    m_exact = Fraction(float(r.real_value))
+    m_exact = Fraction(r.real_value)
     s_y_exact = Fraction(float(s_y))
     y_int = multiply_by_quantized_multiplier(a_q, r)
     delta = y_int - a_q * m_q

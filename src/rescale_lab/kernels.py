@@ -8,15 +8,14 @@ is an integer the float type holds: float32 when both operands are int8
 and the MAC count N has N * 2**14 <= 2**24, float64 otherwise (partial
 sums below 2**30, far under 2**53).  conv2d builds its im2col matrix
 tap-major, one strided copy (with the cast) per layer into (kh, kw, c)
-planes of (n, oh, ow), and hands BLAS its transpose.  The bias is added in
-int32 once the int32 envelope check has proven that it cannot wrap; the
-rescaling stage runs in place on one int64 buffer, which is clamped
-straight into int8 before the output zero point is added in int8.  The
-same MAC core (:func:`accumulate`, the one check of every MAC's operands,
-and :func:`window_sum`) also serves the training emulation and the float
-reference network, and the emulation runs its exact float64 accumulators
-through this module's :func:`check_envelope` and
-:func:`rescale_accumulator`.
+planes of (n, oh, ow), and hands BLAS its transpose.  The MAC core
+(:func:`accumulate`, the one check of every MAC's operands, and
+:func:`window_sum`) also serves the training emulation and the float
+reference network, and the emulation shares every stage after it:
+:func:`add_bias` (the int32 envelope check, then the bias add),
+:func:`rescale_accumulator` (in place on one int64 buffer) and
+:func:`output_bounds` (the clamp and zero point; the engine clamps
+straight into int8 and adds the zero point in int8).
 """
 
 from __future__ import annotations
@@ -291,24 +290,25 @@ def _channel_rows(a: np.ndarray, *vectors: np.ndarray):
                   for v in vectors]
 
 
-def check_envelope(acc: np.ndarray, b_eff: np.ndarray) -> None:
-    """Raise if any ``acc + b_eff`` (bias along the last axis) leaves int32.
-
-    ``acc`` may be integer or integer-valued float (the emulation's MAC).
-    Whole-tensor extremes give a cheap conservative bound; only when it
-    fails are the channels decided one by one.
-    """
-    if acc.size == 0:
-        return
-    b_eff = b_eff.astype(np.int64)
-    if (int(acc.max()) + int(b_eff.max()) <= INT32_MAX
-            and int(acc.min()) + int(b_eff.min()) >= INT32_MIN):
-        return
-    per_channel = acc.reshape(-1, acc.shape[-1])
-    hi = per_channel.max(axis=0).astype(np.int64) + b_eff
-    lo = per_channel.min(axis=0).astype(np.int64) + b_eff
-    if np.any(hi > INT32_MAX) or np.any(lo < INT32_MIN):
-        raise OverflowEnvelopeError("accumulator left the int32 envelope")
+def add_bias(acc: np.ndarray, bias: np.ndarray, dtype: type) -> np.ndarray:
+    """``acc + bias`` (bias along the last axis) in ``dtype``: int32 for the
+    engine, float64 for the emulation, whose integer-valued float ``acc``
+    is added to in place.  Raises OverflowEnvelopeError first if any sum
+    leaves int32: whole-tensor extremes give a cheap conservative bound,
+    and only when it fails are the channels decided one by one."""
+    bias = np.asarray(bias)
+    b64 = bias.astype(np.int64)
+    if acc.size and not (int(acc.max()) + int(b64.max()) <= INT32_MAX
+                         and int(acc.min()) + int(b64.min()) >= INT32_MIN):
+        per_channel = acc.reshape(-1, acc.shape[-1])
+        hi = per_channel.max(axis=0).astype(np.int64) + b64
+        lo = per_channel.min(axis=0).astype(np.int64) + b64
+        if np.any(hi > INT32_MAX) or np.any(lo < INT32_MIN):
+            raise OverflowEnvelopeError("accumulator left the int32 envelope")
+    out = acc.astype(dtype, copy=False)
+    rows, (b_rows,) = _channel_rows(out, bias)
+    rows += b_rows
+    return out
 
 
 def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
@@ -319,14 +319,8 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
     if mac_count(w.data) > MAX_MAC_COUNT:
         raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
     acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
-    b_eff = np.asarray(b_eff)
-    check_envelope(acc, b_eff)
-    # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32, and the check above
-    # proved that adding the bias cannot wrap.
-    out = acc.astype(np.int32)
-    rows, (b_rows,) = _channel_rows(out, b_eff)
-    rows += b_rows
-    return out
+    # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32.
+    return add_bias(acc, b_eff, np.int32)
 
 
 def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
@@ -442,27 +436,31 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
-def layer_forward_int(x: QTensor, layer: "LayerSpec") -> QTensor:
-    """Run one layer of the integer engine at the width its rescalers carry.
+def output_bounds(layer: "LayerSpec") -> tuple[int, int, int]:
+    """The output stage of a rescaled layer: clamp bounds ``(lo, hi)`` and
+    the zero point ``z`` added to the rescaled accumulator.  Weighted
+    layers clamp to their activation and add their output zero point;
+    avgpool clamps to int8 and adds 0, as its window sums already carry the
+    zero point."""
+    if layer.kind == "avgpool":
+        return INT8_MIN, INT8_MAX, 0
+    return (*activation_clamp(layer.activation, layer.output), layer.output.zero_point)
 
-    Weighted layers end with rescale, zero-point add, and activation clamp;
-    avgpool rescales its window sums by the dyadic encoding of 1/area and
-    keeps the input's quantization parameters.
-    """
+
+def layer_forward_int(x: QTensor, layer: "LayerSpec") -> QTensor:
+    """Run one layer of the integer engine at the width its rescalers carry:
+    accumulator, rescale, then the zero-point add and clamp of
+    :func:`output_bounds`.  avgpool's rescaler is the dyadic encoding of
+    1/area, and its output parameters are its input's."""
     if layer.kind == "flatten":
         return QTensor(flatten(x.data), x.qparams)
     m, s = rescaler_vectors(layer)
-    acc = layer_accumulator(x, layer)
-    shifted = rescale_accumulator(acc, m, s)
-    out = np.empty(shifted.shape, np.int8)
-    if layer.kind == "avgpool":
-        np.clip(shifted, INT8_MIN, INT8_MAX, out=out, casting="unsafe")
-        return QTensor(out, x.qparams)
+    shifted = rescale_accumulator(layer_accumulator(x, layer), m, s)
     # Clamp to [lo - z, hi - z] and cast to int8 in one pass, then add the
     # zero point z in int8: the cast may wrap, but v + z lies in [lo, hi]
     # inside int8, so the wrapped sum is exact (two's complement).
-    z = layer.output.zero_point
-    lo, hi = activation_clamp(layer.activation, layer.output)
+    lo, hi, z = output_bounds(layer)
+    out = np.empty(shifted.shape, np.int8)
     np.clip(shifted, lo - z, hi - z, out=out, casting="unsafe")
     out += np.int8(z)
     return QTensor(out, layer.output)

@@ -106,8 +106,7 @@ class DyadicRescaler:
         return math.ldexp(self.m, -self.s)
 
     def validate(self) -> None:
-        if not MIN_BITWIDTH <= self.k <= MAX_BITWIDTH:
-            raise DomainError(f"bit-width k={self.k} outside [2, 32]")
+        check_bitwidth(self.k)
         if not 1 <= self.s <= shift_budget(self.k):
             raise DomainError(
                 f"shift s={self.s} outside [1, {shift_budget(self.k)}] for k={self.k}"
@@ -178,7 +177,8 @@ def quantize_rescaler(value: float, k: int, *, on_underflow: str = "error") -> D
     m = mant53 >> (53 - k)
     s = (k - 1) - decomposed.exponent
     budget = shift_budget(k)
-    if s > budget:
+    underflowed = s > budget
+    if underflowed:
         if on_underflow == "error":
             raise RescalerUnderflow(
                 f"multiplier {value!r} needs shift {s} > budget {budget} at k={k}"
@@ -189,10 +189,9 @@ def quantize_rescaler(value: float, k: int, *, on_underflow: str = "error") -> D
             stacklevel=2,
         )
         m >>= s - budget
-        rescaler = DyadicRescaler(m=m, s=budget, k=k, real_value=value, underflowed=True)
-        rescaler.validate()
-        return rescaler
-    rescaler = DyadicRescaler(m=m, s=s, k=k, real_value=value)
+        s = budget
+    rescaler = DyadicRescaler(m=m, s=s, k=k, real_value=float(value),
+                              underflowed=underflowed)
     rescaler.validate()
     return rescaler
 

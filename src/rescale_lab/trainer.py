@@ -6,11 +6,12 @@ The emulated forward runs fake-quantized weights through the engine's own
 stages.  It accumulates in float64 over the zero-point-corrected input
 ``x - z``, which equals the engine's MAC plus effective bias; every partial
 sum is an integer below 2**31, so the MAC is exact.  Everything after the
-MAC is the engine's code: :func:`kernels.check_envelope` on the MAC and the
-bias, then :func:`kernels.rescale_accumulator` (int64) on the accumulator,
-with the zero-point add and clamps back in float64.  Its outputs are
-therefore bit-identical to the integer engine — training sees precisely
-the numbers deployment will produce.
+MAC is the engine's code, one path for weighted layers and avgpool alike:
+:func:`kernels.add_bias` (the envelope check and the bias add), then
+:func:`kernels.rescale_accumulator` (int64) on the accumulator, then the
+zero-point add and clamp of :func:`kernels.output_bounds` back in float64.
+Its outputs are therefore bit-identical to the integer engine — training
+sees precisely the numbers deployment will produce.
 
 Backward passes use the straight-through estimator: rounding nodes have
 derivative one, saturation nodes pass gradient only inside their clamp
@@ -37,11 +38,11 @@ from .kernels import (
     INT8_MIN,
     _channel_rows,
     accumulate,
-    activation_clamp,
-    check_envelope,
+    add_bias,
     dequantize_real,
     evaluate_int,
     flatten,
+    output_bounds,
     quantize_real,
     rescale_accumulator,
     rescaler_vectors,
@@ -128,15 +129,6 @@ def _mac(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict]:
                  "stride": layer.stride, "w_fq": w}
 
 
-def _rescale(acc: np.ndarray, m: np.ndarray, s: np.ndarray,
-             rounding: bool) -> np.ndarray:
-    """The engine's rescale of an exact accumulator, returned in float64;
-    without rounding, the smooth surrogate ``acc * M_q`` clipped to int32."""
-    if rounding:
-        return rescale_accumulator(acc, m, s).astype(np.float64)
-    return np.clip(acc * (m / np.exp2(s)), _INT32_LO, _INT32_HI)
-
-
 def emulated_forward(
     shadow: ShadowModel, x_q: np.ndarray, rounding: bool = True
 ) -> tuple[np.ndarray, list[dict]]:
@@ -156,49 +148,37 @@ def emulated_forward(
             cache.append({"kind": "flatten", "in_shape": x.shape})
             x = flatten(x)
             continue
-        m, s = rescaler_vectors(layer)
-
         if layer.kind == "avgpool":
-            shifted = _rescale(window_sum(x, layer.window), m, s, rounding)
-            out = np.clip(shifted, INT8_MIN, INT8_MAX)
-            cache.append({
-                "kind": "avgpool",
-                "window": layer.window,
-                "in_shape": x.shape,
-                "factor": layer.rescalers[0].quantized_value,
-                "mask": out == shifted,
-            })
-            x = out
-            continue
-
-        # Weighted layer: fake-quantize parameters, MAC, rescale, clamp.
-        # In surrogate mode the rounding is removed, leaving only the clamp.
-        w_shadow = shadow.weights[idx]
-        b_shadow = shadow.biases[idx]
-        if rounding:
-            w_fq = fake_quantize_weights(w_shadow)
-            b_fq = fake_quantize_biases(b_shadow)
+            acc = window_sum(x, layer.window)
+            entry = {"kind": "avgpool", "window": layer.window, "in_shape": x.shape}
         else:
-            w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
-            b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
-        # The MAC over the zero-point-corrected input is exactly the engine's
-        # MAC plus effective bias.
-        x = x - layer_input_params(model, idx).zero_point
-        acc, entry = _mac(layer, x, w_fq)
-        check_envelope(acc, b_fq)
-        rows, (b_rows,) = _channel_rows(acc, b_fq)
-        rows += b_rows
-
-        lo, hi = activation_clamp(layer.activation, layer.output)
-        raw = _rescale(acc, m, s, rounding)
-        raw += layer.output.zero_point
+            # Fake-quantize the parameters; in surrogate mode the rounding
+            # is removed, leaving only the clamp.
+            w_shadow = shadow.weights[idx]
+            b_shadow = shadow.biases[idx]
+            if rounding:
+                w_fq = fake_quantize_weights(w_shadow)
+                b_fq = fake_quantize_biases(b_shadow)
+            else:
+                w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
+                b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
+            # The MAC over the zero-point-corrected input is exactly the
+            # engine's MAC plus effective bias.
+            x = x - layer_input_params(model, idx).zero_point
+            acc, entry = _mac(layer, x, w_fq)
+            acc = add_bias(acc, b_fq, np.float64)
+            entry.update(w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
+                         b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI))
+        # The engine's rescale, or the smooth surrogate ``acc * M_q``
+        # clipped to int32; then its zero-point add and clamp.
+        m, s = rescaler_vectors(layer)
+        factor = m / np.exp2(s)
+        raw = (rescale_accumulator(acc, m, s).astype(np.float64) if rounding
+               else np.clip(acc * factor, _INT32_LO, _INT32_HI))
+        lo, hi, z = output_bounds(layer)
+        raw += z
         x = np.clip(raw, lo, hi)
-        entry.update(
-            w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
-            b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI),
-            factor=np.array([r.quantized_value for r in layer.rescalers]),
-            mask=x == raw,  # inside the clamp range
-        )
+        entry.update(factor=factor, mask=x == raw)  # inside the clamp range
         cache.append(entry)
     return x, cache
 
@@ -216,10 +196,10 @@ class Gradients:
 
 def _through_nodes(g: np.ndarray, mask, factor) -> np.ndarray:
     """The gradient through a clamp node (``mask``) and then a rescale node
-    (``factor``: one scalar, or M_q per channel along the last axis, applied
-    over channel-tiled rows).  Float training's identity nodes, ``True``
-    and ``1.0``, are skipped, so the result may be ``g`` itself; only fresh
-    arrays are written in place."""
+    (``factor``: one scalar, or M_q per channel along the last axis, one
+    entry for avgpool, applied over channel-tiled rows).  Float training's
+    identity nodes, ``True`` and ``1.0``, are skipped, so the result may be
+    ``g`` itself; only fresh arrays are written in place."""
     if np.ndim(factor) == 0:
         if mask is not True:
             g = g * mask
@@ -305,8 +285,7 @@ def ste_backward(cache: list[dict], grad_out: np.ndarray) -> Gradients:
         if kind == "flatten":
             g = g.reshape(entry["in_shape"])
             continue
-        # Clamp node, then rescale node: exactly M_q (per channel for
-        # weighted layers).
+        # Clamp node, then rescale node: exactly M_q per channel.
         g = _through_nodes(g, entry["mask"], entry["factor"])
         if kind == "avgpool":
             w_h, w_w = entry["window"]

@@ -314,6 +314,14 @@ class TestParity:
         assert code == EXIT_OK
         assert "PASS" in out
 
+    @pytest.mark.parametrize("batches", ["0", "-3"])
+    def test_batch_count_below_one_is_usage_error(self, model_path, batches, capsys):
+        code = main(["parity", "--model", model_path, "--k", "4", "--", batches])
+        captured = capsys.readouterr()
+        assert "batch count must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+        assert code == EXIT_USAGE
+
     def test_desk_input_is_28_by_28(self, model_path):
         assert cli.parity_input_shape(load_model(model_path)) == (28, 28, 1)
 
@@ -438,6 +446,26 @@ class TestExitCodes:
                      "--out", str(path / "float.npz")])
         assert "payload" in capsys.readouterr().err
         assert code == EXIT_FORMAT
+
+    @pytest.mark.usefixtures("no_training")
+    @pytest.mark.parametrize("command", ["train-float", "finetune"])
+    def test_label_past_nine_is_format_error(self, command, model_path, data_dir,
+                                             tmp_path_factory, tmp_path, capsys):
+        # One train label of 200 used to reach the loss as an IndexError.
+        path = tmp_path_factory.mktemp("label-200")
+        src, dst = datagen.dataset_paths(data_dir), datagen.dataset_paths(str(path))
+        for name in src:
+            shutil.copy(src[name], dst[name])
+        (_, labels), _ = datagen.load_dataset(data_dir)
+        labels = labels.copy()
+        labels[17] = 200
+        save_idx_labels(dst["train_labels"], labels)
+        out = tmp_path / "out"
+        code = main(_training_argv(command, str(path), model_path, out))
+        err = capsys.readouterr().err
+        assert dst["train_labels"] in err and "label 200 at index 17" in err
+        assert code == EXIT_FORMAT
+        assert not out.exists()
 
     def test_out_of_range_width_is_numeric_error(self, model_path, data_dir,
                                                  capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,12 @@ class TestQuantizeRescaler:
     def test_frozen_quantized_values(self):
         assert quantize_rescaler(0.1, 8).quantized_value == 0.099609375
         assert quantize_rescaler(0.1, 4).quantized_value == 0.09375
+
+    def test_real_value_is_a_python_float(self):
+        # Exact for binary32 input, and the error model reads it as is.
+        r = quantize_rescaler(np.float32(0.3), 8)
+        assert type(r.real_value) is float
+        assert r.real_value == float(np.float32(0.3))
 
     @pytest.mark.parametrize("value,k", [(0.1, 8), (0.1, 4), (0.7, 5), (0.03, 16)])
     def test_matches_exhaustive_search(self, value, k):
@@ -226,6 +233,10 @@ class TestDyadicRescalerValidation:
     def test_shift_budget_enforced(self):
         with pytest.raises(DomainError):
             DyadicRescaler(m=128, s=33, k=8, real_value=2.0**-26).validate()
+
+    def test_non_int_width_is_domain_error(self):
+        with pytest.raises(DomainError, match="must be an int"):
+            DyadicRescaler(m=2, s=1, k=2.0, real_value=1.0).validate()
 
     def test_quantized_above_real_rejected(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rescale_lab import floatnet, kernels, model_io, trainer
 from rescale_lab.errors import DomainError, OverflowEnvelopeError, ShapeError
@@ -652,6 +654,104 @@ class TestBackwardAgainstOracle:
                 scale = np.abs(ref).max()
                 assert scale > 0, (idx, layer.kind)
                 assert np.abs(mine - ref).max() <= 1e-12 * scale, (idx, layer.kind)
+
+
+@st.composite
+def small_graph_specs(draw):
+    """Plain-value specs of small valid graphs: an input shape, up to three
+    conv2d, depthwise or avgpool layers (stride 1-2, SAME or VALID,
+    none/relu/relu6, windows that divide the map, non-powers of two
+    included), then flatten and dense, at a width k in 2..32.  The seed
+    draws the weights, biases, scales and zero points."""
+    h, w, c = draw(st.integers(3, 9)), draw(st.integers(3, 9)), draw(st.integers(1, 3))
+    spec = {"k": draw(st.integers(2, 32)), "seed": draw(st.integers(0, 2**32 - 1)),
+            "in_shape": (h, w, c), "layers": [], "classes": draw(st.integers(1, 4))}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["conv2d", "depthwise", "avgpool"]))
+        if kind == "avgpool":
+            window = tuple(draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+                           for n in (h, w))
+            spec["layers"].append(("avgpool", window))
+            h, w = h // window[0], w // window[1]
+            continue
+        kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        fits = kernel[0] <= h and kernel[1] <= w
+        padding = draw(st.sampled_from(["SAME", "VALID"] if fits else ["SAME"]))
+        c = draw(st.integers(1, 4)) if kind == "conv2d" else c
+        spec["layers"].append((kind, c, kernel, stride, padding,
+                               draw(st.sampled_from(["none", "relu", "relu6"]))))
+        h, w, _ = kernels._conv_geometry((1, h, w, c), *kernel, stride, padding)
+    return spec
+
+
+def _random_qparams(rng):
+    return QuantParams(float(rng.uniform(0.02, 0.2)), int(rng.integers(-128, 128)))
+
+
+def graph_from_spec(spec):
+    """The validated ModelGraph a :func:`small_graph_specs` spec describes."""
+    rng = np.random.default_rng(spec["seed"])
+    k, (h, w, c) = spec["k"], spec["in_shape"]
+    in_qp = qp = _random_qparams(rng)
+    layers = []
+    for kind, *rest in spec["layers"]:
+        if kind == "avgpool":
+            (window,) = rest
+            layers.append(LayerSpec(kind="avgpool", window=window, output=qp,
+                                    rescalers=[quantize_rescaler(1.0 / math.prod(window), k)]))
+            h, w = h // window[0], w // window[1]
+            continue
+        channels, kernel, stride, padding, activation = rest
+        shape = (channels, *kernel, c) if kind == "conv2d" else (*kernel, c)
+        out_qp = _random_qparams(rng)
+        layers.append(_weighted_layer(rng, k, kind, shape, qp, out_qp, activation,
+                                      stride, padding))
+        qp, c = out_qp, channels
+        h, w, _ = kernels._conv_geometry((1, h, w, c), *kernel, stride, padding)
+    layers.append(LayerSpec(kind="flatten", output=qp))
+    layers.append(_weighted_layer(rng, k, "dense", (spec["classes"], h * w * c), qp,
+                                  _random_qparams(rng), "none", (1, 1), "VALID"))
+    model = ModelGraph(name="random", input_params=in_qp, layers=layers)
+    validate_model(model)
+    return model
+
+
+class TestRandomGraphs:
+    """On small random graphs of every layer kind: engine and emulation
+    agree bit for bit, the backward matches the einsum reference, and each
+    rescaled layer's cached factor is exactly its rescalers' M_q."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_graph_specs())
+    # A single-channel avgpool over a 3x3 window: its 1-entry factor meets
+    # channel-tiled rows of length 1.
+    @example(spec={"k": 2, "seed": 1, "in_shape": (6, 9, 1), "layers": [("avgpool", (3, 3))],
+                   "classes": 3})
+    @example(spec={"k": 5, "seed": 2, "in_shape": (6, 6, 2), "classes": 2, "layers": [
+        ("depthwise", 2, (3, 3), (1, 1), "SAME", "relu6"), ("avgpool", (3, 2)),
+        ("conv2d", 3, (2, 2), (2, 2), "VALID", "relu")]})
+    def test_parity_backward_and_factors(self, spec):
+        model = graph_from_spec(spec)
+        rng = np.random.default_rng(spec["seed"])
+        x = rng.integers(-128, 128, size=(3, *spec["in_shape"])).astype(np.int8)
+        logits, cache = emulated_forward(init_shadow(model), x)
+        assert np.array_equal(run_model_int(model, x).astype(np.float64), logits)
+
+        for layer, entry in zip(model.layers, cache):
+            if layer.kind != "flatten":
+                want = [r.quantized_value for r in layer.rescalers]
+                assert entry["factor"].dtype == np.float64
+                assert entry["factor"].tolist() == want, layer.kind
+
+        grad = rng.standard_normal(logits.shape)
+        got = ste_backward(cache, grad)
+        ref_w, ref_b = oracle_ste_backward(cache, grad)
+        for mine, ref in zip(got.weights + got.biases, ref_w + ref_b):
+            assert (mine is None) == (ref is None)
+            if ref is not None:
+                assert mine.shape == ref.shape
+                assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBackwardLeavesInputsAlone:
