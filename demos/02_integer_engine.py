@@ -57,12 +57,13 @@ print(f"real logits of sample 0: "
 print(f"argmax per sample: {logits_q.argmax(axis=1)}\n")
 
 # ---------------------------------------------------------------------------
-# 3. Output parity with the float64 emulation
+# 3. Output parity with the float emulation
 # ---------------------------------------------------------------------------
-# The trainer runs the MAC in float64 (every partial sum is an exact
-# integer) so gradients can flow, then hands the accumulator to the
-# engine's own envelope check and integer rescale.  The contract is
-# bit-identical outputs, not approximately-equal outputs.
+# The trainer runs the MAC in floats (float32 where a static bound proves
+# every partial sum an exact integer, float64 elsewhere) so gradients can
+# flow, then hands the accumulator to the engine's own envelope check and
+# rescale.  The contract is bit-identical outputs, not approximately-equal
+# outputs.
 
 shadow = init_shadow(qmodel)
 emulated, _ = emulated_forward(shadow, x)

@@ -5,7 +5,7 @@ int8 inference: constructing k-bit dyadic multipliers from binary64
 scales, running an integer-only engine with those multipliers, modeling
 exactly how much error the rescaling stage injects, and recovering lost
 accuracy with a fine-tuning pass that trains through a bit-exact
-float64 emulation of the integer path.
+float emulation of the integer path.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 All layer arithmetic happens on integers: int8 tensors in, a 32-bit
 accumulator per output element, then a dyadic rescale back to int8.
-The multiply-accumulate stage runs in floats for speed (matmuls, and one
-multiply-add per tap for depthwise) and is exact because every partial sum
-is an integer the float type holds: float32 when both operands are int8
-and the MAC count N has N * 2**14 <= 2**24, float64 otherwise (partial
+Where floats do integer work, :func:`exact_float_type` picks the type
+from a static bound on the integers involved: float32 when every one has
+magnitude <= 2**24, float64 up to 2**53.  The multiply-accumulate stage
+runs in floats for speed (matmuls, and one multiply-add per tap for
+depthwise): float32 when the MAC count N times the largest product
+(2**14 for two int8 operands) is <= 2**24, float64 otherwise (partial
 sums below 2**30, far under 2**53).  conv2d builds its im2col matrix
 tap-major, one strided copy (with the cast) per layer into (kh, kw, c)
 planes of (n, oh, ow), and hands BLAS its transpose.  The MAC core
@@ -13,9 +15,11 @@ planes of (n, oh, ow), and hands BLAS its transpose.  The MAC core
 :func:`window_sum`) also serves the training emulation and the float
 reference network, and the emulation shares every stage after it:
 :func:`add_bias` (the int32 envelope check, then the bias add),
-:func:`rescale_accumulator` (in place on one int64 buffer) and
-:func:`output_bounds` (the clamp and zero point; the engine clamps
-straight into int8 and adds the zero point in int8).
+:func:`rescale_accumulator` (int64 for the engine, a float type the bound
+proves exact for the emulation where there is one) and
+:func:`output_bounds` (the clamp and zero point; the engine rescales and
+clamps a block of images at a time straight into int8 and adds the zero
+point in int8).
 """
 
 from __future__ import annotations
@@ -36,6 +40,23 @@ if TYPE_CHECKING:  # pragma: no cover
 # A layer may accumulate at most this many products per output element;
 # together with int8 operand bounds it keeps |acc| < 2**31.
 MAX_MAC_COUNT = 1 << 16
+# The largest magnitude of a product of two int8 values: 128 * 128.
+INT8_PRODUCT = 1 << 14
+# Images the engine rescales at once, which caps the int64 buffer of
+# rescale_accumulator at one block however large the batch.
+RESCALE_BLOCK = 32
+
+
+def exact_float_type(bound: int) -> type | None:
+    """The narrowest float type that holds every integer of magnitude <=
+    ``bound`` exactly: float32 up to 2**24, float64 up to 2**53, None past
+    that.  Sums, products and power-of-two scalings whose exact results
+    stay within the bound are then exact in that type, in any order."""
+    if bound <= 1 << 24:
+        return np.float32
+    if bound <= 1 << 53:
+        return np.float64
+    return None
 
 
 @dataclass
@@ -185,29 +206,30 @@ def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     return out_h, out_w, (pad_t, pad_b, pad_l, pad_r)
 
 
-def _mac_dtype(x: np.ndarray, w: np.ndarray) -> type:
-    """The float type one layer's MAC runs in, from the operand dtypes and
-    the static MAC count.
+def _mac_dtype(x: np.ndarray, w: np.ndarray, product_bound: int | None) -> type:
+    """The float type one layer's MAC runs in, from the static MAC count and
+    ``product_bound``, the largest ``|x * w|`` of integer-valued operands
+    (two int8 operands imply :data:`INT8_PRODUCT`).
 
-    int8 x int8 products are at most 2**14 in magnitude, so with
-    ``mac_count * 2**14 <= 2**24`` every partial sum is an integer of
-    magnitude <= 2**24, which float32 holds exactly in any summation order.
-    Everything else runs in float64: wider int8 layers (partial sums below
-    2**30, far under 2**53) and float operands, whose bits stay as before.
+    Every partial sum is then an integer of magnitude <= ``mac_count *
+    product_bound``, so :func:`exact_float_type` of that reach is exact in
+    any summation order.  Real operands (no bound) run in float64.
     """
-    if (x.dtype == np.int8 and w.dtype == np.int8
-            and mac_count(w) << 14 <= 1 << 24):
-        return np.float32
-    return np.float64
+    if product_bound is None and x.dtype == np.int8 and w.dtype == np.int8:
+        product_bound = INT8_PRODUCT
+    if product_bound is None:
+        return np.float64
+    return exact_float_type(mac_count(w) * product_bound) or np.float64
 
 
 # Operand ranks (x, w) of each layer kind with a multiply-accumulate.
 _MAC_RANKS = {"dense": (2, 2), "conv2d": (4, 4), "depthwise": (4, 3)}
 
 
-def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
+def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0,
+               product_bound=None):
     """The multiply-accumulate of one layer, without bias, in the float type
-    :func:`_mac_dtype` picks.
+    :func:`_mac_dtype` picks from ``product_bound``.
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
     :func:`channel_axis`; SAME padding fills with ``pad_value``.  An unknown
@@ -227,7 +249,7 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
     if (x.ndim, w.ndim) != ranks or x.shape[-1] != w.shape[-1]:
         raise ShapeError(f"{kind} takes x and weights of ranks {ranks} sharing the "
                          f"last axis, got {x.shape} and {w.shape}")
-    dtype = _mac_dtype(x, w)
+    dtype = _mac_dtype(x, w, product_bound)
     w = w.astype(dtype, copy=False)
     if kind == "dense":
         return x.astype(dtype, copy=False) @ w.T, x, None
@@ -252,9 +274,11 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0):
         n, oh, ow, c = cols.shape[:4]
         w_rows = np.tile(w, (1, 1, ow))
         acc = np.zeros((n, oh, ow * c), dtype)
+        prod = np.empty_like(acc)
         for i in range(k_h):
             for j in range(k_w):
-                acc += cols[..., i, j].reshape(n, oh, ow * c) * w_rows[i, j]
+                np.multiply(cols[..., i, j].reshape(n, oh, ow * c), w_rows[i, j], out=prod)
+                acc += prod
         acc = acc.reshape(n, oh, ow, c)
     return acc, cols, pads
 
@@ -290,23 +314,39 @@ def _channel_rows(a: np.ndarray, *vectors: np.ndarray):
                   for v in vectors]
 
 
-def add_bias(acc: np.ndarray, bias: np.ndarray, dtype: type) -> np.ndarray:
+def accumulator_reach(w: np.ndarray, product_bound: int, bias: np.ndarray) -> int:
+    """A static bound on ``|MAC + bias|`` of one layer: its MAC count times
+    the largest product magnitude, plus the largest bias magnitude."""
+    return (mac_count(w) * product_bound
+            + int(np.abs(np.asarray(bias, np.float64)).max(initial=0.0)))
+
+
+def add_bias(acc: np.ndarray, bias: np.ndarray, reach: int | None,
+             dtype: type | None = None) -> np.ndarray:
     """``acc + bias`` (bias along the last axis) in ``dtype``: int32 for the
-    engine, float64 for the emulation, whose integer-valued float ``acc``
-    is added to in place.  Raises OverflowEnvelopeError first if any sum
-    leaves int32: whole-tensor extremes give a cheap conservative bound,
-    and only when it fails are the channels decided one by one."""
+    engine; by default the float type :func:`exact_float_type` gives
+    ``reach``, a static bound on ``|acc + bias|`` (float64 without one), in
+    place when the integer-valued float ``acc`` already has that type.
+    Raises OverflowEnvelopeError first if any sum leaves int32: a reach
+    within int32 proves the envelope at no cost; otherwise whole-tensor
+    extremes give a cheap conservative bound, and only when it fails are
+    the channels decided one by one."""
     bias = np.asarray(bias)
     b64 = bias.astype(np.int64)
-    if acc.size and not (int(acc.max()) + int(b64.max()) <= INT32_MAX
-                         and int(acc.min()) + int(b64.min()) >= INT32_MIN):
+    if acc.size and (reach is None or reach > INT32_MAX) and not (
+            int(acc.max()) + int(b64.max()) <= INT32_MAX
+            and int(acc.min()) + int(b64.min()) >= INT32_MIN):
         per_channel = acc.reshape(-1, acc.shape[-1])
         hi = per_channel.max(axis=0).astype(np.int64) + b64
         lo = per_channel.min(axis=0).astype(np.int64) + b64
         if np.any(hi > INT32_MAX) or np.any(lo < INT32_MIN):
             raise OverflowEnvelopeError("accumulator left the int32 envelope")
+    if dtype is None:
+        dtype = np.float64 if reach is None else exact_float_type(reach) or np.float64
     out = acc.astype(dtype, copy=False)
-    rows, (b_rows,) = _channel_rows(out, bias)
+    # The bias is cast to the sum's type first (exact: |bias| <= reach), so
+    # the in-place add runs in one type.
+    rows, (b_rows,) = _channel_rows(out, bias.astype(dtype, copy=False))
     rows += b_rows
     return out
 
@@ -320,7 +360,7 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
         raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
     acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
     # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32.
-    return add_bias(acc, b_eff, np.int32)
+    return add_bias(acc, b_eff, accumulator_reach(w.data, INT8_PRODUCT, b_eff), np.int32)
 
 
 def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:
@@ -356,37 +396,59 @@ def depthwise_conv2d_int(
 
 
 def rescale_accumulator(
-    acc: np.ndarray, m: np.ndarray, s: np.ndarray
+    acc: np.ndarray, m: np.ndarray, s: np.ndarray, reach: int = 1 << 31
 ) -> np.ndarray:
     """Vectorized round-half-up rescale of int32 accumulators by per-channel
     dyadic multipliers, saturated to int32: ``floor((acc*m + 2**(s-1)) /
     2**s)``.
 
     ``acc`` must lie in int32; it may be integer or integer-valued float
-    (the emulation passes its exact float64 accumulator).  ``m`` and ``s``
-    broadcast against the trailing (channel) axis.  The rescale runs in
-    place on one int64 buffer.  The product cannot wrap (|acc| <= 2**31,
-    m < 2**32).  Adding the half step to it cannot either while
-    ``2**31 * max(m) + 2**(max(s)-1) < 2**63``, which holds for every width
-    below 32; otherwise the shift goes in two steps, as
-    ``((acc*m >> (s-1)) + 1) >> 1`` is the same floor.  When every channel
-    has ``m <= 2**s`` (``M_q <= 1``) each result lies between 0 and its
-    accumulator, so the saturation runs only when some ``m > 2**s``.
+    (the emulation passes its exact float accumulator).  ``m`` and ``s``
+    broadcast against the trailing (channel) axis.  ``reach`` is a static
+    bound on ``|acc|``, the int32 envelope by default, and ``reach *
+    max(m) + 2**(max(s)-1)`` bounds the numerator.
+
+    Float input runs as ``floor(acc * M_q + 0.5)`` in the float type
+    :func:`exact_float_type` gives that bound, and returns that type:
+    ``acc * m`` and the numerator are integers within it, so the product,
+    the half step (``2**(s-1)`` over ``2**s``) and the floor are exact.
+
+    Integer input, and float input past 2**53, run in place on one int64
+    buffer, and give int64 and float64.  The product cannot wrap (|acc| <=
+    2**31, m < 2**32).  Adding the half step to it cannot either while the
+    bound is below 2**63, which holds for every width below 32; otherwise
+    the shift goes in two steps, as ``((acc*m >> (s-1)) + 1) >> 1`` is the
+    same floor.
+
+    When every channel has ``m <= 2**s`` (``M_q <= 1``) each result lies
+    between 0 and its accumulator, so the saturation runs only when some
+    ``m > 2**s``.
     """
     m = np.asarray(m, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
-    out = np.empty(acc.shape, np.int64)
-    rows, (m64, s64) = _channel_rows(out, m, s)
-    # Cast to int64 and multiply in one pass.
-    np.multiply(acc.reshape(rows.shape), m64, out=rows, dtype=np.int64,
-                casting="unsafe")
-    if (int(m.max()) << 31) + (1 << (int(s.max()) - 1)) < 1 << 63:
-        rows += np.left_shift(1, s64 - 1)
-        rows >>= s64
+    bound = reach * int(m.max()) + (1 << (int(s.max()) - 1))
+    dtype = exact_float_type(bound) if acc.dtype.kind == "f" else None
+    if dtype is not None:
+        out = np.empty(acc.shape, dtype)
+        rows, (q_rows,) = _channel_rows(out, np.ldexp(m.astype(dtype), -s))
+        np.multiply(acc.reshape(rows.shape), q_rows, out=rows, dtype=dtype)
+        rows += 0.5
+        np.floor(rows, out=rows)
     else:
-        rows >>= s64 - 1
-        rows += 1
-        rows >>= 1
+        out = np.empty(acc.shape, np.int64)
+        rows, (m64, s64) = _channel_rows(out, m, s)
+        # Cast to int64 and multiply in one pass.
+        np.multiply(acc.reshape(rows.shape), m64, out=rows, dtype=np.int64,
+                    casting="unsafe")
+        if bound < 1 << 63:
+            rows += np.left_shift(1, s64 - 1)
+            rows >>= s64
+        else:
+            rows >>= s64 - 1
+            rows += 1
+            rows >>= 1
+        if acc.dtype.kind == "f":
+            out = out.astype(np.float64)
     if np.all(m <= np.ldexp(1.0, s)):  # exact: m < 2**53, 2**s a power of two
         return out
     return np.clip(out, INT32_MIN, INT32_MAX, out=out)
@@ -455,13 +517,17 @@ def layer_forward_int(x: QTensor, layer: "LayerSpec") -> QTensor:
     if layer.kind == "flatten":
         return QTensor(flatten(x.data), x.qparams)
     m, s = rescaler_vectors(layer)
-    shifted = rescale_accumulator(layer_accumulator(x, layer), m, s)
-    # Clamp to [lo - z, hi - z] and cast to int8 in one pass, then add the
-    # zero point z in int8: the cast may wrap, but v + z lies in [lo, hi]
-    # inside int8, so the wrapped sum is exact (two's complement).
+    acc = layer_accumulator(x, layer)
+    # Rescale and clamp to [lo - z, hi - z] into int8 one block of
+    # RESCALE_BLOCK images at a time, then add the zero point z in int8:
+    # the cast may wrap, but v + z lies in [lo, hi] inside int8, so the
+    # wrapped sum is exact (two's complement).
     lo, hi, z = output_bounds(layer)
-    out = np.empty(shifted.shape, np.int8)
-    np.clip(shifted, lo - z, hi - z, out=out, casting="unsafe")
+    out = np.empty(acc.shape, np.int8)
+    for start in range(0, acc.shape[0], RESCALE_BLOCK):
+        block = slice(start, start + RESCALE_BLOCK)
+        np.clip(rescale_accumulator(acc[block], m, s), lo - z, hi - z,
+                out=out[block], casting="unsafe")
     out += np.int8(z)
     return QTensor(out, layer.output)
 

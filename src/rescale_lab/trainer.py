@@ -1,27 +1,35 @@
-"""Training: float64 emulation of the integer engine with straight-through
+"""Training: emulation of the integer engine with straight-through
 gradients, SGD fine-tuning under a fixed rescaler width, and float-mode
 baseline training.
 
 The emulated forward runs fake-quantized weights through the engine's own
-stages.  It accumulates in float64 over the zero-point-corrected input
-``x - z``, which equals the engine's MAC plus effective bias; every partial
-sum is an integer below 2**31, so the MAC is exact.  Everything after the
-MAC is the engine's code, one path for weighted layers and avgpool alike:
+stages.  It accumulates over the zero-point-corrected input ``x - z``,
+which equals the engine's MAC plus effective bias.  Every value it
+handles is an integer, so each stage runs in the float type
+:func:`kernels.exact_float_type` proves exact from a static bound: the
+int8 activations and ``x - z`` (``|x - z| <= 255``) in float32; the MAC
+in float32 while ``mac_count * 255 * 128 <= 2**24`` (conv1, depthwise
+and conv2 of desk-cnn-v1; dense runs in float64); the bias add in float32
+while that reach plus ``max|b|`` is <= 2**24.  Everything after the MAC
+is the engine's code, one path for weighted layers and avgpool alike:
 :func:`kernels.add_bias` (the envelope check and the bias add), then
-:func:`kernels.rescale_accumulator` (int64) on the accumulator, then the
-zero-point add and clamp of :func:`kernels.output_bounds` back in float64.
-Its outputs are therefore bit-identical to the integer engine — training
-sees precisely the numbers deployment will produce.
+:func:`kernels.rescale_accumulator` (``floor(acc * M_q + 0.5)``, in
+float32 while ``reach * max(m) + 2**(max(s)-1) <= 2**24``, in float64 to
+2**53, in int64 past that), then the zero-point add and clamp of
+:func:`kernels.output_bounds`.  Its outputs are therefore bit-identical to
+the integer engine — training sees precisely the numbers deployment will
+produce.  The smooth surrogate (``rounding=False``) handles real values
+and stays in float64.
 
 Backward passes use the straight-through estimator: rounding nodes have
 derivative one, saturation nodes pass gradient only inside their clamp
 range, the rescale node contributes exactly its dyadic factor, and the
 weight fake-quantizer passes gradient only while the shadow weight is
-within the int8 clamp range.  The forward caches the operand each layer's
-weights met; for conv2d that is the im2col matrix ``cols`` of
-:func:`kernels.accumulate`, so the conv weight gradient is one matmul
-with it and the input gradient one matmul with the weights, scattered
-back tap by tap.
+within the int8 clamp range.  The backward runs in float64.  The forward
+caches the operand each layer's weights met; for conv2d that is the
+im2col matrix ``cols`` of :func:`kernels.accumulate`, so the conv weight
+gradient is one matmul with it and the input gradient one matmul with the
+weights, scattered back tap by tap.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .kernels import (
     INT8_MIN,
     _channel_rows,
     accumulate,
+    accumulator_reach,
     add_bias,
     dequantize_real,
     evaluate_int,
@@ -62,6 +71,9 @@ from .qcore import INT32_MAX, INT32_MIN, QuantParams
 
 _INT32_LO = float(INT32_MIN)
 _INT32_HI = float(INT32_MAX)
+# The largest |(x - z) * w| of the emulated MAC: x and z are int8, so
+# |x - z| <= 255, and fake-quantized weights are int8, |w| <= 128.
+_SHIFTED_PRODUCT = (INT8_MAX - INT8_MIN) * -INT8_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +132,13 @@ def init_shadow(model: ModelGraph) -> ShadowModel:
 # ---------------------------------------------------------------------------
 
 
-def _mac(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict]:
+def _mac(layer, x: np.ndarray, w: np.ndarray,
+         product_bound: int | None = None) -> tuple[np.ndarray, dict]:
     """One layer's multiply-accumulate on the shared kernels core (padding
     with 0), plus the cache entry :func:`ste_backward` runs it backwards
     from.  ``layer`` is a ``LayerSpec`` or a ``floatnet.FloatLayer``."""
-    acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding)
+    acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding,
+                                 product_bound=product_bound)
     return acc, {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": x.shape,
                  "stride": layer.stride, "w_fq": w}
 
@@ -135,13 +149,16 @@ def emulated_forward(
     """Emulate the integer engine, bit for bit, with fake-quantized weights.
 
     ``x_q`` must already be quantized with the model's input parameters.
-    Returns the final int8-valued logits and a per-layer cache for
-    :func:`ste_backward`.  With ``rounding=False`` the rounding nodes are
+    Returns the final int8-valued logits (float32, float64 for the
+    surrogate) and a per-layer cache for :func:`ste_backward`.  With ``rounding=False`` the rounding nodes are
     removed (exact multiply by the dyadic factor, no floor): the smooth
     surrogate used for finite-difference checking.
     """
     model = shadow.graph
-    x = np.asarray(x_q, dtype=np.float64)
+    # int8-valued activations are exact in float32; the surrogate's are real.
+    act = np.float32 if rounding else np.float64
+    product_bound = _SHIFTED_PRODUCT if rounding else None
+    x = np.asarray(x_q, dtype=act)
     cache: list[dict] = []
     for idx, layer in enumerate(model.layers):
         if layer.kind == "flatten":
@@ -150,6 +167,7 @@ def emulated_forward(
             continue
         if layer.kind == "avgpool":
             acc = window_sum(x, layer.window)
+            reach = math.prod(layer.window) * -INT8_MIN  # sums of int8 values
             entry = {"kind": "avgpool", "window": layer.window, "in_shape": x.shape}
         else:
             # Fake-quantize the parameters; in surrogate mode the rounding
@@ -159,26 +177,31 @@ def emulated_forward(
             if rounding:
                 w_fq = fake_quantize_weights(w_shadow)
                 b_fq = fake_quantize_biases(b_shadow)
+                reach = accumulator_reach(w_fq, product_bound, b_fq)
             else:
                 w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
                 b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
+                reach = None
             # The MAC over the zero-point-corrected input is exactly the
             # engine's MAC plus effective bias.
             x = x - layer_input_params(model, idx).zero_point
-            acc, entry = _mac(layer, x, w_fq)
-            acc = add_bias(acc, b_fq, np.float64)
+            acc, entry = _mac(layer, x, w_fq, product_bound)
+            acc = add_bias(acc, b_fq, reach)
             entry.update(w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
                          b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI))
         # The engine's rescale, or the smooth surrogate ``acc * M_q``
-        # clipped to int32; then its zero-point add and clamp.
+        # clipped to int32; then its zero-point add and clamp, exact in the
+        # rescale's type (its values lie in int32, or within 2**23 in
+        # float32), and the clamped int8 values in the activations' type.
         m, s = rescaler_vectors(layer)
         factor = m / np.exp2(s)
-        raw = (rescale_accumulator(acc, m, s).astype(np.float64) if rounding
+        raw = (rescale_accumulator(acc, m, s, reach) if rounding
                else np.clip(acc * factor, _INT32_LO, _INT32_HI))
         lo, hi, z = output_bounds(layer)
         raw += z
         x = np.clip(raw, lo, hi)
         entry.update(factor=factor, mask=x == raw)  # inside the clamp range
+        x = x.astype(act, copy=False)
         cache.append(entry)
     return x, cache
 
@@ -221,11 +244,15 @@ def _weight_grad(g: np.ndarray, entry: dict) -> np.ndarray:
     """Gradient of a weighted layer's weights from its accumulator gradient
     and the operand the weights met in the forward."""
     cols, w = entry["cols"], entry["w_fq"]
+    if entry["kind"] != "depthwise":
+        # The emulation caches float32 operands; widened with their layout
+        # kept, they meet the same dgemm as float64 ones and give its bits.
+        cols = cols.astype(np.float64, order="K", copy=False)
     if entry["kind"] == "dense":
         return g.T @ cols
     if entry["kind"] == "conv2d":
         return (g.reshape(-1, w.shape[0]).T @ cols).reshape(w.shape)
-    # Depthwise: one product per tap with the tap's window slice.
+    # Depthwise: one product per tap with the tap's window slice, in float64.
     d_w = np.empty(w.shape)
     prod = np.empty(g.shape)
     for i in range(w.shape[0]):
@@ -251,14 +278,16 @@ def _input_grad(g: np.ndarray, entry: dict) -> np.ndarray:
         # One matmul gives every tap's columns (col2im scatters them below).
         taps = (g.reshape(-1, o) @ w.reshape(o, -1)).reshape(n, oh, ow, k_h, k_w, c)
     else:
-        # Rows of (ow, c) meet the weights tiled to the row's length.
+        # Rows of (ow, c) meet the weights tiled to the row's length, each
+        # tap's product written into one reused buffer.
         g_rows = g.reshape(n, oh, ow * c)
         w_rows = np.tile(w, (1, 1, ow))
+        prod = np.empty(g_rows.shape)
     dx_pad = np.zeros((n, h + top + bottom, w_ + left + right, c))
     for ky in range(k_h):
         for kx in range(k_w):
-            contrib = (taps[:, :, :, ky, kx] if conv
-                       else (g_rows * w_rows[ky, kx]).reshape(n, oh, ow, c))
+            contrib = (taps[:, :, :, ky, kx] if conv else
+                       np.multiply(g_rows, w_rows[ky, kx], out=prod).reshape(n, oh, ow, c))
             # Add into the strided slice itself: reshaping it would copy
             # at stride 2 and lose the add.
             dx_pad[:, ky : ky + oh * s_h : s_h, kx : kx + ow * s_w : s_w, :] += contrib

@@ -15,8 +15,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rescale_lab import floatnet
-from rescale_lab.kernels import evaluate_int, quantize_real
-from rescale_lab.model_io import materialize_rescalers, redeploy_weights
+from rescale_lab.errors import OverflowEnvelopeError
+from rescale_lab.kernels import (accumulate, evaluate_int, output_bounds, quantize_real,
+                                 window_sum)
+from rescale_lab.model_io import (fake_quantize_biases, fake_quantize_weights,
+                                  layer_input_params, materialize_rescalers,
+                                  redeploy_weights)
 from rescale_lab.qcore import QuantParams
 from rescale_lab.trainer import (_float_forward, emulated_forward, init_shadow,
                                  softmax_cross_entropy, ste_backward)
@@ -157,6 +161,49 @@ def oracle_avgpool(x, window, m: int, s: int):
                             total += int(x[i, oy * w_h + ky, ox * w_w + kx, c])
                     out[i, oy, ox, c] = max(-128, min(127, oracle_rescale(total, m, s)))
     return out
+
+
+def oracle_emulated_forward(shadow, x_q):
+    """The rounding emulation in float64 throughout, the route the trainer
+    took before it ran in float32 where exact: float64 activations, the
+    float64 MAC over ``x - z``, the bias added after an exact int32 envelope
+    check, and each rescale by :func:`oracle_rescale` in Python ints.
+    Returns the float64 logits and a cache in the layout of
+    ``trainer.emulated_forward``."""
+    model = shadow.graph
+    x = np.asarray(x_q, dtype=np.float64)
+    cache = []
+    for idx, layer in enumerate(model.layers):
+        if layer.kind == "flatten":
+            cache.append({"kind": "flatten", "in_shape": x.shape})
+            x = x.reshape(x.shape[0], -1)
+            continue
+        if layer.kind == "avgpool":
+            acc = window_sum(x, layer.window)
+            entry = {"kind": "avgpool", "window": layer.window, "in_shape": x.shape}
+        else:
+            w_shadow, b_shadow = shadow.weights[idx], shadow.biases[idx]
+            w_fq = fake_quantize_weights(w_shadow)
+            x = x - layer_input_params(model, idx).zero_point
+            acc, cols, pads = accumulate(x, w_fq, layer.kind, layer.stride, layer.padding)
+            acc = acc + fake_quantize_biases(b_shadow)
+            if np.any(acc < INT32_MIN) or np.any(acc > INT32_MAX):
+                raise OverflowEnvelopeError("accumulator left the int32 envelope")
+            entry = {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": x.shape,
+                     "stride": layer.stride, "w_fq": w_fq,
+                     "w_mask": (w_shadow >= -128) & (w_shadow <= 127),
+                     "b_mask": (b_shadow >= INT32_MIN) & (b_shadow <= INT32_MAX)}
+        m = np.array([r.m for r in layer.rescalers])
+        s = np.array([r.s for r in layer.rescalers])
+        channel = np.broadcast_to(np.arange(acc.shape[-1]) % len(m), acc.shape)
+        raw = np.array([float(oracle_rescale(int(a), int(m[c]), int(s[c])))
+                        for a, c in zip(acc.ravel(), channel.ravel())]).reshape(acc.shape)
+        lo, hi, z = output_bounds(layer)
+        raw += z
+        x = np.clip(raw, lo, hi)
+        entry.update(factor=m / np.exp2(s), mask=x == raw)
+        cache.append(entry)
+    return x, cache
 
 
 def oracle_ste_backward(cache, grad_out):

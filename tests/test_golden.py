@@ -6,9 +6,10 @@ logits and fixed error reports at every width.  The digests below pin
 those bytes, so a speed change to the engine or the error model cannot move
 a single bit unnoticed, and the RQM1 digests pin the container bytes of the
 quantized model at three widths.  ``perfbench/expected.json`` pins only the
-argmax.  The training digests pin one epoch of rescale-aware fine-tuning and
-one epoch of float training on the same train images, so the rounding and
-the loss gradient that feed training cannot move a bit unnoticed either.
+argmax.  The training digests pin one epoch of rescale-aware fine-tuning at
+three widths and one epoch of float training on the same train images, so
+the rounding and the loss gradient that feed training cannot move a bit
+unnoticed either.
 """
 
 import hashlib
@@ -68,6 +69,14 @@ RQM1 = {
 # seed 3) of the quantized model, and its epoch loss.
 FINETUNE_RQM1 = "c1bd2d4c1736a2d2d59753fb48e54eeb1ff5350c3fdfc9d0e6e7494bb4843422"
 FINETUNE_LOSS = "0x1.204897380f3d3p-1"
+# The same for the fine-tunes at k=8 and k=4, where some rescales of the
+# emulation leave float32 for float64.
+FINETUNE_AT = {
+    8: ("11d07e80915d46619f37fec9f98822026df368413b72f849d8b8384534ca5ed1",
+        "0x1.ddeb95a0c60a5p-2"),
+    4: ("9a1dd46439fe08c97125306a17f0b7ee5b4d05aed74fe54173e6b90fc1ab75bf",
+        "0x1.f3918d7ae423fp-2"),
+}
 # sha256 of the eight arrays of train_float (lr 0.1, 1 epoch, seed 0), in
 # FloatModel field order, and its epoch loss.
 FLOAT_WEIGHTS = "c600584346dd5363cfa4ad8de0d9db695c1b2b4a0c2b6bc44782af5b9c009c82"
@@ -133,15 +142,26 @@ def test_container_bytes_are_pinned(deployment, k):
     assert model_to_bytes(model_from_bytes(data)) == data
 
 
-def test_finetuned_weights_are_pinned(deployment, dataset):
-    # lr 500 moves about 2% of the integer weights in one epoch; at small
-    # rates the result would equal RQM1[2] and pin nothing.
+def finetuned(deployment, dataset, k):
+    """sha256 of the RQM1 bytes and the hex epoch loss of the pinned
+    fine-tune at width k."""
     model, _ = deployment
     (train_x, train_y), _ = dataset
     cfg = TrainConfig(learning_rate=500.0, epochs=1, batch_size=32, seed=3)
-    result = finetune(model, train_x, train_y, cfg, k=2)
-    assert hashlib.sha256(model_to_bytes(result.model)).hexdigest() == FINETUNE_RQM1
-    assert result.history[0].loss.hex() == FINETUNE_LOSS
+    result = finetune(model, train_x, train_y, cfg, k=k)
+    return (hashlib.sha256(model_to_bytes(result.model)).hexdigest(),
+            result.history[0].loss.hex())
+
+
+def test_finetuned_weights_are_pinned(deployment, dataset):
+    # lr 500 moves about 2% of the integer weights in one epoch; at small
+    # rates the result would equal RQM1[2] and pin nothing.
+    assert finetuned(deployment, dataset, 2) == (FINETUNE_RQM1, FINETUNE_LOSS)
+
+
+@pytest.mark.parametrize("k", sorted(FINETUNE_AT, reverse=True))
+def test_finetuned_weights_are_pinned_at_wider_widths(deployment, dataset, k):
+    assert finetuned(deployment, dataset, k) == FINETUNE_AT[k]
 
 
 def test_float_trained_weights_are_pinned(dataset):

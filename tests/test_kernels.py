@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescale_lab.errors import OverflowEnvelopeError, ShapeError
@@ -760,10 +760,11 @@ class TestRescaleAccumulator:
         s = np.array([r.s for r in rescalers])
         want = [[oracle_rescale(int(a), r.m, r.s) for a, r in zip(row, rescalers)]
                 for row in acc]
-        # The engine passes int32 accumulators, the emulation exact float64.
-        for dtype in (np.int32, np.float64):
+        # The engine passes int32 accumulators and gets int64; exact float64
+        # input (the emulation's, without a tighter reach) stays float64.
+        for dtype, out_type in ((np.int32, np.int64), (np.float64, np.float64)):
             got = rescale_accumulator(acc.astype(dtype), m, s)
-            assert got.dtype == np.int64
+            assert got.dtype == out_type
             assert got.tolist() == want
 
     def test_ties_round_up(self):
@@ -803,3 +804,71 @@ class TestRescaleAccumulator:
         assert r.m == 0
         acc = np.array([ACC_EDGES], dtype=np.int32).T
         assert rescale_accumulator(acc, r.m, r.s).ravel().tolist() == [0] * 7
+
+
+def near_ties(m, s, reach):
+    """The accumulators in [-reach, reach] nearest each end whose product
+    with ``m`` lies at a tie, or one step of 2**t (``m = odd * 2**t``)
+    below it: there an inexact product or half-step add moves the floor."""
+    if m == 0 or (m & -m).bit_length() - 1 >= s:
+        return []
+    t = (m & -m).bit_length() - 1
+    period = 1 << (s - t)
+    found = []
+    for residue in (1 << (s - 1 - t), (1 << (s - 1 - t)) - 1):
+        a0 = residue * pow(m >> t, -1, period) % period
+        found += [reach - (reach - a0) % period, (a0 + reach) % period - reach]
+    return [a for a in found if -reach <= a <= reach]
+
+
+class TestRescaleRoutes:
+    """Float accumulators rescale as floor(acc * M_q + 0.5) in float32 while
+    the numerator bound reach * max(m) + 2**(max(s)-1) is <= 2**24, in
+    float64 while it is <= 2**53, and on the int64 route past that.  At the
+    edges of each route the results equal the oracle's."""
+
+    @staticmethod
+    def check(accs, m, s, reach):
+        bound = reach * m + (1 << (s - 1))
+        route = np.float32 if bound <= 1 << 24 else np.float64
+        want = [oracle_rescale(a, m, s) for a in accs]
+        # Float32 input holds only accumulators within 2**24.
+        for dtype in (np.float32, np.float64) if reach <= 1 << 24 else (np.float64,):
+            acc = np.array(accs, dtype=dtype).reshape(-1, 1)
+            got = rescale_accumulator(acc, np.array([m]), np.array([s]), reach)
+            assert got.dtype == route
+            assert got.ravel().tolist() == want
+
+    @pytest.mark.parametrize("numerator, m, s, reach", [
+        ((1 << 24) - 1, 2, 1, 8388607),
+        (1 << 24, 2, 2, 8388607),
+        ((1 << 24) + 1, 2, 1, 8388608),
+        ((1 << 53) - 1, 6397753, 25, 1407869175),
+        (1 << 53, 4194304, 23, 2147483647),
+        ((1 << 53) + 1, 6050993, 24, 1488548945),
+        # One route further, where odd products near a tie are inexact in
+        # the narrower type.
+        (1 << 25, 3, 2, 11184810),
+        (1 << 54, 10845877, 25, 1660944384),
+    ])
+    def test_numerator_at_the_edge(self, numerator, m, s, reach):
+        assert reach * m + (1 << (s - 1)) == numerator
+        accs = [reach, -reach, reach - 1, 1 - reach, 0, 1, -1] + near_ties(m, s, reach)
+        self.check(accs, m, s, reach)
+
+    @settings(max_examples=300, deadline=None)
+    @given(numerator=st.sampled_from([(1 << 24) - 1, 1 << 24, (1 << 24) + 1, 1 << 25,
+                                      (1 << 53) - 1, 1 << 53, (1 << 53) + 1, 1 << 54]),
+           data=st.data())
+    def test_numerator_near_the_edge(self, numerator, data):
+        # The largest reach whose bound stays at or under the numerator, for
+        # a drawn multiplicand and shift, and accumulators across it.  At
+        # 2**25 and 2**54, one route further, products near a tie are
+        # inexact in the narrower type.
+        s = data.draw(st.integers(1, numerator.bit_length() - 2))
+        rest = numerator - (1 << (s - 1))
+        m = data.draw(st.integers(max(1, -(-rest // INT32_MAX)), (1 << 32) - 1))
+        reach = rest // m
+        assume(reach >= 1)
+        drawn = st.lists(st.integers(-reach, reach), min_size=4, max_size=4)
+        self.check([reach, -reach] + near_ties(m, s, reach) + data.draw(drawn), m, s, reach)

@@ -1,14 +1,15 @@
-"""Tests for the float64 training emulation, STE gradients, and fine-tuning."""
+"""Tests for the training emulation, STE gradients, and fine-tuning."""
 
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rescale_lab import floatnet, kernels, model_io, trainer
+from rescale_lab import datagen, floatnet, kernels, model_io, trainer
 from rescale_lab.errors import DomainError, OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import QTensor, run_model_int
 from rescale_lab.model_io import (
@@ -20,7 +21,8 @@ from rescale_lab.model_io import (
     validate_model,
 )
 from rescale_lab.qcore import QuantParams, quantize_rescaler
-from oracles import oracle_finetune_loop, oracle_ste_backward, oracle_train_float_loop
+from oracles import (oracle_emulated_forward, oracle_finetune_loop, oracle_ste_backward,
+                     oracle_train_float_loop)
 from rescale_lab.trainer import (
     ShadowModel,
     TrainConfig,
@@ -178,7 +180,7 @@ class TestShadowModel:
 
 
 class TestEmulatedParity:
-    """The float64 emulation must be bit-identical to the integer engine."""
+    """The emulation must be bit-identical to the integer engine."""
 
     def batch(self, rng, n=4):
         return rng.integers(-128, 128, size=(n, 28, 28, 1)).astype(np.int8)
@@ -308,6 +310,35 @@ class TestEmulatedParity:
         shadow = init_shadow(model)
         with pytest.raises(ShapeError):
             emulated_forward(shadow, np.zeros((1, 2, 2), dtype=np.int8))
+
+
+class TestEmulationAtItsBounds:
+    """The static bound that picks float32 is not optimistic.  A dense layer
+    whose products (x - z) * w all reach 255 * 127, with a MAC count that
+    takes its odd sum past 2**24, agrees with the engine; one channel's
+    accumulator sits at a rounding tie and one just below it, so an error
+    of either sign in the sum moves a logit."""
+
+    @pytest.mark.parametrize("n", [515, 601, 1023])
+    def test_odd_sums_past_2_pow_24(self, n):
+        in_qp, out_qp, w_scale = QuantParams(0.25, -128), QuantParams(0.5, 0), 3 * 2.0**-19
+        r = quantize_rescaler(in_qp.scale * w_scale / out_qp.scale, 2)
+        assert (r.m, r.s) == (3, 20)
+        mac = n * 255 * 127
+        period = 1 << r.s
+        tie = (period // 2) * pow(r.m, -1, period) % period  # tie * m = 2**(s-1) mod 2**s
+        at_tie = mac - (mac - tie) % period
+        layer = LayerSpec(
+            kind="dense", weights=QTensor(np.full((2, n), 127, np.int8), [w_scale] * 2),
+            bias=np.array([at_tie - mac, at_tie - 1 - mac], np.int32), output=out_qp,
+            rescalers=[r, r])
+        model = ModelGraph(name="bounds", input_params=in_qp, layers=[layer])
+        validate_model(model)
+        x = np.full((1, n), 127, np.int8)
+        engine = run_model_int(model, x)
+        assert engine[0, 0] == engine[0, 1] + 1
+        emu, _ = emulated_forward(init_shadow(model), x)
+        assert np.array_equal(engine, emu)
 
 
 class TestSTEGradients:
@@ -719,8 +750,9 @@ def graph_from_spec(spec):
 
 class TestRandomGraphs:
     """On small random graphs of every layer kind: engine and emulation
-    agree bit for bit, the backward matches the einsum reference, and each
-    rescaled layer's cached factor is exactly its rescalers' M_q."""
+    agree bit for bit, the backward matches the einsum reference, each
+    rescaled layer's cached factor is exactly its rescalers' M_q, and the
+    emulation and its gradients give the float64 oracle's bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(spec=small_graph_specs())
@@ -752,6 +784,69 @@ class TestRandomGraphs:
             if ref is not None:
                 assert mine.shape == ref.shape
                 assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_float64_oracle_bits(init_shadow(model), x, rng)
+
+
+def assert_float64_oracle_bits(shadow, x, rng):
+    """The emulation, and the STE gradients of its cache, equal the float64
+    oracle's bit for bit: logits, masks and factors, then every gradient."""
+    logits, cache = emulated_forward(shadow, x)
+    want, want_cache = oracle_emulated_forward(shadow, x)
+    assert np.array_equal(logits, want)
+    for entry, ref in zip(cache, want_cache, strict=True):
+        assert entry.keys() == ref.keys()
+        if "mask" in ref:
+            assert np.array_equal(entry["mask"], ref["mask"]), ref["kind"]
+            assert entry["factor"].tobytes() == ref["factor"].tobytes(), ref["kind"]
+    grad = rng.standard_normal(logits.shape)
+    got, ref = ste_backward(cache, grad), ste_backward(want_cache, grad)
+    for mine, theirs in zip(got.weights + got.biases, ref.weights + ref.biases):
+        assert (mine is None) == (theirs is None)
+        if theirs is not None:
+            assert mine.dtype == theirs.dtype == np.float64
+            assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.fixture(scope="module")
+def desk_cnn_v1():
+    """The committed desk-cnn-v1 float model, quantized on 64 rendered
+    digits, and 6 more digits as int8 input."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "desk_cnn_v1_float.npz")
+    rng = np.random.default_rng(31)
+    images = datagen.render_digits(rng.integers(0, 10, size=70), rng)
+    model = quantize_float_model(floatnet.load_float_model(path),
+                                 [kernels.unit_images(images[:64])])
+    return model, kernels.quantize_real(kernels.unit_images(images[64:]),
+                                        model.input_params)
+
+
+class TestFloat64Oracle:
+    """Where a static bound proves float32 exact the emulation runs in it,
+    and nothing moves: every width gives the float64 route's bits."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 32])
+    def test_desk_cnn_v1(self, desk_cnn_v1, k):
+        model, x = desk_cnn_v1
+        shadow = init_shadow(materialize_rescalers(model, k))
+        rng = np.random.default_rng(k)
+        for i, w in enumerate(shadow.weights):
+            if w is not None:
+                shadow.weights[i] = w + rng.uniform(-0.6, 0.6, size=w.shape)
+        assert_float64_oracle_bits(shadow, x, rng)
+
+    def test_cached_operands_are_float32_where_exact(self, desk_cnn_v1):
+        # Every rounding-mode activation is float32: conv1, depthwise and
+        # conv2 cache it as their float32 MAC operand, and dense (784 MACs)
+        # caches it though its MAC widens it to float64.  The surrogate
+        # stays float64.
+        model, x = desk_cnn_v1
+        _, cache = emulated_forward(init_shadow(materialize_rescalers(model, 2)), x)
+        kinds = {e["kind"]: e["cols"].dtype for e in cache if "cols" in e}
+        assert kinds == {"conv2d": np.float32, "depthwise": np.float32,
+                         "dense": np.float32}
+        _, surrogate = emulated_forward(init_shadow(model), x, rounding=False)
+        assert all(e["cols"].dtype == np.float64 for e in surrogate if "cols" in e)
 
 
 class TestBackwardLeavesInputsAlone:
