@@ -24,16 +24,15 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (
     QTensor,
+    accumulator_bound,
     layer_accumulator,
     layer_forward_int,
     quantize_real,
-    tap_axes,
     unit_images,
+    window_bound,
 )
 from .model_io import layer_input_params, materialize_rescalers
 from .qcore import (
-    INT8_MAX,
-    INT8_MIN,
     DyadicRescaler,
     multiply_by_quantized_multiplier,
     quantize_rescaler,
@@ -62,7 +61,7 @@ class LayerErrorReport:
     m_quantized: np.ndarray  # per-channel dyadic values at width k
     mismatch: np.ndarray  # per-channel |M_q - M| (exact in binary64)
     max_abs_acc: np.ndarray  # per-channel peak |accumulator| over probes
-    analytic_max_abs_acc: np.ndarray  # input-independent worst case
+    analytic_max_abs_acc: np.ndarray  # kernels.accumulator_bound over x - z
     mismatch_bound: np.ndarray  # |M_q - M| * s_y * max_abs_acc
     rounding_floor: float  # s_y / 2
     safe: np.ndarray  # mismatch_bound <= rounding_floor, exact comparison
@@ -138,19 +137,6 @@ def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _analytic_worst_case(layer, in_params) -> np.ndarray:
-    """Input-independent per-channel bound on |accumulator|."""
-    if layer.kind == "avgpool":
-        area = layer.window[0] * layer.window[1]
-        channels = len(layer.rescalers)
-        return np.full(channels, 128 * area, dtype=np.int64)
-    z = in_params.zero_point
-    reach = max(INT8_MAX - z, z - INT8_MIN)  # max |x - z| over int8 x
-    w = layer.weights.data
-    tap_abs = np.abs(w.astype(np.int64)).sum(axis=tap_axes(w))
-    return reach * tap_abs + np.abs(layer.bias.astype(np.int64))
-
-
 def layer_error_report(
     model,
     layer_id: int,
@@ -173,7 +159,6 @@ def layer_error_report(
     if layer.kind == "flatten":
         raise DomainError("flatten has no rescale stage to analyze")
 
-    in_params = layer_input_params(model, layer_id)
     channels = len(layer.rescalers)
     max_abs = np.zeros(channels, dtype=np.int64)
     saw_image = False
@@ -213,7 +198,10 @@ def layer_error_report(
         m_quantized=m_quant,
         mismatch=np.abs(m_quant - m_real),  # exact: M/2 <= M_q <= M
         max_abs_acc=max_abs,
-        analytic_max_abs_acc=_analytic_worst_case(layer, in_params),
+        analytic_max_abs_acc=(
+            np.full(channels, window_bound(layer.window)) if layer.kind == "avgpool"
+            else accumulator_bound(layer.weights.data, layer.bias,
+                                   layer_input_params(model, layer_id).zero_point)),
         mismatch_bound=np.array([float(e * s_y_exact) for e in excess]),
         rounding_floor=s_y / 2,
         safe=np.array([e <= Fraction(1, 2) for e in excess]),

@@ -4,19 +4,21 @@ All layer arithmetic happens on integers: int8 tensors in, a 32-bit
 accumulator per output element, then a dyadic rescale back to int8.
 Where floats do integer work, :func:`exact_float_type` picks the type
 from a static bound on the integers involved: float32 when every one has
-magnitude <= 2**24, float64 up to 2**53.  The multiply-accumulate stage
-runs in floats for speed (matmuls, and one multiply-add per tap for
-depthwise): float32 when the MAC count N times the largest product
-(2**14 for two int8 operands) is <= 2**24, float64 otherwise (partial
-sums below 2**30, far under 2**53).  conv2d builds its im2col matrix
-tap-major, one strided copy (with the cast) per layer into (kh, kw, c)
-planes of (n, oh, ow), and hands BLAS its transpose.  The MAC core
-(:func:`accumulate`, the one check of every MAC's operands, and
+magnitude <= 2**24, float64 up to 2**53.  Each weighted layer has one
+such bound, :func:`accumulator_bound` (``r * sum|w_c| + |b_c|`` per
+channel, ``r`` the largest input magnitude), which covers every partial
+sum of its MAC; avgpool's is :func:`window_bound`.  Its maximum over the
+channels picks the float type of the multiply-accumulate, which runs in
+floats for speed (matmuls, and one multiply-add per tap for depthwise),
+proves the int32 envelope and bounds the rescale.  conv2d builds its
+im2col matrix tap-major, one strided copy (with the cast) per layer into
+(kh, kw, c) planes of (n, oh, ow), and hands BLAS its transpose.  The
+MAC core (:func:`accumulate`, the one check of every MAC's operands, and
 :func:`window_sum`) also serves the training emulation and the float
 reference network, and the emulation shares every stage after it:
 :func:`add_bias` (the int32 envelope check, then the bias add),
-:func:`rescale_accumulator` (int64 for the engine, a float type the bound
-proves exact for the emulation where there is one) and
+:func:`rescale_accumulator` (int64 for the engine, a float type the
+bound proves exact for the emulation where there is one) and
 :func:`output_bounds` (the clamp and zero point; the engine rescales and
 clamps a block of images at a time straight into int8 and adds the zero
 point in int8).
@@ -40,8 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # A layer may accumulate at most this many products per output element;
 # together with int8 operand bounds it keeps |acc| < 2**31.
 MAX_MAC_COUNT = 1 << 16
-# The largest magnitude of a product of two int8 values: 128 * 128.
-INT8_PRODUCT = 1 << 14
 # Images the engine rescales at once, which caps the int64 buffer of
 # rescale_accumulator at one block however large the batch.
 RESCALE_BLOCK = 32
@@ -128,6 +128,25 @@ def mac_count(weights: np.ndarray) -> int:
     return math.prod(weights.shape[a] for a in tap_axes(weights))
 
 
+def accumulator_bound(w: np.ndarray, bias, z: int | None = None) -> np.ndarray:
+    """Per output channel, a static bound on ``|acc|`` of one weighted
+    layer: ``r * sum_taps |w_c| + |b_c|``, as int64.  ``r`` bounds the
+    input's magnitude: 128 for int8 input padded with an int8 zero point
+    (``z`` None, the engine), ``max(127 - z, z + 128)`` for the
+    zero-point-corrected ``x - z``.  Any subset of a channel's products sums
+    to at most ``r * sum|w_c|``, so the bound covers every partial sum of
+    the MAC as well as the accumulator."""
+    r = -INT8_MIN if z is None else max(INT8_MAX - z, z - INT8_MIN)
+    w = np.asarray(w)
+    return (r * np.abs(w.astype(np.int64)).sum(axis=tap_axes(w))
+            + np.abs(np.asarray(bias).astype(np.int64)))
+
+
+def window_bound(window: tuple[int, int]) -> int:
+    """A static bound on an avgpool window sum of int8 values: 128 a tap."""
+    return -INT8_MIN * window[0] * window[1]
+
+
 def unit_images(images_u8: np.ndarray) -> np.ndarray:
     """uint8 images as float64 values in [0, 1], NHWC: (n, h, w) input
     gains a channel axis."""
@@ -206,30 +225,16 @@ def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     return out_h, out_w, (pad_t, pad_b, pad_l, pad_r)
 
 
-def _mac_dtype(x: np.ndarray, w: np.ndarray, product_bound: int | None) -> type:
-    """The float type one layer's MAC runs in, from the static MAC count and
-    ``product_bound``, the largest ``|x * w|`` of integer-valued operands
-    (two int8 operands imply :data:`INT8_PRODUCT`).
-
-    Every partial sum is then an integer of magnitude <= ``mac_count *
-    product_bound``, so :func:`exact_float_type` of that reach is exact in
-    any summation order.  Real operands (no bound) run in float64.
-    """
-    if product_bound is None and x.dtype == np.int8 and w.dtype == np.int8:
-        product_bound = INT8_PRODUCT
-    if product_bound is None:
-        return np.float64
-    return exact_float_type(mac_count(w) * product_bound) or np.float64
-
-
 # Operand ranks (x, w) of each layer kind with a multiply-accumulate.
 _MAC_RANKS = {"dense": (2, 2), "conv2d": (4, 4), "depthwise": (4, 3)}
 
 
-def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0,
-               product_bound=None):
+def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0, bound=None):
     """The multiply-accumulate of one layer, without bias, in the float type
-    :func:`_mac_dtype` picks from ``product_bound``.
+    :func:`exact_float_type` gives ``bound``, a static bound on every
+    partial sum of integer-valued operands (int8 operands imply theirs,
+    the maximum of :func:`accumulator_bound` without bias); float64 without
+    one, which includes every real operand.
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
     :func:`channel_axis`; SAME padding fills with ``pad_value``.  An unknown
@@ -249,7 +254,9 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0,
     if (x.ndim, w.ndim) != ranks or x.shape[-1] != w.shape[-1]:
         raise ShapeError(f"{kind} takes x and weights of ranks {ranks} sharing the "
                          f"last axis, got {x.shape} and {w.shape}")
-    dtype = _mac_dtype(x, w, product_bound)
+    if bound is None and x.dtype == np.int8 and w.dtype == np.int8:
+        bound = int(accumulator_bound(w, 0).max(initial=0))
+    dtype = np.float64 if bound is None else exact_float_type(bound) or np.float64
     w = w.astype(dtype, copy=False)
     if kind == "dense":
         return x.astype(dtype, copy=False) @ w.T, x, None
@@ -285,7 +292,8 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0,
 
 def window_sum(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     """Sum of each non-overlapping (wh, ww) window of an NHWC batch, tap by
-    tap in (wh, ww) order; int8 input sums into int32."""
+    tap in (wh, ww) order; int8 input sums into int32, and float input keeps
+    its type wherever :func:`window_bound` proves int8-valued sums exact."""
     if x.ndim != 4:
         raise ShapeError("avgpool expects x (n, h, w, c)")
     n, in_h, in_w, c = x.shape
@@ -294,7 +302,8 @@ def window_sum(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
         raise ShapeError(f"input {in_h}x{in_w} not divisible by window {w_h}x{w_w}")
     blocks = x.reshape(n, in_h // w_h, w_h, in_w // w_w, w_w, c)
     taps = [blocks[:, :, i, :, j] for i in range(w_h) for j in range(w_w)]
-    out = taps[0].astype(np.result_type(x.dtype, np.int32))
+    exact = exact_float_type(window_bound(window)) if x.dtype.kind == "f" else None
+    out = taps[0].astype(np.result_type(x.dtype, exact or np.int32))
     for tap in taps[1:]:
         out += tap
     return out
@@ -314,20 +323,12 @@ def _channel_rows(a: np.ndarray, *vectors: np.ndarray):
                   for v in vectors]
 
 
-def accumulator_reach(w: np.ndarray, product_bound: int, bias: np.ndarray) -> int:
-    """A static bound on ``|MAC + bias|`` of one layer: its MAC count times
-    the largest product magnitude, plus the largest bias magnitude."""
-    return (mac_count(w) * product_bound
-            + int(np.abs(np.asarray(bias, np.float64)).max(initial=0.0)))
-
-
 def add_bias(acc: np.ndarray, bias: np.ndarray, reach: int | None,
              dtype: type | None = None) -> np.ndarray:
     """``acc + bias`` (bias along the last axis) in ``dtype``: int32 for the
-    engine; by default the float type :func:`exact_float_type` gives
-    ``reach``, a static bound on ``|acc + bias|`` (float64 without one), in
-    place when the integer-valued float ``acc`` already has that type.
-    Raises OverflowEnvelopeError first if any sum leaves int32: a reach
+    engine; by default the integer-valued float ``acc``'s own type, in
+    place, which the MAC took from the same bound ``reach`` (the layer's
+    :func:`accumulator_bound`), so the sum is exact in it too.  Raises OverflowEnvelopeError first if any sum leaves int32: a reach
     within int32 proves the envelope at no cost; otherwise whole-tensor
     extremes give a cheap conservative bound, and only when it fails are
     the channels decided one by one."""
@@ -341,12 +342,10 @@ def add_bias(acc: np.ndarray, bias: np.ndarray, reach: int | None,
         lo = per_channel.min(axis=0).astype(np.int64) + b64
         if np.any(hi > INT32_MAX) or np.any(lo < INT32_MIN):
             raise OverflowEnvelopeError("accumulator left the int32 envelope")
-    if dtype is None:
-        dtype = np.float64 if reach is None else exact_float_type(reach) or np.float64
-    out = acc.astype(dtype, copy=False)
+    out = acc.astype(dtype or acc.dtype, copy=False)
     # The bias is cast to the sum's type first (exact: |bias| <= reach), so
     # the in-place add runs in one type.
-    rows, (b_rows,) = _channel_rows(out, bias.astype(dtype, copy=False))
+    rows, (b_rows,) = _channel_rows(out, bias.astype(out.dtype, copy=False))
     rows += b_rows
     return out
 
@@ -358,9 +357,10 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
     the int32 envelope."""
     if mac_count(w.data) > MAX_MAC_COUNT:
         raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
-    acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point)
-    # |MAC| <= MAX_MAC_COUNT * 2**14 = 2**30 fits int32.
-    return add_bias(acc, b_eff, accumulator_reach(w.data, INT8_PRODUCT, b_eff), np.int32)
+    bound = int(accumulator_bound(w.data, b_eff).max(initial=0))
+    acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point, bound)
+    # |MAC| <= MAX_MAC_COUNT * 128 * 128 = 2**30 fits int32.
+    return add_bias(acc, b_eff, bound, np.int32)
 
 
 def dense_int(x: QTensor, w: QTensor, b_eff: np.ndarray) -> np.ndarray:

@@ -324,8 +324,10 @@ def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> No
                 f"layer {idx} channel {c}: stored rescale factor "
                 f"{r.real_value!r} != S_x*S_w/S_y {expected_m!r}"
             )
-    # No-overflow envelope: |acc| <= N * 128 * 255 + |b_q| must fit int32;
-    # redeployed weights may reach -128.  It also bounds the effective bias:
+    # No-overflow envelope: |acc| <= N * 128 * 255 + |b_q| must fit int32.
+    # Unlike kernels.accumulator_bound it ignores the weights and the zero
+    # point, so it admits every weight vector a fine-tune can redeploy
+    # (which may reach -128).  It also bounds the effective bias:
     # |b_q - z * sum(w_c)| <= |b_q| + 128 * 128 * N.
     macs = mac_count(layer.weights.data)
     if macs > MAX_MAC_COUNT:

@@ -7,12 +7,13 @@ stages.  It accumulates over the zero-point-corrected input ``x - z``,
 which equals the engine's MAC plus effective bias.  Every value it
 handles is an integer, so each stage runs in the float type
 :func:`kernels.exact_float_type` proves exact from a static bound: the
-int8 activations and ``x - z`` (``|x - z| <= 255``) in float32; the MAC
-in float32 while ``mac_count * 255 * 128 <= 2**24`` (conv1, depthwise
-and conv2 of desk-cnn-v1; dense runs in float64); the bias add in float32
-while that reach plus ``max|b|`` is <= 2**24.  Everything after the MAC
-is the engine's code, one path for weighted layers and avgpool alike:
-:func:`kernels.add_bias` (the envelope check and the bias add), then
+int8 activations, ``x - z`` (``|x - z| <= 255``) and avgpool's window
+sums in float32; the MAC and the bias add in float32 while the layer's
+:func:`kernels.accumulator_bound` (``max(127 - z, z + 128) * sum|w_c| +
+|b_c|`` at its largest channel) is <= 2**24, as it is on every layer of
+desk-cnn-v1.  Everything after the MAC is the engine's code, one path
+for weighted layers and avgpool alike: :func:`kernels.add_bias` (the
+envelope check and the bias add), then
 :func:`kernels.rescale_accumulator` (``floor(acc * M_q + 0.5)``, in
 float32 while ``reach * max(m) + 2**(max(s)-1) <= 2**24``, in float64 to
 2**53, in int64 past that), then the zero-point add and clamp of
@@ -46,7 +47,7 @@ from .kernels import (
     INT8_MIN,
     _channel_rows,
     accumulate,
-    accumulator_reach,
+    accumulator_bound,
     add_bias,
     dequantize_real,
     evaluate_int,
@@ -56,6 +57,7 @@ from .kernels import (
     rescale_accumulator,
     rescaler_vectors,
     unit_images,
+    window_bound,
     window_sum,
 )
 from .model_io import (
@@ -71,9 +73,6 @@ from .qcore import INT32_MAX, INT32_MIN, QuantParams
 
 _INT32_LO = float(INT32_MIN)
 _INT32_HI = float(INT32_MAX)
-# The largest |(x - z) * w| of the emulated MAC: x and z are int8, so
-# |x - z| <= 255, and fake-quantized weights are int8, |w| <= 128.
-_SHIFTED_PRODUCT = (INT8_MAX - INT8_MIN) * -INT8_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,13 @@ def init_shadow(model: ModelGraph) -> ShadowModel:
 
 
 def _mac(layer, x: np.ndarray, w: np.ndarray,
-         product_bound: int | None = None) -> tuple[np.ndarray, dict]:
+         bound: int | None = None) -> tuple[np.ndarray, dict]:
     """One layer's multiply-accumulate on the shared kernels core (padding
-    with 0), plus the cache entry :func:`ste_backward` runs it backwards
-    from.  ``layer`` is a ``LayerSpec`` or a ``floatnet.FloatLayer``."""
+    with 0, in the float type ``bound`` allows), plus the cache entry
+    :func:`ste_backward` runs it backwards from.  ``layer`` is a
+    ``LayerSpec`` or a ``floatnet.FloatLayer``."""
     acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding,
-                                 product_bound=product_bound)
+                                 bound=bound)
     return acc, {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": x.shape,
                  "stride": layer.stride, "w_fq": w}
 
@@ -157,7 +157,6 @@ def emulated_forward(
     model = shadow.graph
     # int8-valued activations are exact in float32; the surrogate's are real.
     act = np.float32 if rounding else np.float64
-    product_bound = _SHIFTED_PRODUCT if rounding else None
     x = np.asarray(x_q, dtype=act)
     cache: list[dict] = []
     for idx, layer in enumerate(model.layers):
@@ -167,25 +166,25 @@ def emulated_forward(
             continue
         if layer.kind == "avgpool":
             acc = window_sum(x, layer.window)
-            reach = math.prod(layer.window) * -INT8_MIN  # sums of int8 values
+            reach = window_bound(layer.window)
             entry = {"kind": "avgpool", "window": layer.window, "in_shape": x.shape}
         else:
             # Fake-quantize the parameters; in surrogate mode the rounding
             # is removed, leaving only the clamp.
             w_shadow = shadow.weights[idx]
             b_shadow = shadow.biases[idx]
+            z = layer_input_params(model, idx).zero_point
             if rounding:
                 w_fq = fake_quantize_weights(w_shadow)
                 b_fq = fake_quantize_biases(b_shadow)
-                reach = accumulator_reach(w_fq, product_bound, b_fq)
+                reach = int(accumulator_bound(w_fq, b_fq, z).max(initial=0))
             else:
                 w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
                 b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
                 reach = None
             # The MAC over the zero-point-corrected input is exactly the
             # engine's MAC plus effective bias.
-            x = x - layer_input_params(model, idx).zero_point
-            acc, entry = _mac(layer, x, w_fq, product_bound)
+            acc, entry = _mac(layer, x - z, w_fq, reach)
             acc = add_bias(acc, b_fq, reach)
             entry.update(w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
                          b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI))

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rescale_lab import kernels
 from rescale_lab.errors import OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import (
     MAX_MAC_COUNT,
     QTensor,
     accumulate,
+    accumulator_bound,
     activation_clamp,
     compute_effective_bias,
     conv2d_int,
@@ -161,6 +163,66 @@ class TestMacPrecision:
             == np.float64
         for got in self.dense_and_1x1_conv(x, w):
             assert np.array_equal(got, want)
+
+
+class TestOneBound:
+    """The MAC's float type comes from the largest channel's
+    accumulator_bound, not from the layer's shape.  2048 int8 taps have a
+    shape bound of 2048 * 128 * 128 = 2**25, but channel 0's weights sum to
+    2**17 in magnitude: a bound of 128 * 2**17 = 2**24, exact in float32.
+    An effective bias of -1 takes the bound to 2**24 + 1, and one more unit
+    of weight to 2**24 + 128, where the input drives channel 0 to the odd
+    sum -(2**24 + 63), which float32 cannot hold; channel 1's sum is odd
+    and small."""
+
+    N = 2048
+
+    @classmethod
+    def operands(cls, extra):
+        w = np.full((2, cls.N), 64, np.int8)
+        w[0, 0] += extra
+        w[1] = 3
+        x = np.full((1, cls.N), -128, np.int8)
+        x[0, 0] = -127
+        return x, w
+
+    @staticmethod
+    def exact(x, w, b_eff=0):
+        return x.astype(np.int64) @ w.T.astype(np.int64) + b_eff
+
+    @pytest.mark.parametrize("z, r", [(None, 128), (0, 128), (-128, 255), (127, 255),
+                                      (-1, 128), (1, 129)])
+    def test_input_reach(self, z, r):
+        w = np.array([[[-2, 3], [1, 0]], [[4, -5], [0, 1]]], np.int8)  # depthwise (2, 2, 2)
+        bias = np.array([-7, 9], np.int32)
+        assert accumulator_bound(w, bias, z).tolist() == [r * 7 + 7, r * 9 + 9]
+
+    @pytest.mark.parametrize("extra, dtype", [(0, np.float32), (1, np.float64)])
+    def test_accumulate_int8_default(self, extra, dtype):
+        x, w = self.operands(extra)
+        assert int(accumulator_bound(w, 0).max()) == (1 << 24) + 128 * extra
+        acc = accumulate(x, w, "dense")[0]
+        assert acc.dtype == dtype
+        assert np.array_equal(acc, self.exact(x, w))
+        assert acc[0, 0] == -(1 << 24) + 64 - 127 * extra
+
+    @pytest.mark.parametrize("extra, bias, dtype", [
+        (0, 0, np.float32), (0, -1, np.float64), (1, 0, np.float64)])
+    def test_dense_int(self, monkeypatch, extra, bias, dtype):
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = accumulate(*args, **kwargs)
+            seen.append(out[0].dtype)
+            return out
+
+        monkeypatch.setattr(kernels, "accumulate", spy)
+        x, w = self.operands(extra)
+        b_eff = np.array([bias, 0], np.int32)
+        got = dense_int(qt(x), wt(w), b_eff)
+        assert seen == [dtype]
+        assert np.array_equal(got, self.exact(x, w, b_eff))
+        assert got[0, 1] % 2 == 1
 
 
 class TestAccumulateOperands:

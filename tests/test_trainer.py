@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rescale_lab import datagen, floatnet, kernels, model_io, trainer
+from rescale_lab import datagen, errmodel, floatnet, kernels, model_io, trainer
 from rescale_lab.errors import DomainError, OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import QTensor, run_model_int
 from rescale_lab.model_io import (
@@ -339,6 +339,64 @@ class TestEmulationAtItsBounds:
         assert engine[0, 0] == engine[0, 1] + 1
         emu, _ = emulated_forward(init_shadow(model), x)
         assert np.array_equal(engine, emu)
+
+
+class TestEmulationAtTheOneBound:
+    """The emulated MAC and bias add run in the float type of the layer's
+    accumulator_bound, ``255 * sum|w_c| + |b_c|`` at input zero point -128,
+    not in that of its shape.  519 taps give a shape bound of
+    519 * 255 * 128 > 2**24; channel 0's weights sum to -65793, so
+    255 * 65793 = 2**24 - 1, and a bias of -1 puts its bound at exactly
+    2**24, -2 at 2**24 + 1.  At input 127 channel 0's accumulator is minus
+    its bound, and the rescale 3 * 2**-25 puts -2**24 on a rounding tie:
+    -(2**24 + 1) rounded to float32 would move its logit from -2 to -1."""
+
+    @pytest.mark.parametrize("bias, dtype, logit", [(-1, np.float32, -1),
+                                                    (-2, np.float64, -2)])
+    def test_dense(self, monkeypatch, bias, dtype, logit):
+        in_qp, out_qp, w_scale = QuantParams(0.25, -128), QuantParams(0.5, 0), 3 * 2.0**-24
+        r = quantize_rescaler(in_qp.scale * w_scale / out_qp.scale, 2)
+        assert (r.m, r.s) == (3, 25)
+        w = np.full((2, 519), -1, np.int8)
+        w[0, :-1], w[0, -1] = -127, -7
+        layer = LayerSpec(kind="dense", weights=QTensor(w, [w_scale] * 2),
+                          bias=np.array([bias, 5], np.int32), output=out_qp,
+                          rescalers=[r, r])
+        model = ModelGraph(name="one-bound", input_params=in_qp, layers=[layer])
+        validate_model(model)
+        assert kernels.mac_count(w) * 255 * 128 > 1 << 24
+        assert kernels.accumulator_bound(w, layer.bias, -128).tolist() == [
+            (1 << 24) - 1 - bias, 255 * 519 + 5]
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = kernels.accumulate(*args, **kwargs)
+            seen.append(out[0].dtype)
+            return out
+
+        monkeypatch.setattr(trainer, "accumulate", spy)
+        x = np.full((1, 519), 127, np.int8)
+        shadow = init_shadow(model)
+        emu, _ = emulated_forward(shadow, x)
+        assert seen == [dtype]
+        want, _ = oracle_emulated_forward(shadow, x)
+        assert np.array_equal(emu, want) and emu[0, 0] == logit
+        assert np.array_equal(run_model_int(model, x), emu)
+
+    def test_avgpool_sums_stay_float32(self, desk_cnn_v1, monkeypatch):
+        # A window sum of int8 values is at most window_bound = 128 * area,
+        # exact in float32, so the emulated avgpool keeps its input's type.
+        seen = []
+
+        def spy(x, window):
+            out = kernels.window_sum(x, window)
+            seen.append((x.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(trainer, "window_sum", spy)
+        model, x = desk_cnn_v1
+        emulated_forward(init_shadow(materialize_rescalers(model, 2)), x)
+        assert seen == [(np.float32, np.float32)] * 2
 
 
 class TestSTEGradients:
@@ -786,6 +844,30 @@ class TestRandomGraphs:
                 assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
         assert_float64_oracle_bits(init_shadow(model), x, rng)
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_graph_specs())
+    def test_container_round_trip(self, spec):
+        model = graph_from_spec(spec)
+        data = model_io.model_to_bytes(model)
+        loaded = model_io.model_from_bytes(data)
+        assert model_io.model_to_bytes(loaded) == data
+        rng = np.random.default_rng(spec["seed"])
+        x = rng.integers(-128, 128, size=(3, *spec["in_shape"])).astype(np.int8)
+        assert np.array_equal(run_model_int(loaded, x), run_model_int(model, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_graph_specs())
+    def test_accumulator_bound_covers_the_peak(self, spec):
+        # Random uint8 probes plus the all-0 and all-255 images.
+        model = graph_from_spec(spec)
+        rng = np.random.default_rng(spec["seed"])
+        probes = rng.integers(0, 256, size=(6, *spec["in_shape"]), dtype=np.uint8)
+        probes[0], probes[1] = 0, 255
+        for idx, layer in enumerate(model.layers):
+            if layer.kind != "flatten":
+                report = errmodel.layer_error_report(model, idx, probes)
+                assert np.all(report.max_abs_acc <= report.analytic_max_abs_acc), idx
+
 
 def assert_float64_oracle_bits(shadow, x, rng):
     """The emulation, and the STE gradients of its cache, equal the float64
@@ -836,10 +918,10 @@ class TestFloat64Oracle:
         assert_float64_oracle_bits(shadow, x, rng)
 
     def test_cached_operands_are_float32_where_exact(self, desk_cnn_v1):
-        # Every rounding-mode activation is float32: conv1, depthwise and
-        # conv2 cache it as their float32 MAC operand, and dense (784 MACs)
-        # caches it though its MAC widens it to float64.  The surrogate
-        # stays float64.
+        # Every rounding-mode activation is float32, and every layer caches
+        # it as its float32 MAC operand: each layer's accumulator bound is
+        # <= 2**24 (dense's, over 784 taps, is far below its shape bound).
+        # The surrogate stays float64.
         model, x = desk_cnn_v1
         _, cache = emulated_forward(init_shadow(materialize_rescalers(model, 2)), x)
         kinds = {e["kind"]: e["cols"].dtype for e in cache if "cols" in e}
