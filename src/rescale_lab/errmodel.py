@@ -33,6 +33,8 @@ from .kernels import (
 )
 from .model_io import layer_input_params, materialize_rescalers
 from .qcore import (
+    MAX_BITWIDTH,
+    MIN_BITWIDTH,
     DyadicRescaler,
     multiply_by_quantized_multiplier,
     quantize_rescaler,
@@ -113,23 +115,23 @@ def rescale_error_bound(r: DyadicRescaler, s_y: float, max_abs_acc: int) -> floa
 
 
 def min_safe_bitwidth(m_real: float, max_abs_acc: int) -> int:
-    """Smallest width k in [2, 32] whose quantized rescaler keeps the
-    scale-mismatch error within half an output step at ``max_abs_acc``.
+    """Smallest width k in [MIN_BITWIDTH, MAX_BITWIDTH] whose rescaler keeps
+    the scale-mismatch error within half an output step at ``max_abs_acc``.
 
-    Returns 32 with a RuntimeWarning if no width satisfies the condition.
+    Returns MAX_BITWIDTH with a RuntimeWarning if no width is safe.
     """
     if max_abs_acc < 0:
         raise DomainError(f"max_abs_acc must be non-negative, got {max_abs_acc}")
-    for k in range(2, 33):
+    for k in range(MIN_BITWIDTH, MAX_BITWIDTH + 1):
         if _exact_mismatch(quantize_rescaler(m_real, k)) * int(max_abs_acc) <= Fraction(1, 2):
             return k
     warnings.warn(
-        f"no rescaler width up to 32 bits is safe for M={m_real!r} at "
+        f"no rescaler width up to {MAX_BITWIDTH} bits is safe for M={m_real!r} at "
         f"max|acc|={max_abs_acc}",
         RuntimeWarning,
         stacklevel=2,
     )
-    return 32
+    return MAX_BITWIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ def model_error_report(
     model, probe_batches: Sequence[np.ndarray], k: int
 ) -> list[LayerErrorReport]:
     """Reports for every layer that has a rescale stage, at width ``k``."""
-    model = materialize_rescalers(model, k) if model.k != k else model
+    model = materialize_rescalers(model, k)
     return [
         layer_error_report(model, i, probe_batches)
         for i, layer in enumerate(model.layers)

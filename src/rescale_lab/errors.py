@@ -31,5 +31,5 @@ class CalibrationError(RescaleLabError):
     """Calibration data is missing, empty, or produced invalid statistics."""
 
 
-class OverflowEnvelopeError(RescaleLabError):
+class OverflowEnvelopeError(RescaleLabError, OverflowError):
     """An intermediate value left the range the arithmetic contract covers."""

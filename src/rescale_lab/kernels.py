@@ -176,7 +176,7 @@ def compute_effective_bias(
 
     ``b_eff[c] = bias[c] - z_in * sum(weights of channel c)``; with the input
     padded by ``z_in`` this makes every accumulator equal the zero-corrected
-    sum regardless of position.  Raises ``OverflowError`` if a component
+    sum regardless of position.  Raises OverflowEnvelopeError if a component
     leaves int32 instead of wrapping.
     """
     w = weights.data if isinstance(weights, QTensor) else np.asarray(weights)
@@ -188,7 +188,7 @@ def compute_effective_bias(
     tap_sum = w.astype(np.int64).sum(axis=tap_axes(w))
     b_eff = bias.astype(np.int64) - np.int64(z_in) * tap_sum
     if np.any(b_eff < INT32_MIN) or np.any(b_eff > INT32_MAX):
-        raise OverflowError("effective bias leaves the int32 range")
+        raise OverflowEnvelopeError("effective bias leaves the int32 range")
     return b_eff.astype(np.int32)
 
 

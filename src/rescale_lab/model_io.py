@@ -35,6 +35,7 @@ from .qcore import (
     INT32_MIN,
     DyadicRescaler,
     QuantParams,
+    bias_scales,
     check_bitwidth,
     quantize_rescaler,
     rescale_factors,
@@ -95,26 +96,6 @@ class ModelGraph:
         return widths[0]
 
 
-@dataclass
-class CalibrationStats:
-    """Running per-tensor min/max over a calibration set."""
-
-    ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def update(self, name: str, values: np.ndarray) -> None:
-        lo = float(np.min(values))
-        hi = float(np.max(values))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise CalibrationError(f"non-finite values observed for tensor {name!r}")
-        if name in self.ranges:
-            old_lo, old_hi = self.ranges[name]
-            lo, hi = min(lo, old_lo), max(hi, old_hi)
-        self.ranges[name] = (lo, hi)
-
-    def range_of(self, name: str) -> tuple[float, float]:
-        return self.ranges[name]
-
-
 def fake_quantize_weights(w: np.ndarray) -> np.ndarray:
     """Deployment-identical integerization of real-valued weights: round
     half-up, clamp to int8.  Returns float64."""
@@ -159,15 +140,11 @@ def weight_channel_scales(w: np.ndarray) -> np.ndarray:
 
 
 def quantize_weights(w: np.ndarray) -> QTensor:
-    """Per-channel symmetric int8 weights (channel scales, zero point 0)."""
+    """Per-channel symmetric int8 weights (channel scales, zero point 0),
+    rounded by redeployment's :func:`fake_quantize_weights`."""
     scales = weight_channel_scales(w)
-    ints = round_half_up(w / np.expand_dims(scales, tap_axes(w)))
-    return QTensor(np.clip(ints, -127, 127).astype(np.int8), scales)
-
-
-def quantize_bias(b: np.ndarray, bias_scales: np.ndarray) -> np.ndarray:
-    ints = round_half_up(np.asarray(b, dtype=np.float64) / bias_scales)
-    return np.clip(ints, INT32_MIN, INT32_MAX).astype(np.int32)
+    ints = fake_quantize_weights(w / np.expand_dims(scales, tap_axes(w)))
+    return QTensor(ints.astype(np.int8), scales)
 
 
 def quantize_float_model(
@@ -188,13 +165,17 @@ def quantize_float_model(
     if not batches:
         raise CalibrationError("at least one calibration batch is required")
     calibrated = ["input"] + [l.name for l in floatnet.LAYERS if l.param is not None]
-    stats = CalibrationStats()
+    ranges: dict[str, tuple[float, float]] = {}  # running (min, max) per tensor
     for batch in batches:
         tensors = floatnet.forward_intermediates(float_model, batch)
         for key in calibrated:
-            stats.update(key, tensors[key])
+            lo, hi = float(np.min(tensors[key])), float(np.max(tensors[key]))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise CalibrationError(f"non-finite values observed for tensor {key!r}")
+            old_lo, old_hi = ranges.get(key, (lo, hi))
+            ranges[key] = (min(lo, old_lo), max(hi, old_hi))
 
-    input_params = in_qp = activation_qparams(*stats.range_of("input"))
+    input_params = in_qp = activation_qparams(*ranges["input"])
     layers = []
     for idx, layer in enumerate(floatnet.LAYERS):
         if layer.kind == "avgpool":
@@ -205,15 +186,15 @@ def quantize_float_model(
         elif layer.kind == "flatten":
             layers.append(LayerSpec(kind="flatten", output=in_qp))
         else:
-            out_qp = activation_qparams(*stats.range_of(layer.name))
+            out_qp = activation_qparams(*ranges[layer.name])
             w_real, b_real = floatnet.layer_params(float_model, layer)
             weights = quantize_weights(w_real)
-            bias_scales = in_qp.scale * np.asarray(weights.qparams, dtype=np.float64)
+            b_scales = bias_scales(in_qp.scale, weights.qparams)
             layers.append(LayerSpec(
                 kind=layer.kind,
                 activation=layer.activation,
                 weights=weights,
-                bias=quantize_bias(b_real, bias_scales),
+                bias=fake_quantize_biases(b_real / b_scales).astype(np.int32),
                 stride=layer.stride,
                 padding=layer.padding,
                 output=out_qp,
@@ -240,8 +221,12 @@ def _layer_rescalers(factors, k: int, idx: int, kind: str) -> list[DyadicRescale
 
 
 def materialize_rescalers(model: ModelGraph, k: int) -> ModelGraph:
-    """Re-quantize every rescaler at width ``k`` from its stored real value."""
+    """Re-quantize every rescaler at width ``k`` from its stored real value.
+    A graph whose rescalers all have width ``k`` already is returned as it
+    is, so clamp-built rescalers run at their own width."""
     check_bitwidth(k)  # a bad width is the caller's, not a layer's
+    if all(r.k == k for layer in model.layers for r in layer.rescalers):
+        return model
     return replace(model, layers=[
         replace(layer, rescalers=_layer_rescalers(
             [r.real_value for r in layer.rescalers], k, idx, layer.kind))
@@ -399,8 +384,8 @@ def model_to_bytes(model: ModelGraph) -> bytes:
             entry["weight_scales"] = [
                 float_to_hex(v) for v in np.asarray(layer.weights.qparams)
             ]
-            bias_scales = layer_input_params(model, idx).scale * layer.weights.qparams
-            entry["bias_scales"] = [float_to_hex(v) for v in bias_scales]
+            entry["bias_scales"] = [float_to_hex(v) for v in bias_scales(
+                layer_input_params(model, idx).scale, layer.weights.qparams)]
             w_bytes = np.ascontiguousarray(layer.weights.data, dtype=np.int8).tobytes()
             b_bytes = layer.bias.astype("<i4").tobytes()
             entry["tensors"] = {
@@ -667,13 +652,18 @@ def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
 
 
 def load_idx_dataset(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a u8 image/label pair of IDX files (big-endian headers)."""
+    """Load a u8 image/label pair of IDX files (big-endian headers); a label
+    outside the classes 0..9 is a FormatError naming the file and index."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FormatError(f"{labels_path}: label {labels[bad[0]]} at index {bad[0]} "
+                          "is not a class 0..9")
     return images, labels
 
 

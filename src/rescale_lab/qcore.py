@@ -1,16 +1,16 @@
 """Fixed-point quantization core: each formula of the int8 scheme, once.
 
 Reals map to int8 as ``real = S * (q - Z)``, rounded by :func:`round_half_up`,
-the only float rounding; output channel c of a weighted layer carries the
-real factor ``M_c = S_x * S_w,c / S_y`` of :func:`rescale_factors`, which
-the quantizer and the validator share.  Integer-only inference replaces
-each ``M`` in ``(0, 1]`` with a dyadic approximation ``M_q = m * 2**-s``,
-where ``m`` is a k-bit unsigned multiplicand with a forced leading one
-bit and ``s`` is a right-shift amount.  Applying ``M_q`` to a 32-bit
-accumulator then needs one widening multiply, one add, and one
-arithmetic shift.  This module builds those approximations from the
-IEEE-754 binary64 bit fields and applies them with round-half-up
-(toward +inf) semantics.
+the only float rounding.  Output channel c of a weighted layer has the bias
+scale ``S_x * S_w,c`` of :func:`bias_scales` and the real factor
+``M_c = S_x * S_w,c / S_y`` of :func:`rescale_factors`, which the quantizer
+and the validator share.  Integer-only inference replaces each ``M`` in
+``(0, 1]`` with a dyadic approximation ``M_q = m * 2**-s``, where ``m`` is a
+k-bit unsigned multiplicand with a forced leading one bit and ``s`` is a
+right-shift amount.  Applying ``M_q`` to a 32-bit accumulator then needs one
+widening multiply, one add, and one arithmetic shift.  This module builds
+those approximations from the IEEE-754 binary64 bit fields and applies them
+with round-half-up (toward +inf) semantics.
 """
 
 from __future__ import annotations
@@ -45,11 +45,17 @@ def round_half_up(values: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
 
 
+def bias_scales(in_scale: float, weight_scales: np.ndarray) -> np.ndarray:
+    """The accumulator scales ``S_x * S_w,c`` of a weighted layer, one per
+    output channel: the scale of its int32 biases."""
+    return in_scale * np.asarray(weight_scales, dtype=np.float64)
+
+
 def rescale_factors(in_scale: float, weight_scales: np.ndarray,
                     out_scale: float) -> list[float]:
     """The real factors ``M_c = S_x * S_w,c / S_y`` of a weighted layer, one
     per output channel."""
-    return [in_scale * float(w) / out_scale for w in weight_scales]
+    return [float(s) / out_scale for s in bias_scales(in_scale, weight_scales)]
 
 
 @dataclass(frozen=True)

@@ -487,7 +487,7 @@ def finetune(
     after each epoch; it is re-deployed once more at the end to give the
     result.  Quantization parameters and rescalers never change.
     """
-    base = materialize_rescalers(model, k) if model.k != k else model
+    base = materialize_rescalers(model, k)
     shadow = init_shadow(base)
     images = np.asarray(train_images)
 

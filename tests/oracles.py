@@ -286,7 +286,7 @@ def oracle_finetune_loop(model, images, labels, cfg, k, eval_images, eval_labels
     STE backward and SGD step per batch, a redeploy and an evaluation after
     every epoch.  Biases always train.  Returns ``(model, history)`` with
     history as ``(epoch, loss, accuracy)`` tuples."""
-    base = materialize_rescalers(model, k) if model.k != k else model
+    base = materialize_rescalers(model, k)
     shadow = init_shadow(base)
     rng = np.random.default_rng(cfg.seed)
     images = np.asarray(images)

@@ -19,7 +19,7 @@ from rescale_lab.cli import (
     run_sweep,
 )
 from rescale_lab.errors import DomainError, RescalerUnderflow
-from rescale_lab.kernels import QTensor
+from rescale_lab.kernels import QTensor, evaluate_int
 from rescale_lab.model_io import (
     LayerSpec,
     ModelGraph,
@@ -189,6 +189,42 @@ class TestSweep:
         assert by_k[2].accuracy is None
         assert "underflow" in by_k[2].note
         assert by_k[32].accuracy is not None
+
+
+    def test_clamp_built_model_sweeps_as_loaded(self, tmp_path, capsys):
+        # conv2d -> flatten -> dense whose logit scale 2^26 underflows every
+        # width; the k=32 rescalers were built with the clamp policy, and
+        # re-quantizing them at k=32 would raise RescalerUnderflow.
+        in_qp, mid_qp, out_qp = (QuantParams(1 / 255, -128), QuantParams(0.2, -128),
+                                 QuantParams(2.0**26, 0))
+        rng = np.random.default_rng(4)
+        conv = _weighted("conv2d", rng.integers(-128, 128, (2, 3, 3, 1)).astype(np.int8),
+                         in_qp, mid_qp, activation="relu")
+        with pytest.warns(RuntimeWarning):
+            dense = LayerSpec(
+                kind="dense", weights=QTensor(rng.integers(-128, 128, (10, 8))
+                                              .astype(np.int8), np.ones(10)),
+                bias=np.zeros(10, dtype=np.int32), output=out_qp,
+                rescalers=[quantize_rescaler(mid_qp.scale / out_qp.scale, 32,
+                                             on_underflow="clamp")] * 10)
+        model = ModelGraph("clamped", in_qp,
+                           [conv, LayerSpec(kind="flatten", output=mid_qp), dense])
+        model_file = str(tmp_path / "clamped.rqm")
+        save_model(model, model_file)
+        paths = datagen.dataset_paths(str(tmp_path))
+        images = rng.integers(0, 256, (6, 4, 4)).astype(np.uint8)
+        labels = np.arange(6, dtype=np.uint8)
+        save_idx_images(paths["test_images"], images)
+        save_idx_labels(paths["test_labels"], labels)
+        code = main(["sweep", "--model", model_file, "--data-dir", str(tmp_path),
+                     "--k-list", "32,8,2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        as_loaded = f"{evaluate_int(model, images, labels):.2f}"
+        assert lines[2] == f"32,{as_loaded},0.00,"
+        for line, k in zip(lines[3:5], ("8", "2")):
+            assert line.startswith(f"{k},,,underflow: layer 2 (dense) channel 0:")
+        assert lines[5] == f"# base_accuracy={as_loaded}"
 
 
 class TestAnalyze:

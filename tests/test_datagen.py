@@ -7,7 +7,8 @@ import pytest
 
 from oracles import oracle_stroke_ink
 from rescale_lab import datagen
-from rescale_lab.errors import DomainError
+from rescale_lab.errors import DomainError, FormatError
+from rescale_lab.model_io import save_idx_labels
 
 # sha256 of render_digits(balanced_labels(n, rng), rng) with
 # rng = default_rng(n).  The counts straddle the 64-image geometry passes
@@ -117,6 +118,21 @@ def test_generate_dataset_keeps_test_labels_clean(tmp_path):
     assert not np.array_equal(train_y, clean_train)
     assert np.array_equal(test_y, datagen.balanced_labels(100, rng))
     assert np.array_equal(test_x, datagen.render_digits(test_y, rng))
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_load_dataset_rejects_a_label_past_nine(tmp_path, split):
+    # Library callers of train_float and finetune used to reach the loss
+    # with it and fail there with an IndexError.
+    paths = datagen.generate_dataset(str(tmp_path), 20, 10, seed=1)
+    (_, train_y), (_, test_y) = datagen.load_dataset(str(tmp_path))
+    labels = (train_y if split == "train" else test_y).copy()
+    labels[7] = 200
+    save_idx_labels(paths[f"{split}_labels"], labels)
+    with pytest.raises(FormatError) as info:
+        datagen.load_dataset(str(tmp_path))
+    assert str(info.value) == (f"{paths[f'{split}_labels']}: label 200 at index 7 "
+                               "is not a class 0..9")
 
 
 @pytest.mark.parametrize("train_count, test_count", [(0, 10), (10, 0), (-1, 10)])

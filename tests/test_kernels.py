@@ -90,6 +90,12 @@ class TestEffectiveBias:
         with pytest.raises(OverflowError):
             compute_effective_bias(np.array([INT32_MAX]), w, 1)
 
+    def test_overflow_raises_the_envelope_error(self):
+        # The add_bias fault's type, which stays an OverflowError as well.
+        assert issubclass(OverflowEnvelopeError, OverflowError)
+        with pytest.raises(OverflowEnvelopeError):
+            compute_effective_bias(np.array([INT32_MIN]), wt([[1]]), 1)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             compute_effective_bias(np.array([1, 2]), wt([[1, 2, 3]]), 0)

@@ -13,11 +13,11 @@ from rescale_lab.errors import DomainError, FormatError, RescalerUnderflow, Shap
 from rescale_lab.kernels import QTensor, quantize_real, run_model_int
 from rescale_lab.model_io import (
     MAGIC,
-    CalibrationStats,
     LayerSpec,
     ModelGraph,
     activation_qparams,
     hex_to_float,
+    fake_quantize_biases,
     float_to_hex,
     load_idx_dataset,
     load_model,
@@ -25,7 +25,6 @@ from rescale_lab.model_io import (
     model_from_bytes,
     model_to_bytes,
     models_equal,
-    quantize_bias,
     quantize_float_model,
     quantize_weights,
     redeploy_weights,
@@ -151,27 +150,50 @@ class TestActivationQuantization:
 
 
 class TestBiasQuantization:
+    """PTQ quantizes biases as ``fake_quantize_biases(b / S_x*S_w)``."""
+
     def test_half_up(self):
         scales = np.array([0.01])
-        assert quantize_bias(np.array([0.125]), scales).tolist() == [13]
-        assert quantize_bias(np.array([-0.125]), scales).tolist() == [-12]
+        assert fake_quantize_biases(np.array([0.125]) / scales).tolist() == [13]
+        assert fake_quantize_biases(np.array([-0.125]) / scales).tolist() == [-12]
 
     def test_int32_clamp(self):
-        assert quantize_bias(np.array([1e18]), np.array([1.0])).tolist() == [2**31 - 1]
+        assert fake_quantize_biases(np.array([1e18]) / np.array([1.0])).tolist() == [2**31 - 1]
 
 
-class TestCalibrationStats:
-    def test_running_extremes(self):
-        stats = CalibrationStats()
-        stats.update("t", np.array([1.0, 2.0]))
-        stats.update("t", np.array([-5.0, 0.5]))
-        assert stats.range_of("t") == (-5.0, 2.0)
-
-    def test_rejects_nan(self):
+class TestCalibrationRanges:
+    @pytest.mark.parametrize("nan_batch", [0, 2])
+    def test_nan_in_any_batch_names_the_input(self, nan_batch):
         from rescale_lab.errors import CalibrationError
-        stats = CalibrationStats()
-        with pytest.raises(CalibrationError):
-            stats.update("t", np.array([np.nan]))
+        batches = [np.random.default_rng(i).random((2, 28, 28, 1)) for i in range(3)]
+        batches[nan_batch][1, 5, 5, 0] = np.nan
+        with pytest.raises(CalibrationError, match="tensor 'input'"):
+            quantize_float_model(floatnet.init_float_model(seed=1), batches)
+
+    def test_nan_inside_the_network_names_its_tensor(self):
+        from rescale_lab.errors import CalibrationError
+        fm = floatnet.init_float_model(seed=1)
+        fm.conv2_w[0, 0, 0, 0] = np.nan
+        batch = np.random.default_rng(0).random((2, 28, 28, 1))
+        with pytest.raises(CalibrationError, match="tensor 'conv2'"):
+            quantize_float_model(fm, [batch])
+
+    def test_ranges_over_batches_equal_the_range_of_their_union(self, monkeypatch):
+        # BLAS may sum the dense layer in another order at another batch
+        # size, so the float forward runs one image at a time here.
+        forward = floatnet.forward_intermediates
+
+        def per_image(model, batch):
+            outs = [forward(model, batch[i : i + 1]) for i in range(len(batch))]
+            return {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
+
+        monkeypatch.setattr(floatnet, "forward_intermediates", per_image)
+        fm = floatnet.init_float_model(seed=5)
+        x = np.random.default_rng(5).random((6, 28, 28, 1))
+        x[0] *= 0.1  # the batches' extremes differ, so the union must merge them
+        whole = quantize_float_model(fm, [x])
+        assert models_equal(quantize_float_model(fm, [x[:2], x[2:4], x[4:]]), whole)
+        assert models_equal(quantize_float_model(fm, [x[4:], x[:4]]), whole)
 
 
 class TestQuantizeFloatModel:
@@ -292,6 +314,31 @@ class TestMaterializeRescalers:
         once = materialize_rescalers(desk_quantized, 8)
         twice = materialize_rescalers(once, 8)
         assert models_equal(once, twice)
+
+    def test_own_width_returns_the_graph_itself(self, desk_quantized):
+        assert materialize_rescalers(desk_quantized, desk_quantized.k) is desk_quantized
+
+    def test_own_width_keeps_clamp_built_rescalers(self):
+        # Re-quantizing these k=32 rescalers at k=32 would raise
+        # RescalerUnderflow; the graph already has that width.
+        model = tiny_dense_model()
+        model.layers[0].output = QuantParams(scale=2.0**26, zero_point=0)
+        with pytest.warns(RuntimeWarning):
+            model.layers[0].rescalers = [
+                quantize_rescaler(0.5 * s / 2.0**26, 32, on_underflow="clamp")
+                for s in model.layers[0].weights.qparams
+            ]
+        assert materialize_rescalers(model, 32) is model
+
+    def test_mixed_widths_are_rewidthed(self, desk_quantized):
+        mixed = materialize_rescalers(desk_quantized, 8)
+        mixed.layers[0] = desk_quantized.layers[0]  # k=32 beside k=8
+        with pytest.raises(ShapeError, match="one rescaler width"):
+            mixed.k
+        for k in (8, 32):
+            out = materialize_rescalers(mixed, k)
+            assert out is not mixed and out.k == k
+            assert models_equal(out, materialize_rescalers(desk_quantized, k))
 
     def test_real_value_retained(self, desk_quantized):
         low = materialize_rescalers(desk_quantized, 6)
