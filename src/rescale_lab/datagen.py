@@ -219,15 +219,20 @@ def render_digits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             [seg_intensity, np.where(clutter_live, clutter_level, 0.0)], axis=1
         )  # (b, 7 + C)
 
+        # The pixels are built in place in the ink buffer: the same float64
+        # operations, in the same order, as
+        # round_half_up(clip(ink * brightness + noise, 0, 1) * 255).
         ink = np.empty((b, IMAGE_SIZE * IMAGE_SIZE))
         for lo in range(0, b, _GEOMETRY_BATCH):
             sub = slice(lo, lo + _GEOMETRY_BATCH)
             ink[sub] = _stroke_ink(centres, segs[sub], width[sub],
                                    intensity[sub])
-        img = np.clip(ink * brightness[:, None] + noise, 0.0, 1.0)
-        out[start : start + _CHUNK] = round_half_up(img * 255.0).astype(
-            np.uint8
-        ).reshape(b, IMAGE_SIZE, IMAGE_SIZE)
+        ink *= brightness[:, None]
+        ink += noise
+        np.clip(ink, 0.0, 1.0, out=ink)
+        ink *= 255.0
+        round_half_up(ink, out=ink)
+        out[start : start + _CHUNK] = ink.reshape(b, IMAGE_SIZE, IMAGE_SIZE)
     return out
 
 

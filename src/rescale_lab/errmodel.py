@@ -24,11 +24,10 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (
     QTensor,
+    accumulator_blocks,
     accumulator_bound,
-    layer_accumulator,
     layer_forward_int,
-    quantize_real,
-    unit_images,
+    quantize_images,
     window_bound,
 )
 from .model_io import layer_input_params, materialize_rescalers
@@ -149,7 +148,8 @@ def layer_error_report(
 
     Probe batches are uint8 image batches; they are quantized with the
     model's input parameters, run through the integer engine up to the
-    target layer, and the layer's pre-rescale values are recorded.  The
+    target layer, and the layer's pre-rescale values are reduced block by
+    block (:func:`kernels.accumulator_blocks`).  The
     per-channel peak |accumulator| feeds the mismatch bound; the safe flag
     is an exact rational comparison against the half-step rounding floor.
     """
@@ -168,19 +168,18 @@ def layer_error_report(
         if len(batch) == 0:
             continue
         saw_image = True
-        x = QTensor(quantize_real(unit_images(batch), model.input_params),
-                    model.input_params)
+        x = QTensor(quantize_images(batch, model.input_params), model.input_params)
         for upstream in model.layers[:layer_id]:
             x = layer_forward_int(x, upstream)
-        # Peak |acc| per channel from the int32 extremes, reduced over the
-        # images first (one long row each) and widened to int64 after the
-        # reduction, so that |-2**31| does not wrap.
-        acc = layer_accumulator(x, layer)
-        rows = acc.reshape(acc.shape[0], -1)
-        hi = rows.max(axis=0).reshape(-1, channels).max(axis=0)
-        lo = rows.min(axis=0).reshape(-1, channels).min(axis=0)
-        peak = np.maximum(hi.astype(np.int64), -lo.astype(np.int64))
-        np.maximum(max_abs, peak, out=max_abs)
+        # Peak |acc| per channel from the int32 extremes of each block,
+        # reduced over the images first (one long row each) and widened to
+        # int64 after the reduction, so that |-2**31| does not wrap.
+        for _, acc in accumulator_blocks(x, layer):
+            rows = acc.reshape(acc.shape[0], -1)
+            hi = rows.max(axis=0).reshape(-1, channels).max(axis=0)
+            lo = rows.min(axis=0).reshape(-1, channels).min(axis=0)
+            peak = np.maximum(hi.astype(np.int64), -lo.astype(np.int64))
+            np.maximum(max_abs, peak, out=max_abs)
     if not saw_image:
         raise DomainError("probe set is empty")
 

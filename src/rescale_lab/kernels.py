@@ -19,16 +19,19 @@ reference network, and the emulation shares every stage after it:
 :func:`add_bias` (the int32 envelope check, then the bias add),
 :func:`rescale_accumulator` (int64 for the engine, a float type the
 bound proves exact for the emulation where there is one) and
-:func:`output_bounds` (the clamp and zero point; the engine rescales and
-clamps a block of images at a time straight into int8 and adds the zero
-point in int8).
+:func:`output_bounds` (the clamp and zero point).  The engine runs every
+layer over blocks of :data:`RESCALE_BLOCK` images
+(:func:`accumulator_blocks`): MAC, bias, rescale and clamp, straight into
+that block's int8 output slice, so its working memory does not grow with
+the batch.  uint8 images enter through :func:`quantize_images`, a
+256-entry table of :func:`quantize_real`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,8 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # A layer may accumulate at most this many products per output element;
 # together with int8 operand bounds it keeps |acc| < 2**31.
 MAX_MAC_COUNT = 1 << 16
-# Images the engine rescales at once, which caps the int64 buffer of
-# rescale_accumulator at one block however large the batch.
+# Images the engine runs through a layer at once: the im2col planes, the
+# accumulator and rescale_accumulator's int64 buffer are one block's,
+# however large the batch.
 RESCALE_BLOCK = 32
 
 
@@ -164,6 +168,20 @@ def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
     return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
 
 
+def quantize_images(images_u8: np.ndarray, params: QuantParams) -> np.ndarray:
+    """uint8 images quantized with ``params``, as NHWC int8: the bits of
+    ``quantize_real(unit_images(images_u8), params)``, read from a table of
+    :func:`quantize_real` over the 256 byte values (both steps are
+    elementwise).  Input of any other dtype raises ShapeError."""
+    images = np.asarray(images_u8)
+    if images.dtype != np.uint8:
+        raise ShapeError(f"images must be uint8, got {images.dtype}")
+    if images.ndim == 3:
+        images = images[..., np.newaxis]
+    table = quantize_real(np.arange(256, dtype=np.float64) / 255.0, params)
+    return table[images]
+
+
 def dequantize_real(q: np.ndarray, params: QuantParams) -> np.ndarray:
     """Map int8 values back to reals: ``scale * (q - zero_point)``."""
     return params.scale * (np.asarray(q, dtype=np.float64) - params.zero_point)
@@ -203,9 +221,12 @@ def _pad_nhwc(x: np.ndarray, pads: tuple[int, int, int, int], value: int) -> np.
     top, bottom, left, right = pads
     if top == bottom == left == right == 0:
         return x
-    return np.pad(
-        x, ((0, 0), (top, bottom), (left, right), (0, 0)), constant_values=value
-    )
+    # A filled buffer with the input copied in: np.pad gives the same array
+    # at several times the fixed cost, which every block of a layer pays.
+    n, h, w, c = x.shape
+    out = np.full((n, top + h + bottom, left + w + right, c), value, x.dtype)
+    out[:, top : top + h, left : left + w] = x
+    return out
 
 
 def _conv_geometry(x_shape, k_h, k_w, stride, padding):
@@ -471,12 +492,15 @@ def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int
     raise ShapeError(f"unknown activation {activation!r}")
 
 
-def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
+def layer_accumulator(x: QTensor, layer: "LayerSpec",
+                      b_eff: np.ndarray | None = None) -> np.ndarray:
     """The pre-rescale values of one layer: window sums for avgpool, the
-    int32 MAC plus effective bias for weighted layers."""
+    int32 MAC plus effective bias for weighted layers (``b_eff`` if given,
+    else :func:`compute_effective_bias` for ``x``'s zero point)."""
     if layer.kind == "avgpool":
         return window_sum(x.data, layer.window)
-    b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
+    if b_eff is None:
+        b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
     if layer.kind == "dense":
         return dense_int(x, layer.weights, b_eff)
     if layer.kind == "conv2d":
@@ -484,6 +508,18 @@ def layer_accumulator(x: QTensor, layer: "LayerSpec") -> np.ndarray:
     if layer.kind == "depthwise":
         return depthwise_conv2d_int(x, layer.weights, b_eff, layer.stride, layer.padding)
     raise ShapeError(f"layer kind {layer.kind!r} has no rescale stage")
+
+
+def accumulator_blocks(x: QTensor, layer: "LayerSpec") -> Iterator[tuple[slice, np.ndarray]]:
+    """The layer's pre-rescale values one block of :data:`RESCALE_BLOCK`
+    images at a time, as ``(images, accumulator)`` pairs, so that nothing a
+    block makes grows with the batch.  The effective bias is computed once.
+    An empty batch still gives one (empty) block, so shape errors surface."""
+    b_eff = (None if layer.kind == "avgpool"
+             else compute_effective_bias(layer.bias, layer.weights, x.zero_point))
+    for start in range(0, max(x.data.shape[0], 1), RESCALE_BLOCK):
+        block = slice(start, start + RESCALE_BLOCK)
+        yield block, layer_accumulator(QTensor(x.data[block], x.qparams), layer, b_eff)
 
 
 def rescaler_vectors(layer: "LayerSpec") -> tuple[np.ndarray, np.ndarray]:
@@ -510,23 +546,24 @@ def output_bounds(layer: "LayerSpec") -> tuple[int, int, int]:
 
 
 def layer_forward_int(x: QTensor, layer: "LayerSpec") -> QTensor:
-    """Run one layer of the integer engine at the width its rescalers carry:
-    accumulator, rescale, then the zero-point add and clamp of
-    :func:`output_bounds`.  avgpool's rescaler is the dyadic encoding of
-    1/area, and its output parameters are its input's."""
+    """Run one layer of the integer engine at the width its rescalers carry,
+    block by block (:func:`accumulator_blocks`): accumulator, rescale, then
+    the zero-point add and clamp of :func:`output_bounds`.  avgpool's
+    rescaler is the dyadic encoding of 1/area, and its output parameters
+    are its input's."""
     if layer.kind == "flatten":
         return QTensor(flatten(x.data), x.qparams)
     m, s = rescaler_vectors(layer)
-    acc = layer_accumulator(x, layer)
-    # Rescale and clamp to [lo - z, hi - z] into int8 one block of
-    # RESCALE_BLOCK images at a time, then add the zero point z in int8:
-    # the cast may wrap, but v + z lies in [lo, hi] inside int8, so the
-    # wrapped sum is exact (two's complement).
+    # Rescale and clamp each block to [lo - z, hi - z] straight into its
+    # int8 slice, then add the zero point z in int8: the cast may wrap, but
+    # v + z lies in [lo, hi] inside int8, so the wrapped sum is exact (two's
+    # complement).
     lo, hi, z = output_bounds(layer)
-    out = np.empty(acc.shape, np.int8)
-    for start in range(0, acc.shape[0], RESCALE_BLOCK):
-        block = slice(start, start + RESCALE_BLOCK)
-        np.clip(rescale_accumulator(acc[block], m, s), lo - z, hi - z,
+    out = None
+    for block, acc in accumulator_blocks(x, layer):
+        if out is None:
+            out = np.empty(x.data.shape[:1] + acc.shape[1:], np.int8)
+        np.clip(rescale_accumulator(acc, m, s), lo - z, hi - z,
                 out=out[block], casting="unsafe")
     out += np.int8(z)
     return QTensor(out, layer.output)
@@ -542,20 +579,27 @@ def run_model_int(model: "ModelGraph", x_q: np.ndarray) -> np.ndarray:
 
 
 def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Classify uint8 images: scale to [0, 1], quantize with the model's
-    input parameters, run the engine, argmax (ties to the lowest index)."""
+    """Classify uint8 images: quantize them with the model's input
+    parameters (:func:`quantize_images`), run the engine, argmax (ties to
+    the lowest index)."""
     images = np.asarray(images_u8)
-    preds = []
+    preds = np.empty(images.shape[0], np.int64)
     for start in range(0, images.shape[0], batch_size):
-        x_q = quantize_real(unit_images(images[start : start + batch_size]),
-                            model.input_params)
-        logits = run_model_int(model, x_q)
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+        x_q = quantize_images(images[start : start + batch_size], model.input_params)
+        preds[start : start + batch_size] = np.argmax(run_model_int(model, x_q), axis=1)
+    return preds
+
+
+def check_labels(images: np.ndarray, labels: np.ndarray) -> None:
+    """Raise ShapeError, naming both counts, unless there is one label per
+    image."""
+    if len(images) != len(labels):
+        raise ShapeError(f"{len(labels)} labels for {len(images)} images")
 
 
 def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of the integer engine on a labeled image set, in percent."""
+    check_labels(images_u8, labels)
     if len(images_u8) == 0:
         raise DomainError("accuracy of an empty image set")
     preds = predict_int(model, images_u8)

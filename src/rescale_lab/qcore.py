@@ -39,10 +39,15 @@ def shift_budget(k: int) -> int:
     return 32 + k - 8
 
 
-def round_half_up(values: np.ndarray) -> np.ndarray:
+def round_half_up(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise round-half-up toward +inf, ``floor(v + 0.5)`` in binary64:
-    the engine's convention.  Returns float64."""
-    return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
+    the engine's convention.  Returns float64: a new array, or ``out`` (a
+    float64 array of the values' shape, which may be ``values`` itself)
+    rounded in place."""
+    if out is None:
+        return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
+    np.add(values, 0.5, out=out)
+    return np.floor(out, out=out)
 
 
 def bias_scales(in_scale: float, weight_scales: np.ndarray) -> np.ndarray:

@@ -49,11 +49,12 @@ from .kernels import (
     accumulate,
     accumulator_bound,
     add_bias,
+    check_labels,
     dequantize_real,
     evaluate_int,
     flatten,
     output_bounds,
-    quantize_real,
+    quantize_images,
     rescale_accumulator,
     rescaler_vectors,
     unit_images,
@@ -485,15 +486,18 @@ def finetune(
     pass is the bit-exact emulation of the integer engine.  With an eval
     set, the shadow is re-deployed (rounded back to integers) and evaluated
     after each epoch; it is re-deployed once more at the end to give the
-    result.  Quantization parameters and rescalers never change.
+    result.  Quantization parameters and rescalers never change.  Image and
+    label counts that differ, in either set, raise ShapeError.
     """
+    check_labels(train_images, train_labels)
+    if eval_images is not None:
+        check_labels(eval_images, eval_labels)
     base = materialize_rescalers(model, k)
     shadow = init_shadow(base)
     images = np.asarray(train_images)
 
     def forward(sel):
-        return emulated_forward(shadow, quantize_real(unit_images(images[sel]),
-                                                      base.input_params))
+        return emulated_forward(shadow, quantize_images(images[sel], base.input_params))
 
     def evaluate():
         return evaluate_int(redeploy_weights(base, shadow), eval_images, eval_labels)
@@ -552,8 +556,12 @@ def train_float(
     Deterministic for a fixed config: initialization, batch order, and all
     arithmetic depend only on the seed and the data.  Returns the trained
     float model and a per-epoch history of (loss, accuracy) records, where
-    accuracy is the float model's own top-1 on the eval set.
+    accuracy is the float model's own top-1 on the eval set.  Image and
+    label counts that differ, in either set, raise ShapeError.
     """
+    check_labels(train_images, train_labels)
+    if eval_images is not None:
+        check_labels(eval_images, eval_labels)
     model = floatnet.init_float_model(seed=cfg.seed)
     images = np.asarray(train_images)
     weights, biases = zip(*(floatnet.layer_params(model, layer) if layer.param
@@ -573,6 +581,7 @@ def train_float(
 def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of the float network on uint8 images, in percent."""
     images = np.asarray(images_u8)
+    check_labels(images, labels)
     if images.shape[0] == 0:
         raise DomainError("accuracy of an empty image set")
     hits = 0

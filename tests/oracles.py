@@ -206,6 +206,68 @@ def oracle_emulated_forward(shadow, x_q):
     return x, cache
 
 
+def oracle_error_report(model, probes):
+    """The fields of ``errmodel.model_error_report`` for every rescaled layer
+    of ``model``, with the whole uint8 probe batch at once: the route the
+    report took before the engine worked in blocks.  Each layer's
+    accumulator is the float64 MAC over ``x - z`` plus the bias (the
+    emulation's route; window sums for avgpool) over the whole batch, its
+    peak one reduction, and the next layer's input the whole tensor
+    rescaled in Python ints (``floor((acc*m + 2**(s-1)) / 2**s)``) and
+    clamped.  The mismatch bound and the safe flag are exact rationals.
+    Returns one dict of fields per rescaled layer."""
+    images = np.asarray(probes)
+    if images.ndim == 3:
+        images = images[..., np.newaxis]
+    x = quantize_real(images.astype(np.float64) / 255.0, model.input_params)
+    x = x.astype(np.int64)
+    reports = []
+    for idx, layer in enumerate(model.layers):
+        if layer.kind == "flatten":
+            x = x.reshape(x.shape[0], -1)
+            continue
+        if layer.kind == "avgpool":
+            acc = window_sum(x, layer.window)
+            analytic = [128 * layer.window[0] * layer.window[1]] * len(layer.rescalers)
+        else:
+            z = layer_input_params(model, idx).zero_point
+            w = layer.weights.data.astype(np.float64)
+            acc, _, _ = accumulate((x - z).astype(np.float64), w, layer.kind,
+                                   layer.stride, layer.padding)
+            acc = (acc + layer.bias).astype(np.int64)
+            reach = max(127 - z, z + 128)
+            taps = [a for a in range(w.ndim) if a != (2 if w.ndim == 3 else 0)]
+            analytic = [reach * int(t) + abs(int(b)) for t, b in
+                        zip(np.abs(layer.weights.data.astype(np.int64)).sum(axis=tuple(taps)),
+                            layer.bias)]
+        rescalers = layer.rescalers
+        peak = np.abs(acc).reshape(-1, len(rescalers)).max(axis=0)
+        m_q = [Fraction(r.m, 1 << r.s) for r in rescalers]
+        excess = [abs(q - Fraction(r.real_value)) * int(a)
+                  for q, r, a in zip(m_q, rescalers, peak)]
+        s_y = layer.output.scale
+        reports.append({
+            "layer_id": idx, "kind": layer.kind, "k": rescalers[0].k, "s_y": s_y,
+            "m_real": np.array([r.real_value for r in rescalers]),
+            "m_quantized": np.array([float(q) for q in m_q]),
+            "mismatch": np.array([float(abs(q - Fraction(r.real_value)))
+                                  for q, r in zip(m_q, rescalers)]),
+            "max_abs_acc": peak,
+            "analytic_max_abs_acc": np.array(analytic, dtype=np.int64),
+            "mismatch_bound": np.array([float(e * Fraction(s_y)) for e in excess]),
+            "rounding_floor": s_y / 2,
+            "safe": np.array([e <= Fraction(1, 2) for e in excess]),
+        })
+        m = np.array([r.m for r in rescalers], dtype=object)
+        s = np.array([r.s for r in rescalers], dtype=object)
+        half = np.array([1 << (r.s - 1) for r in rescalers], dtype=object)
+        y = (acc.astype(object) * m + half) // (2 ** s)
+        y = np.clip(y, INT32_MIN, INT32_MAX)
+        lo, hi, z_out = output_bounds(layer)
+        x = np.clip(y + z_out, lo, hi).astype(np.int64)
+    return reports
+
+
 def oracle_ste_backward(cache, grad_out):
     """Straight-through backward by einsums over (n, oh, ow, ...) window
     views, with per-tap einsums scattering the input gradients: the route

@@ -1,5 +1,6 @@
 """Rescale error model tests: exact decomposition, bounds, safe widths."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,15 @@ from rescale_lab.errmodel import (
     rescale_error_decompose,
 )
 from rescale_lab.errors import DomainError
-from rescale_lab.kernels import QTensor
+from rescale_lab.kernels import RESCALE_BLOCK, QTensor
 from rescale_lab.model_io import LayerSpec, ModelGraph, materialize_rescalers
 from rescale_lab.qcore import (
     DyadicRescaler,
     multiply_by_quantized_multiplier,
     quantize_rescaler,
 )
+
+from oracles import oracle_error_report
 
 
 def exact(r: DyadicRescaler) -> Fraction:
@@ -308,3 +311,49 @@ class TestLayerErrorReport:
             layer_error_report(wide, dense, probe).max_abs_acc.tolist()
         assert report.m_quantized.tolist() == \
             layer_error_report(narrow, dense, probe).m_quantized.tolist()
+
+
+class TestBlockBoundaries:
+    """The reports reduce each layer's peak one block of RESCALE_BLOCK images
+    at a time; every field equals the whole-batch oracle at every count
+    around a block edge, and over several probe batches."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        from rescale_lab import floatnet
+        from rescale_lab.model_io import quantize_float_model
+
+        rng = np.random.default_rng(21)
+        model = quantize_float_model(floatnet.init_float_model(seed=21),
+                                     [rng.random((6, 28, 28, 1))])
+        probes = rng.integers(0, 256, size=(2 * RESCALE_BLOCK + 3, 28, 28),
+                              dtype=np.uint8)
+        probes[0], probes[1] = 0, 255
+        return model, probes
+
+    @staticmethod
+    def assert_matches_oracle(reports, expected):
+        assert len(reports) == len(expected)
+        for report, want in zip(reports, expected):
+            for field in fields(report):
+                got = getattr(report, field.name)
+                assert np.asarray(got).dtype == np.asarray(want[field.name]).dtype, \
+                    (report.layer_id, field.name)
+                assert np.array_equal(got, want[field.name]), (report.layer_id, field.name)
+
+    @pytest.mark.parametrize("count", [1, RESCALE_BLOCK - 1, RESCALE_BLOCK,
+                                       RESCALE_BLOCK + 1, 2 * RESCALE_BLOCK + 3])
+    @pytest.mark.parametrize("k", [32, 2])
+    def test_fields_equal_the_whole_batch_oracle(self, desk, count, k):
+        model, probes = desk
+        mk = materialize_rescalers(model, k)
+        self.assert_matches_oracle(model_error_report(model, probes[:count], k),
+                                   oracle_error_report(mk, probes[:count]))
+
+    def test_several_probe_batches_reduce_to_one(self, desk):
+        model, probes = desk
+        cuts = [probes[:RESCALE_BLOCK + 1], probes[RESCALE_BLOCK + 1:RESCALE_BLOCK + 1],
+                probes[RESCALE_BLOCK + 1:]]
+        self.assert_matches_oracle(model_error_report(model, cuts, 8),
+                                   oracle_error_report(materialize_rescalers(model, 8),
+                                                       probes))

@@ -12,6 +12,7 @@ from rescale_lab import kernels
 from rescale_lab.errors import OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import (
     MAX_MAC_COUNT,
+    RESCALE_BLOCK,
     QTensor,
     accumulate,
     accumulator_bound,
@@ -23,9 +24,12 @@ from rescale_lab.kernels import (
     dequantize_real,
     layer_accumulator,
     layer_forward_int,
+    predict_int,
+    quantize_images,
     quantize_real,
     rescale_accumulator,
     rescaler_vectors,
+    run_model_int,
     unit_images,
     window_sum,
 )
@@ -579,6 +583,73 @@ class TestUnitImages:
     def test_keeps_nhwc_input(self):
         images = np.full((3, 2, 2, 1), 255, dtype=np.uint8)
         assert np.array_equal(unit_images(images), np.ones((3, 2, 2, 1)))
+
+
+class TestQuantizeImages:
+    BYTES = np.arange(256, dtype=np.uint8)
+
+    # 2/255 puts every odd byte on an exact .5 tie (v/255 / (2/255) = v/2).
+    @pytest.mark.parametrize("scale", [1 / 255, 2 / 255, 0.0123])
+    @pytest.mark.parametrize("zero_point", [-128, 0, 127])
+    @pytest.mark.parametrize("shape", [(4, 8, 8), (4, 8, 8, 1)])
+    def test_every_byte_equals_quantize_real(self, scale, zero_point, shape):
+        params = QuantParams(scale, zero_point)
+        images = self.BYTES.reshape(shape)
+        want = quantize_real(unit_images(images), params)
+        got = quantize_images(images, params)
+        assert got.dtype == np.int8 and got.shape == (4, 8, 8, 1)
+        assert np.array_equal(got, want)
+
+    def test_the_tie_scale_has_ties(self):
+        q = unit_images(self.BYTES).ravel() / (2 / 255)
+        assert np.count_nonzero(q - np.floor(q) == 0.5) == 128
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float64])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(ShapeError, match="uint8"):
+            quantize_images(np.zeros((1, 2, 2), dtype), QP)
+
+
+class TestEngineBlocks:
+    """Each layer runs RESCALE_BLOCK images at a time; any batch gives the
+    logits and predictions of its images run one by one."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        from rescale_lab import floatnet
+        from rescale_lab.model_io import quantize_float_model
+
+        rng = np.random.default_rng(33)
+        model = quantize_float_model(floatnet.init_float_model(seed=33),
+                                     [rng.random((6, 28, 28, 1))])
+        images = rng.integers(0, 256, size=(2 * RESCALE_BLOCK + 3, 28, 28),
+                              dtype=np.uint8)
+        return model, images
+
+    @pytest.mark.parametrize("count", [0, 1, RESCALE_BLOCK - 1, RESCALE_BLOCK,
+                                       RESCALE_BLOCK + 1, 2 * RESCALE_BLOCK + 3])
+    @pytest.mark.parametrize("k", [32, 2])
+    def test_batches_equal_single_images(self, desk, count, k):
+        from rescale_lab.model_io import materialize_rescalers
+
+        model = materialize_rescalers(desk[0], k)
+        images = desk[1][:count]
+        x_q = quantize_images(images, model.input_params)
+        logits = run_model_int(model, x_q)
+        singles = [run_model_int(model, x_q[i : i + 1]) for i in range(count)]
+        assert logits.dtype == np.int8 and logits.shape == (count, 10)
+        assert np.array_equal(logits, np.concatenate(singles) if singles
+                              else np.zeros((0, 10), np.int8))
+        preds = predict_int(model, images)
+        assert preds.dtype == np.int64
+        assert preds.tolist() == [int(np.argmax(row)) for row in logits]
+        assert preds.tolist() == [int(predict_int(model, images[i : i + 1])[0])
+                                  for i in range(count)]
+
+    def test_predict_int_batches_equal_one_batch(self, desk):
+        model, images = desk
+        assert np.array_equal(predict_int(model, images, batch_size=RESCALE_BLOCK + 1),
+                              predict_int(model, images))
 
 
 class TestQuantizeReal:

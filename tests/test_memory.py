@@ -1,0 +1,68 @@
+"""Working-memory bounds, measured with tracemalloc (NumPy reports its
+buffers to it).
+
+The engine runs every layer one block of RESCALE_BLOCK images at a time,
+the error model reduces its peaks block by block, uint8 images are
+quantized through a 256-entry table, and the renderer builds each chunk's
+pixels in place.  The bounds are about 1.5x the measured peaks, and well
+below what whole-batch layers need (conv1 alone at 512 images: a 26 MB
+float accumulator and its int32 and int64 copies).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rescale_lab import datagen, floatnet
+from rescale_lab.errmodel import model_error_report
+from rescale_lab.kernels import predict_int
+from rescale_lab.model_io import quantize_float_model
+
+MB = 1 << 20
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, above what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def desk():
+    rng = np.random.default_rng(41)
+    model = quantize_float_model(floatnet.init_float_model(seed=41),
+                                 [rng.random((6, 28, 28, 1))])
+    images = rng.integers(0, 256, size=(2048, 28, 28), dtype=np.uint8)
+    return model, images
+
+
+def test_predict_int_stays_small_and_flat(desk):
+    model, images = desk
+    predict_int(model, images)  # fills NumPy's small-allocation caches
+    peak_512 = traced_peak(lambda: predict_int(model, images[:512]))
+    peak_2048 = traced_peak(lambda: predict_int(model, images))
+    assert peak_512 < 8 * MB
+    # 2,048 images add their own output (int64 predictions) and nothing that
+    # grows with the batch; the slack covers allocator bookkeeping.
+    assert peak_2048 - peak_512 <= images.shape[0] * 8 + MB // 4
+
+
+def test_model_error_report_stays_small(desk):
+    model, images = desk
+    assert traced_peak(lambda: model_error_report(model, images[:256], 8)) < 6 * MB
+
+
+def test_render_digits_stays_small():
+    labels = datagen.balanced_labels(512, np.random.default_rng(0))
+    assert traced_peak(
+        lambda: datagen.render_digits(labels, np.random.default_rng(1))) < 10 * MB

@@ -1141,6 +1141,41 @@ class TestTrainFloat:
                 assert abs(fd - an) <= 1e-5 * max(1.0, abs(fd)), (name, ix, fd, an)
 
 
+class TestLabelCounts:
+    """One label per image, or ShapeError naming both counts: broadcasting
+    would score 5 images against 1 label, and training would silently use
+    only the labeled images."""
+
+    def test_evaluate_int(self, desk_model):
+        with pytest.raises(ShapeError, match="1 labels for 5 images"):
+            kernels.evaluate_int(desk_model, np.zeros((5, 28, 28), np.uint8),
+                                 np.zeros(1, np.uint8))
+
+    def test_float_accuracy(self):
+        with pytest.raises(ShapeError, match="1 labels for 5 images"):
+            trainer.float_accuracy(floatnet.init_float_model(seed=0),
+                                   np.zeros((5, 28, 28), np.uint8), np.zeros(1, np.uint8))
+
+    def test_finetune(self, desk_model):
+        cfg = TrainConfig(learning_rate=1.0, epochs=1, batch_size=32, seed=0)
+        with pytest.raises(ShapeError, match="50 labels for 100 images"):
+            finetune(desk_model, np.zeros((100, 28, 28), np.uint8),
+                     np.zeros(50, np.uint8), cfg, k=8)
+        with pytest.raises(ShapeError, match="1 labels for 5 images"):
+            finetune(desk_model, np.zeros((4, 28, 28), np.uint8), np.zeros(4, np.uint8),
+                     cfg, k=8, eval_images=np.zeros((5, 28, 28), np.uint8),
+                     eval_labels=np.zeros(1, np.uint8))
+
+    def test_train_float(self):
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0)
+        with pytest.raises(ShapeError, match="50 labels for 100 images"):
+            train_float(np.zeros((100, 28, 28), np.uint8), np.zeros(50, np.uint8), cfg)
+        with pytest.raises(ShapeError, match="1 labels for 5 images"):
+            train_float(np.zeros((4, 28, 28), np.uint8), np.zeros(4, np.uint8), cfg,
+                        eval_images=np.zeros((5, 28, 28), np.uint8),
+                        eval_labels=np.zeros(1, np.uint8))
+
+
 class TestEmptyEvalSet:
     def test_evaluate_int_rejects_no_images(self, desk_model):
         with pytest.raises(DomainError, match="empty"):
