@@ -493,14 +493,12 @@ def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int
 
 
 def layer_accumulator(x: QTensor, layer: "LayerSpec",
-                      b_eff: np.ndarray | None = None) -> np.ndarray:
-    """The pre-rescale values of one layer: window sums for avgpool, the
-    int32 MAC plus effective bias for weighted layers (``b_eff`` if given,
-    else :func:`compute_effective_bias` for ``x``'s zero point)."""
+                      b_eff: np.ndarray | None) -> np.ndarray:
+    """The pre-rescale values of one layer: window sums for avgpool (which
+    ignores ``b_eff``), the int32 MAC plus the effective bias ``b_eff`` for
+    weighted layers."""
     if layer.kind == "avgpool":
         return window_sum(x.data, layer.window)
-    if b_eff is None:
-        b_eff = compute_effective_bias(layer.bias, layer.weights, x.zero_point)
     if layer.kind == "dense":
         return dense_int(x, layer.weights, b_eff)
     if layer.kind == "conv2d":
@@ -590,9 +588,11 @@ def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 51
     return preds
 
 
-def check_labels(images: np.ndarray, labels: np.ndarray) -> None:
+def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
     """Raise ShapeError, naming both counts, unless there is one label per
     image."""
+    if labels is None:
+        raise ShapeError(f"no labels for {len(images)} images")
     if len(images) != len(labels):
         raise ShapeError(f"{len(labels)} labels for {len(images)} images")
 

@@ -417,7 +417,7 @@ class TestAvgpool:
             want = x.data.astype(np.int64).reshape(
                 3, 6 // window[0], window[0], 6 // window[1], window[1], c
             ).sum(axis=(2, 4))
-            assert np.array_equal(layer_accumulator(x, layer), want)
+            assert np.array_equal(layer_accumulator(x, layer, None), want)
 
 
 def dense_layer(w, bias, in_scale, w_scales, out_scale, z_out=0, k=8,

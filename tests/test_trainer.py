@@ -1175,6 +1175,18 @@ class TestLabelCounts:
                         eval_images=np.zeros((5, 28, 28), np.uint8),
                         eval_labels=np.zeros(1, np.uint8))
 
+    def test_eval_images_without_labels(self, desk_model):
+        images = np.zeros((4, 28, 28), np.uint8)
+        labels = np.zeros(4, np.uint8)
+        with pytest.raises(ShapeError, match="no labels for 5 images"):
+            finetune(desk_model, images, labels,
+                     TrainConfig(learning_rate=1.0, epochs=1, batch_size=32, seed=0),
+                     k=8, eval_images=np.zeros((5, 28, 28), np.uint8))
+        with pytest.raises(ShapeError, match="no labels for 5 images"):
+            train_float(images, labels,
+                        TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0),
+                        eval_images=np.zeros((5, 28, 28), np.uint8))
+
 
 class TestEmptyEvalSet:
     def test_evaluate_int_rejects_no_images(self, desk_model):
