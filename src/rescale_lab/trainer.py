@@ -132,16 +132,22 @@ def init_shadow(model: ModelGraph) -> ShadowModel:
 # ---------------------------------------------------------------------------
 
 
+def _mac_entry(layer, in_shape, w: np.ndarray, cols, pads) -> dict:
+    """The cache entry :func:`ste_backward` runs a weighted layer backwards
+    from: the operand ``cols`` the weights ``w`` met and the ``pads`` of
+    :func:`kernels.accumulate`.  ``layer`` is a ``LayerSpec`` or a
+    ``floatnet.FloatLayer``."""
+    return {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": in_shape,
+            "stride": layer.stride, "w_fq": w}
+
+
 def _mac(layer, x: np.ndarray, w: np.ndarray,
          bound: int | None = None) -> tuple[np.ndarray, dict]:
     """One layer's multiply-accumulate on the shared kernels core (padding
-    with 0, in the float type ``bound`` allows), plus the cache entry
-    :func:`ste_backward` runs it backwards from.  ``layer`` is a
-    ``LayerSpec`` or a ``floatnet.FloatLayer``."""
+    with 0, in the float type ``bound`` allows), plus its cache entry."""
     acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding,
                                  bound=bound)
-    return acc, {"kind": layer.kind, "cols": cols, "pads": pads, "in_shape": x.shape,
-                 "stride": layer.stride, "w_fq": w}
+    return acc, _mac_entry(layer, x.shape, w, cols, pads)
 
 
 def emulated_forward(
@@ -517,29 +523,26 @@ def finetune(
 
 
 def _float_forward(model, x: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-    """The float network's forward along ``floatnet.LAYERS``, leaving the
-    cache :func:`ste_backward` reads.  Nothing is quantized: every weight
-    is its own fake-quantized value, pads are real zero, rescale factors
-    are 1 (1/area for avgpool), and ReLU6 passes gradient where 0 < h < 6.
+    """The float network's forward along ``floatnet.LAYERS``, one
+    :func:`floatnet.layer_step` per layer, leaving the cache
+    :func:`ste_backward` reads.  Nothing is quantized: every weight is its
+    own fake-quantized value, pads are real zero, rescale factors are 1
+    (1/area for avgpool), and the activation's mask is where it passes
+    gradient (ReLU where h > 0, ReLU6 where 0 < h < 6).
     """
     cache: list[dict] = []
-    for layer in floatnet.LAYERS:
+    for layer, (w, b) in zip(floatnet.LAYERS, floatnet.model_params(model)):
+        in_shape = x.shape
+        x, cols, pads, mask = floatnet.layer_step(layer, x, w, b, with_mask=True)
         if layer.kind == "flatten":
-            cache.append({"kind": "flatten", "in_shape": x.shape})
-            x = flatten(x)
+            cache.append({"kind": "flatten", "in_shape": in_shape})
         elif layer.kind == "avgpool":
             area = layer.window[0] * layer.window[1]
-            cache.append({"kind": "avgpool", "window": layer.window, "in_shape": x.shape,
+            cache.append({"kind": "avgpool", "window": layer.window, "in_shape": in_shape,
                           "factor": 1.0 / area, "mask": True})
-            x = floatnet.avgpool_real(x, layer.window)
         else:
-            w, b = floatnet.layer_params(model, layer)
-            h, entry = _mac(layer, x, w)
-            h = h + b
-            relu6 = layer.activation == "relu6"
-            entry.update(w_mask=True, b_mask=True, factor=1.0,
-                         mask=(h > 0.0) & (h < 6.0) if relu6 else True)
-            x = floatnet.relu6(h) if relu6 else h
+            entry = _mac_entry(layer, in_shape, w, cols, pads)
+            entry.update(w_mask=True, b_mask=True, factor=1.0, mask=mask)
             cache.append(entry)
     return x, cache
 
@@ -564,8 +567,7 @@ def train_float(
         check_labels(eval_images, eval_labels)
     model = floatnet.init_float_model(seed=cfg.seed)
     images = np.asarray(train_images)
-    weights, biases = zip(*(floatnet.layer_params(model, layer) if layer.param
-                            else (None, None) for layer in floatnet.LAYERS))
+    weights, biases = zip(*floatnet.model_params(model))
     # Halve the step size each epoch after the second so the weights
     # settle instead of orbiting the optimum.
     rates = [cfg.learning_rate * 0.5 ** max(0, epoch - 1) for epoch in range(cfg.epochs)]

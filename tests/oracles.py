@@ -163,6 +163,50 @@ def oracle_avgpool(x, window, m: int, s: int):
     return out
 
 
+def _oracle_float_layers(model, layers, x, tensors):
+    """Walk ``layers`` from ``x``, keeping each output in ``tensors`` under
+    the layer's name."""
+    for layer in layers:
+        if layer.kind == "avgpool":
+            x = window_sum(x, layer.window) / (layer.window[0] * layer.window[1])
+        elif layer.kind == "flatten":
+            x = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        else:
+            w, b = floatnet.layer_params(model, layer)
+            x = accumulate(x, w, layer.kind, layer.stride, layer.padding)[0] + b
+            if layer.activation == "relu6":
+                x = np.clip(x, 0.0, 6.0)
+        tensors[layer.name] = x
+
+
+def oracle_float_forward(model, x, per_image: bool = False) -> dict:
+    """Every tensor of the float network, keyed as
+    ``floatnet.forward_intermediates`` keys them, from a walk of
+    ``floatnet.LAYERS``: each weighted layer's MAC on the shared core, then
+    a fresh ``acc + b`` and ``np.clip`` for ReLU6; avgpool as window sums
+    over the area.
+
+    The whole batch walks every layer at once, unless ``per_image``: then
+    the layers up to flatten walk one image at a time, whose conv matmuls
+    BLAS runs on one thread, and the dense layer the whole batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3:
+        x = x[..., np.newaxis]
+    tensors = {"input": x}
+    if not per_image or x.shape[0] == 0:
+        _oracle_float_layers(model, floatnet.LAYERS, x, tensors)
+        return tensors
+    flat = next(i for i, layer in enumerate(floatnet.LAYERS) if layer.kind == "flatten")
+    images = [{} for _ in range(x.shape[0])]
+    for i, image in enumerate(images):
+        _oracle_float_layers(model, floatnet.LAYERS[:flat + 1], x[i:i + 1], image)
+    for layer in floatnet.LAYERS[:flat + 1]:
+        tensors[layer.name] = np.concatenate([image[layer.name] for image in images])
+    _oracle_float_layers(model, floatnet.LAYERS[flat + 1:], tensors["flat"], tensors)
+    return tensors
+
+
 def oracle_emulated_forward(shadow, x_q):
     """The rounding emulation in float64 throughout, the route the trainer
     took before it ran in float32 where exact: float64 activations, the

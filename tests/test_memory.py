@@ -3,10 +3,12 @@ buffers to it).
 
 The engine runs every layer one block of RESCALE_BLOCK images at a time,
 the error model reduces its peaks block by block, uint8 images are
-quantized through a 256-entry table, and the renderer builds each chunk's
-pixels in place.  The bounds are about 1.5x the measured peaks, and well
-below what whole-batch layers need (conv1 alone at 512 images: a 26 MB
-float accumulator and its int32 and int64 copies).
+quantized through a 256-entry table, the renderer builds each chunk's
+pixels in place, and the float forward runs its conv layers over blocks
+of RESCALE_BLOCK images.  The bounds are about 1.5x the measured peaks,
+and well below what whole-batch layers need (conv1 alone at 512 images: a
+26 MB float accumulator and its int32 and int64 copies, or, in the float
+forward, its 29 MB im2col matrix).
 """
 
 import tracemalloc
@@ -18,6 +20,7 @@ from rescale_lab import datagen, floatnet
 from rescale_lab.errmodel import model_error_report
 from rescale_lab.kernels import predict_int
 from rescale_lab.model_io import quantize_float_model
+from rescale_lab.trainer import float_accuracy
 
 MB = 1 << 20
 
@@ -55,6 +58,19 @@ def test_predict_int_stays_small_and_flat(desk):
     # 2,048 images add their own output (int64 predictions) and nothing that
     # grows with the batch; the slack covers allocator bookkeeping.
     assert peak_2048 - peak_512 <= images.shape[0] * 8 + MB // 4
+
+
+def test_float_accuracy_stays_small_and_flat(desk):
+    _, images = desk
+    model = floatnet.init_float_model(seed=41)
+    labels = np.zeros(images.shape[0], np.int64)
+    float_accuracy(model, images, labels)
+    peak_512 = traced_peak(lambda: float_accuracy(model, images[:512], labels[:512]))
+    peak_2048 = traced_peak(lambda: float_accuracy(model, images, labels))
+    assert peak_512 < 16 * MB
+    # float_accuracy runs 512 images at a time, so 2,048 images add nothing
+    # but allocator bookkeeping.
+    assert peak_2048 - peak_512 <= MB // 4
 
 
 def test_model_error_report_stays_small(desk):
