@@ -2,19 +2,20 @@
 
 The fixed desk-scale architecture "desk-cnn-v1" (28x28x1 input, 10
 classes) is written down once, as the layer list :data:`LAYERS`.
-Initialization and the forward pass here, post-training quantization
+Initialization, inference, post-training quantization
 (``model_io.quantize_float_model``) and float training
-(``trainer.train_float``) all walk that list.  Forward passes run in
-float64 on the multiply-accumulate core of :mod:`kernels`; the quantizer
-calibrates on the per-tensor intermediates this module exposes.
+(``trainer.train_float``) all walk that list, in float64 on the
+multiply-accumulate core of :mod:`kernels`.
 
 Every layer runs through one step, :func:`layer_step`: the MAC, the bias
 added in place over channel rows, then the activation in place.
-:func:`forward` runs the layers up to ``flatten`` over blocks of
-:data:`FLOAT_BLOCK` images, into one (n, features) buffer, so its working
-memory does not grow with the batch, and the layers after it once over
-the whole batch.  A block is small enough that BLAS runs each conv
-matmul on one thread, where a row's sum does not depend on the row
+Inference has one walk, read by :func:`forward` (the logits) and by
+:func:`forward_intermediates` (the per-tensor ranges PTQ calibrates on,
+all that calibration keeps).  It runs the layers up to ``flatten`` over
+blocks of :data:`FLOAT_BLOCK` images into one (n, features) buffer, so
+its working memory does not grow with the batch, and the layers after it
+once over the whole batch.  A block is small enough that BLAS runs each
+conv matmul on one thread, where a row's sum does not depend on the row
 count, so the conv outputs are those of a walk one image at a time, at
 any BLAS thread count.  The dense matmul's order may change with its row
 count, so the logits are those of the whole call's batch.
@@ -48,8 +49,8 @@ FLOAT_BLOCK = 8
 class FloatLayer:
     """One layer of desk-cnn-v1.
 
-    ``name`` keys the layer's output in :func:`forward_intermediates`.  A
-    weighted layer keeps its parameters in the :class:`FloatModel` fields
+    ``name`` keys the layer's output range in :func:`forward_intermediates`.
+    A weighted layer keeps its parameters in the :class:`FloatModel` fields
     ``<param>_w`` (of shape ``shape``, kernels layout) and ``<param>_b``.
     """
 
@@ -184,57 +185,63 @@ def layer_step(layer: FloatLayer, x: np.ndarray, w=None, b=None,
     return h, cols, pads, _activate(h, layer.activation, with_mask)
 
 
-def _network_input(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[..., np.newaxis] if x.ndim == 3 else x
-
-
-def forward_intermediates(model: FloatModel, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Forward pass over the whole batch at once, returning every tensor
-    the quantizer calibrates on.
-
-    Keys: ``input`` and each layer's name in :data:`LAYERS` (``conv1``,
-    ``pool1``, ``dw``, ``conv2``, ``pool2``, ``flat``, ``logits``);
-    activation tensors are post-ReLU6.
-    """
-    x = _network_input(x)
-    tensors = {"input": x}
-    for layer, (w, b) in zip(LAYERS, model_params(model)):
-        x = layer_step(layer, x, w, b)[0]
-        tensors[layer.name] = x
-    return tensors
-
-
-# The layers forward runs block by block: those up to and including flatten.
+# The layers the walk runs block by block: those up to and including flatten.
 _BLOCKED = next(i for i, layer in enumerate(LAYERS) if layer.kind == "flatten") + 1
 
 
-def forward(model: FloatModel, x: np.ndarray) -> np.ndarray:
-    """The logits of :func:`forward_intermediates`, in working memory that
-    does not grow with the batch past the input, the flattened features
-    and the logits: the layers up to flatten run over blocks of
-    :data:`FLOAT_BLOCK` images into one (n, features) buffer, and the
-    dense layer once over it."""
-    x = _network_input(x)
+def _walk(model: FloatModel, x):
+    """The one inference walk: yield ``(name, tensor)`` for ``input`` and
+    each layer of :data:`LAYERS`, those up to flatten per block of
+    :data:`FLOAT_BLOCK` images, the rest once over the whole batch."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[..., np.newaxis] if x.ndim == 3 else x
     steps = list(zip(LAYERS, model_params(model)))
     features = None
     # An empty batch still runs one (empty) block, so shape errors surface.
     for start in range(0, max(x.shape[0], 1), FLOAT_BLOCK):
         block = slice(start, start + FLOAT_BLOCK)
         h = x[block]
+        yield "input", h
         for layer, (w, b) in steps[:_BLOCKED]:
             h = layer_step(layer, h, w, b)[0]
+            yield layer.name, h
         if features is None:
             features = np.empty(x.shape[:1] + h.shape[1:], h.dtype)
         features[block] = h
     for layer, (w, b) in steps[_BLOCKED:]:
         features = layer_step(layer, features, w, b)[0]
-    return features
+        yield layer.name, features
+
+
+def forward_intermediates(model: FloatModel, batches) -> dict[str, tuple[float, float]]:
+    """The (min, max) over every image of ``batches`` (or of one array) of
+    each tensor the quantizer calibrates on, keyed ``input`` and by layer
+    name (activations post-ReLU6).  A NaN stays NaN; no image at all gives
+    ``(inf, -inf)``."""
+    if isinstance(batches, np.ndarray):
+        batches = [batches]
+    ranges = dict.fromkeys(["input"] + [layer.name for layer in LAYERS],
+                           (np.inf, -np.inf))
+    for batch in batches:
+        for name, h in _walk(model, batch):
+            lo, hi = ranges[name]  # seeds: a NaN stays NaN, an empty h keeps them
+            ranges[name] = (h.min(initial=lo), h.max(initial=hi))
+    return {name: (float(lo), float(hi)) for name, (lo, hi) in ranges.items()}
+
+
+def forward(model: FloatModel, x: np.ndarray) -> np.ndarray:
+    """The logits, the walk's last tensor: working memory does not grow
+    with the batch past the input, the (n, features) buffer and the logits."""
+    for _, logits in _walk(model, x):
+        pass
+    return logits
 
 
 def save_float_model(model: FloatModel, path: str) -> None:
+    # Through an open file, so np.savez does not append ".npz" to the name.
     arrays = {f.name: getattr(model, f.name) for f in fields(FloatModel)}
-    np.savez(path, magic=_FLOAT_MAGIC, **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, magic=_FLOAT_MAGIC, **arrays)
 
 
 def load_float_model(path: str) -> FloatModel:

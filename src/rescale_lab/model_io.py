@@ -154,26 +154,18 @@ def quantize_float_model(
 ) -> ModelGraph:
     """Post-training quantization of the reference float network.
 
-    Runs the calibration batches through the float model recording min/max
-    per tensor, derives affine activation parameters and symmetric
-    per-channel weight parameters, quantizes biases at S_x * S_w_c, and
-    materializes per-channel rescalers M_c = S_x * S_w_c / S_y at k=32.
+    Reads each tensor's min/max over the calibration batches from
+    :func:`floatnet.forward_intermediates`, derives affine activation
+    parameters and symmetric per-channel weight parameters, quantizes
+    biases at S_x * S_w_c, and materializes per-channel rescalers
+    M_c = S_x * S_w_c / S_y at k=32.  Empty batches add nothing.
     """
-    if isinstance(calibration_batches, np.ndarray):
-        calibration_batches = [calibration_batches]
-    batches = [np.asarray(b, dtype=np.float64) for b in calibration_batches]
-    if not batches:
-        raise CalibrationError("at least one calibration batch is required")
-    calibrated = ["input"] + [l.name for l in floatnet.LAYERS if l.param is not None]
-    ranges: dict[str, tuple[float, float]] = {}  # running (min, max) per tensor
-    for batch in batches:
-        tensors = floatnet.forward_intermediates(float_model, batch)
-        for key in calibrated:
-            lo, hi = float(np.min(tensors[key])), float(np.max(tensors[key]))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise CalibrationError(f"non-finite values observed for tensor {key!r}")
-            old_lo, old_hi = ranges.get(key, (lo, hi))
-            ranges[key] = (min(lo, old_lo), max(hi, old_hi))
+    ranges = floatnet.forward_intermediates(float_model, calibration_batches)
+    if ranges["input"][0] > ranges["input"][1]:
+        raise CalibrationError("no calibration image in any batch")
+    for key in ["input"] + [l.name for l in floatnet.LAYERS if l.param is not None]:
+        if not all(map(math.isfinite, ranges[key])):
+            raise CalibrationError(f"non-finite values observed for tensor {key!r}")
 
     input_params = in_qp = activation_qparams(*ranges["input"])
     layers = []

@@ -179,22 +179,20 @@ def _oracle_float_layers(model, layers, x, tensors):
         tensors[layer.name] = x
 
 
-def oracle_float_forward(model, x, per_image: bool = False) -> dict:
+def oracle_float_forward(model, x) -> dict:
     """Every tensor of the float network, keyed as
-    ``floatnet.forward_intermediates`` keys them, from a walk of
+    ``floatnet.forward_intermediates`` keys its ranges, from a walk of
     ``floatnet.LAYERS``: each weighted layer's MAC on the shared core, then
     a fresh ``acc + b`` and ``np.clip`` for ReLU6; avgpool as window sums
-    over the area.
-
-    The whole batch walks every layer at once, unless ``per_image``: then
-    the layers up to flatten walk one image at a time, whose conv matmuls
-    BLAS runs on one thread, and the dense layer the whole batch.
+    over the area.  The layers up to flatten walk one image at a time,
+    whose conv matmuls BLAS runs on one thread, and the dense layer the
+    whole batch.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[..., np.newaxis]
     tensors = {"input": x}
-    if not per_image or x.shape[0] == 0:
+    if x.shape[0] == 0:
         _oracle_float_layers(model, floatnet.LAYERS, x, tensors)
         return tensors
     flat = next(i for i, layer in enumerate(floatnet.LAYERS) if layer.kind == "flatten")

@@ -131,6 +131,19 @@ def test_quantize_is_deterministic(model_path, float_path, data_dir, tmp_path):
     assert a == b
 
 
+def test_float_model_is_written_under_the_name_given(float_path, data_dir, tmp_path,
+                                                     capsys):
+    out = tmp_path / "float.bin"
+    assert main(["train-float", "--data-dir", data_dir, "--epochs", "1",
+                 "--lr", "0.1", "--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    assert [p.name for p in tmp_path.iterdir()] == ["float.bin"]
+    with open(float_path, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    assert main(["quantize", "--model", str(out), "--data-dir", data_dir,
+                 "--out", str(tmp_path / "model.rlab")]) == EXIT_OK
+
+
 class TestSweep:
     def test_csv_shape_and_footers(self, model_path, data_dir, capsys):
         code = main(["sweep", "--model", model_path, "--data-dir", data_dir,

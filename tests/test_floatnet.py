@@ -37,26 +37,30 @@ class TestBlockedForward:
     def test_logits_equal_the_walk_one_image_at_a_time(self, model, images, n):
         logits = floatnet.forward(model, images[:n])
         assert logits.shape == (n, 10)
-        expected = oracle_float_forward(model, images[:n], per_image=True)["logits"]
+        expected = oracle_float_forward(model, images[:n])["logits"]
         assert np.array_equal(logits, expected)
 
     def test_a_block_keeps_every_conv_matmul_on_one_blas_thread(self, images):
         """OpenBLAS runs a matmul on one thread while M*N*K stays below
         2 * 262,144; a thread split can change bits at its seam."""
-        tensors = floatnet.forward_intermediates(floatnet.init_float_model(seed=0),
-                                                 images[:1])
+        tensors = oracle_float_forward(floatnet.init_float_model(seed=0), images[:1])
         for layer in floatnet.LAYERS:
             if layer.kind == "conv2d":
                 _, out_h, out_w, n_out = tensors[layer.name].shape
                 k = int(np.prod(layer.shape[1:]))
                 assert FLOAT_BLOCK * out_h * out_w * k * n_out < 2 * 262_144, layer.name
 
-    def test_intermediates_equal_the_whole_batch_walk(self, model, images):
-        tensors = floatnet.forward_intermediates(model, images[:33])
-        expected = oracle_float_forward(model, images[:33])
-        assert tensors.keys() == expected.keys()
-        for key in expected:
-            assert np.array_equal(tensors[key], expected[key]), key
+    def test_intermediate_ranges_equal_those_of_the_walk(self, model, images):
+        for sizes in ([1], [7], [8], [9], [21], [33], [9, 1, 21, 7], [8, 33, 0]):
+            bounds = np.cumsum([0] + sizes)
+            batches = [images[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            walks = [oracle_float_forward(model, batch) for batch in batches]
+            ranges = floatnet.forward_intermediates(model, iter(batches))
+            assert list(ranges) == list(walks[0])
+            for key, (lo, hi) in ranges.items():
+                tensors = [walk[key] for walk in walks if walk[key].size]
+                assert lo == min(t.min() for t in tensors), (sizes, key)
+                assert hi == max(t.max() for t in tensors), (sizes, key)
 
     def test_input_is_left_alone(self, images):
         x = images[:FLOAT_BLOCK + 3].copy()

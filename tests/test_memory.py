@@ -5,7 +5,8 @@ The engine runs every layer one block of RESCALE_BLOCK images at a time,
 the error model reduces its peaks block by block, uint8 images are
 quantized through a 256-entry table, the renderer builds each chunk's
 pixels in place, and the float forward runs its conv layers over blocks
-of RESCALE_BLOCK images.  The bounds are about 1.5x the measured peaks,
+of FLOAT_BLOCK (8) images, for inference and for PTQ calibration alike,
+which keeps only ranges.  The bounds are about 1.5x the measured peaks,
 and well below what whole-batch layers need (conv1 alone at 512 images: a
 26 MB float accumulator and its int32 and int64 copies, or, in the float
 forward, its 29 MB im2col matrix).
@@ -71,6 +72,14 @@ def test_float_accuracy_stays_small_and_flat(desk):
     # float_accuracy runs 512 images at a time, so 2,048 images add nothing
     # but allocator bookkeeping.
     assert peak_2048 - peak_512 <= MB // 4
+
+
+def test_quantize_float_model_stays_small():
+    # One 512-image batch: the walk holds the (512, 784) features and the
+    # logits, not every whole-batch tensor.
+    model = floatnet.init_float_model(seed=41)
+    batch = np.random.default_rng(41).random((512, 28, 28, 1))
+    assert traced_peak(lambda: quantize_float_model(model, [batch])) < 8 * MB
 
 
 def test_model_error_report_stays_small(desk):

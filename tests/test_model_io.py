@@ -162,11 +162,15 @@ class TestBiasQuantization:
 
 
 class TestCalibrationRanges:
-    @pytest.mark.parametrize("nan_batch", [0, 2])
-    def test_nan_in_any_batch_names_the_input(self, nan_batch):
+    # Image 9 is in a batch's second block of floatnet.FLOAT_BLOCK (8)
+    # images; Python's min and max would drop a NaN that comes after a
+    # finite range.
+    @pytest.mark.parametrize("nan_batch, nan_image", [(0, 1), (2, 1), (0, 9)],
+                             ids=["0", "2", "0-second-block"])
+    def test_nan_in_any_batch_names_the_input(self, nan_batch, nan_image):
         from rescale_lab.errors import CalibrationError
-        batches = [np.random.default_rng(i).random((2, 28, 28, 1)) for i in range(3)]
-        batches[nan_batch][1, 5, 5, 0] = np.nan
+        batches = [np.random.default_rng(i).random((10, 28, 28, 1)) for i in range(3)]
+        batches[nan_batch][nan_image, 5, 5, 0] = np.nan
         with pytest.raises(CalibrationError, match="tensor 'input'"):
             quantize_float_model(floatnet.init_float_model(seed=1), batches)
 
@@ -181,11 +185,10 @@ class TestCalibrationRanges:
     def test_ranges_over_batches_equal_the_range_of_their_union(self, monkeypatch):
         # BLAS may sum the dense layer in another order at another batch
         # size, so the float forward runs one image at a time here.
-        forward = floatnet.forward_intermediates
+        ranges = floatnet.forward_intermediates
 
-        def per_image(model, batch):
-            outs = [forward(model, batch[i : i + 1]) for i in range(len(batch))]
-            return {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
+        def per_image(model, batches):
+            return ranges(model, (b[i : i + 1] for b in batches for i in range(len(b))))
 
         monkeypatch.setattr(floatnet, "forward_intermediates", per_image)
         fm = floatnet.init_float_model(seed=5)
@@ -209,6 +212,21 @@ class TestQuantizeFloatModel:
         fm = floatnet.init_float_model(seed=1)
         with pytest.raises(CalibrationError):
             quantize_float_model(fm, [])
+
+    def test_one_array_is_one_batch(self):
+        fm = floatnet.init_float_model(seed=1)
+        batch = np.random.default_rng(1).random((4, 28, 28, 1))
+        assert models_equal(quantize_float_model(fm, batch), quantize_float_model(fm, [batch]))
+
+    def test_empty_batches_add_nothing(self):
+        from rescale_lab.errors import CalibrationError
+        fm = floatnet.init_float_model(seed=1)
+        batch = np.random.default_rng(1).random((4, 28, 28, 1))
+        empty = batch[:0]
+        assert models_equal(quantize_float_model(fm, [empty, batch, empty]),
+                            quantize_float_model(fm, [batch]))
+        with pytest.raises(CalibrationError, match="no calibration image"):
+            quantize_float_model(fm, [empty, empty])
 
     def test_calibration_determinism(self):
         fm = floatnet.init_float_model(seed=3)
