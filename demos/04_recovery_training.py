@@ -16,8 +16,6 @@ Run:  python3 demos/04_recovery_training.py
 import tempfile
 import time
 
-import numpy as np
-
 from rescale_lab import datagen
 from rescale_lab.kernels import evaluate_int
 from rescale_lab.model_io import materialize_rescalers, quantize_float_model
@@ -56,9 +54,9 @@ print(f"float training took {time.time() - t0:.0f}s")
 # 3. Quantize and sweep the rescaler width
 # ---------------------------------------------------------------------------
 
-calibration = [train_x[i * 32:(i + 1) * 32].astype(np.float64) / 255.0
-               for i in range(8)]
-qmodel = quantize_float_model(fmodel, calibration, name="demo-recovery")
+# uint8 calibration images are read as images, as the `quantize` command
+# reads its first 256 train images.
+qmodel = quantize_float_model(fmodel, train_x[:256], name="demo-recovery")
 
 accuracies = {}
 for k in (32, 16, 8, 4, 3, 2):

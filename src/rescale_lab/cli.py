@@ -28,7 +28,7 @@ import numpy as np
 from . import datagen, floatnet
 from .errmodel import model_error_report
 from .errors import DomainError, FormatError, RescaleLabError, RescalerUnderflow, ShapeError
-from .kernels import evaluate_int, predict_int, run_model_int, unit_images
+from .kernels import evaluate_int, predict_int, run_model_int
 from .model_io import (
     IDX_IMAGES_MAGIC,
     _read_idx,
@@ -176,14 +176,7 @@ def _train_config(args) -> TrainConfig:
                        batch_size=32, seed=args.seed)
 
 
-_CALIB_BATCHES = 8
-_CALIB_BATCH_SIZE = 32
-
-
-def _calibration_batches(train_images: np.ndarray) -> list[np.ndarray]:
-    chunk = unit_images(train_images[: _CALIB_BATCHES * _CALIB_BATCH_SIZE])
-    return [chunk[i : i + _CALIB_BATCH_SIZE]
-            for i in range(0, chunk.shape[0], _CALIB_BATCH_SIZE)]
+_CALIB_IMAGES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,7 @@ def cmd_train_float(args) -> int:
 def cmd_quantize(args) -> int:
     float_model = floatnet.load_float_model(args.model)
     train_images, _ = _load(args, "train")
-    model = quantize_float_model(float_model, _calibration_batches(train_images))
+    model = quantize_float_model(float_model, train_images[:_CALIB_IMAGES])
     save_model(model, args.out)
     print(f"wrote {args.out} (widths start at k=32)")
     return EXIT_OK

@@ -11,14 +11,13 @@ Every layer runs through one step, :func:`layer_step`: the MAC, the bias
 added in place over channel rows, then the activation in place.
 Inference has one walk, read by :func:`forward` (the logits) and by
 :func:`forward_intermediates` (the per-tensor ranges PTQ calibrates on,
-all that calibration keeps).  It runs the layers up to ``flatten`` over
-blocks of :data:`FLOAT_BLOCK` images into one (n, features) buffer, so
-its working memory does not grow with the batch, and the layers after it
-once over the whole batch.  A block is small enough that BLAS runs each
-conv matmul on one thread, where a row's sum does not depend on the row
-count, so the conv outputs are those of a walk one image at a time, at
-any BLAS thread count.  The dense matmul's order may change with its row
-count, so the logits are those of the whole call's batch.
+all that calibration keeps).  It runs every layer, logits included, one
+block of :data:`FLOAT_BLOCK` images at a time, so its working memory does
+not grow with the batch, and BLAS runs each matmul of a block on one
+thread, where a row's sum does not depend on the row count: every tensor
+is that of a walk one image at a time, at any thread count and however
+the images are batched.  uint8 input is images, converted block by block
+by :func:`kernels.unit_images`; float input is unit images already.
 """
 
 from __future__ import annotations
@@ -31,17 +30,17 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .kernels import (_channel_rows, accumulate, channel_count, flatten,
-                      mac_count, window_sum)
+                      mac_count, unit_images, window_sum)
 
 ARCH_NAME = "desk-cnn-v1"
 
 _FLOAT_MAGIC = "rescale-lab-float-v1"
 
-# Images per block of forward's conv layers.  OpenBLAS splits a matmul
-# over threads only once M*N*K reaches 2 * 262,144, and under its Haswell
-# and Zen kernels a split changes the last bits of the rows at its seam.
-# conv1 (784 rows an image, K=9, N=8) reaches that at 10 images and conv2
-# (196 rows, K=8, N=16) at 21; 8 images keep both on one thread.
+# Images per block of the inference walk.  OpenBLAS splits a matmul over
+# threads once M*N*K reaches 2 * 262,144, which can change the last bits
+# of the rows at its seam: conv1 (784 rows an image, K=9, N=8) at 10
+# images, conv2 (196 rows, K=8, N=16) at 21, dense (1 row, K=784, N=10) at
+# 67.  8 images keep all three on one thread.
 FLOAT_BLOCK = 8
 
 
@@ -185,32 +184,24 @@ def layer_step(layer: FloatLayer, x: np.ndarray, w=None, b=None,
     return h, cols, pads, _activate(h, layer.activation, with_mask)
 
 
-# The layers the walk runs block by block: those up to and including flatten.
-_BLOCKED = next(i for i, layer in enumerate(LAYERS) if layer.kind == "flatten") + 1
-
-
 def _walk(model: FloatModel, x):
     """The one inference walk: yield ``(name, tensor)`` for ``input`` and
-    each layer of :data:`LAYERS`, those up to flatten per block of
-    :data:`FLOAT_BLOCK` images, the rest once over the whole batch."""
-    x = np.asarray(x, dtype=np.float64)
+    each layer of :data:`LAYERS`, one block of :data:`FLOAT_BLOCK` images
+    at a time.  ``x`` holds uint8 images or float unit images; any other
+    dtype raises ShapeError."""
+    x = np.asarray(x)
+    if x.dtype != np.uint8 and x.dtype.kind != "f":
+        raise ShapeError(f"images must be uint8 or float, got {x.dtype}")
     x = x[..., np.newaxis] if x.ndim == 3 else x
     steps = list(zip(LAYERS, model_params(model)))
-    features = None
     # An empty batch still runs one (empty) block, so shape errors surface.
     for start in range(0, max(x.shape[0], 1), FLOAT_BLOCK):
-        block = slice(start, start + FLOAT_BLOCK)
-        h = x[block]
+        h = x[start : start + FLOAT_BLOCK]
+        h = unit_images(h) if h.dtype == np.uint8 else h.astype(np.float64, copy=False)
         yield "input", h
-        for layer, (w, b) in steps[:_BLOCKED]:
+        for layer, (w, b) in steps:
             h = layer_step(layer, h, w, b)[0]
             yield layer.name, h
-        if features is None:
-            features = np.empty(x.shape[:1] + h.shape[1:], h.dtype)
-        features[block] = h
-    for layer, (w, b) in steps[_BLOCKED:]:
-        features = layer_step(layer, features, w, b)[0]
-        yield layer.name, features
 
 
 def forward_intermediates(model: FloatModel, batches) -> dict[str, tuple[float, float]]:
@@ -230,11 +221,9 @@ def forward_intermediates(model: FloatModel, batches) -> dict[str, tuple[float, 
 
 
 def forward(model: FloatModel, x: np.ndarray) -> np.ndarray:
-    """The logits, the walk's last tensor: working memory does not grow
-    with the batch past the input, the (n, features) buffer and the logits."""
-    for _, logits in _walk(model, x):
-        pass
-    return logits
+    """The logits, the walk's last tensor, block after block: working
+    memory does not grow with the batch past the input and the logits."""
+    return np.concatenate([h for name, h in _walk(model, x) if name == LAYERS[-1].name])
 
 
 def save_float_model(model: FloatModel, path: str) -> None:

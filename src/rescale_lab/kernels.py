@@ -590,11 +590,17 @@ def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 51
 
 def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
     """Raise ShapeError, naming both counts, unless there is one label per
-    image."""
+    image, and DomainError, naming the first index, unless every label is
+    an integer in 0..9 (a label of any other dtype is not)."""
     if labels is None:
         raise ShapeError(f"no labels for {len(images)} images")
     if len(images) != len(labels):
         raise ShapeError(f"{len(labels)} labels for {len(images)} images")
+    labels = np.asarray(labels)
+    bad = (np.flatnonzero((labels < 0) | (labels > 9)) if labels.dtype.kind in "iu"
+           else np.arange(labels.size))
+    if bad.size:
+        raise DomainError(f"label {labels[bad[0]]} at index {bad[0]} is not a class 0..9")
 
 
 def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import floatnet
 from .errors import CalibrationError, DomainError, FormatError, RescalerUnderflow, ShapeError
-from .kernels import MAX_MAC_COUNT, QTensor, channel_count, mac_count, tap_axes
+from .kernels import MAX_MAC_COUNT, QTensor, channel_count, check_labels, mac_count, tap_axes
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -154,7 +154,8 @@ def quantize_float_model(
 ) -> ModelGraph:
     """Post-training quantization of the reference float network.
 
-    Reads each tensor's min/max over the calibration batches from
+    Reads each tensor's min/max over the calibration batches (or one
+    array), uint8 images or float unit images, from
     :func:`floatnet.forward_intermediates`, derives affine activation
     parameters and symmetric per-channel weight parameters, quantizes
     biases at S_x * S_w_c, and materializes per-channel rescalers
@@ -649,13 +650,11 @@ def load_idx_dataset(images_path: str, labels_path: str) -> tuple[np.ndarray, np
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"{images.shape[0]} images but {labels.shape[0]} labels"
-        )
-    bad = np.flatnonzero(labels > 9)
-    if bad.size:
-        raise FormatError(f"{labels_path}: label {labels[bad[0]]} at index {bad[0]} "
-                          "is not a class 0..9")
+        raise FormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
+    try:
+        check_labels(images, labels)
+    except DomainError as exc:
+        raise FormatError(f"{labels_path}: {exc}") from exc
     return images, labels
 
 

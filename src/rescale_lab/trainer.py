@@ -582,13 +582,8 @@ def train_float(
 
 def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of the float network on uint8 images, in percent."""
-    images = np.asarray(images_u8)
-    check_labels(images, labels)
-    if images.shape[0] == 0:
+    check_labels(images_u8, labels)
+    if len(images_u8) == 0:
         raise DomainError("accuracy of an empty image set")
-    hits = 0
-    for start in range(0, images.shape[0], 512):
-        batch = slice(start, start + 512)
-        logits = floatnet.forward(model, unit_images(images[batch]))
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
-    return 100.0 * hits / images.shape[0]
+    hits = int(np.sum(np.argmax(floatnet.forward(model, images_u8), axis=1) == labels))
+    return 100.0 * hits / len(images_u8)

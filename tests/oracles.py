@@ -185,8 +185,8 @@ def oracle_float_forward(model, x) -> dict:
     ``floatnet.LAYERS``: each weighted layer's MAC on the shared core, then
     a fresh ``acc + b`` and ``np.clip`` for ReLU6; avgpool as window sums
     over the area.  The layers up to flatten walk one image at a time,
-    whose conv matmuls BLAS runs on one thread, and the dense layer the
-    whole batch.
+    whose conv matmuls BLAS runs on one thread, and the dense layer runs
+    on those features ``FLOAT_BLOCK`` rows at a time, on one thread too.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
@@ -201,7 +201,12 @@ def oracle_float_forward(model, x) -> dict:
         _oracle_float_layers(model, floatnet.LAYERS[:flat + 1], x[i:i + 1], image)
     for layer in floatnet.LAYERS[:flat + 1]:
         tensors[layer.name] = np.concatenate([image[layer.name] for image in images])
-    _oracle_float_layers(model, floatnet.LAYERS[flat + 1:], tensors["flat"], tensors)
+    blocks = [{} for _ in range(0, x.shape[0], floatnet.FLOAT_BLOCK)]
+    for i, block in enumerate(blocks):
+        rows = tensors["flat"][i * floatnet.FLOAT_BLOCK:(i + 1) * floatnet.FLOAT_BLOCK]
+        _oracle_float_layers(model, floatnet.LAYERS[flat + 1:], rows, block)
+    for layer in floatnet.LAYERS[flat + 1:]:
+        tensors[layer.name] = np.concatenate([block[layer.name] for block in blocks])
     return tensors
 
 

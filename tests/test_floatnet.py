@@ -12,6 +12,7 @@ from oracles import oracle_float_forward
 from rescale_lab import floatnet, trainer
 from rescale_lab.errors import ShapeError
 from rescale_lab.floatnet import FLOAT_BLOCK, FloatLayer, layer_step
+from rescale_lab.kernels import unit_images
 
 DESK = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                     "desk_cnn_v1_float.npz")
@@ -42,13 +43,33 @@ class TestBlockedForward:
 
     def test_a_block_keeps_every_conv_matmul_on_one_blas_thread(self, images):
         """OpenBLAS runs a matmul on one thread while M*N*K stays below
-        2 * 262,144; a thread split can change bits at its seam."""
+        2 * 262,144; a thread split can change bits at its seam.  The
+        dense logit layer runs per block too, so it counts as well."""
         tensors = oracle_float_forward(floatnet.init_float_model(seed=0), images[:1])
-        for layer in floatnet.LAYERS:
-            if layer.kind == "conv2d":
-                _, out_h, out_w, n_out = tensors[layer.name].shape
-                k = int(np.prod(layer.shape[1:]))
-                assert FLOAT_BLOCK * out_h * out_w * k * n_out < 2 * 262_144, layer.name
+        matmuls = [layer for layer in floatnet.LAYERS if layer.kind in ("conv2d", "dense")]
+        assert matmuls[-1].kind == "dense"
+        for layer in matmuls:
+            rows = int(np.prod(tensors[layer.name].shape[1:-1]))
+            k, n_out = int(np.prod(layer.shape[1:])), layer.shape[0]
+            assert FLOAT_BLOCK * rows * k * n_out < 2 * 262_144, layer.name
+
+    def test_a_prefix_of_the_batch_keeps_its_logits(self, model, images):
+        # Every tensor is that of its own block, so batching moves no bit.
+        logits = floatnet.forward(model, images)
+        for k in (FLOAT_BLOCK, 64, 512, 992, 1000):
+            assert np.array_equal(logits[:k], floatnet.forward(model, images[:k])), k
+
+    def test_uint8_images_are_unit_images(self, model):
+        images_u8 = np.random.default_rng(5).integers(0, 256, (2 * FLOAT_BLOCK + 3, 28, 28),
+                                                      dtype=np.uint8)
+        assert np.array_equal(floatnet.forward(model, images_u8),
+                              floatnet.forward(model, unit_images(images_u8)))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+    def test_input_that_is_neither_uint8_nor_float_is_refused(self, dtype):
+        x = np.zeros((2, 28, 28, 1), dtype)
+        with pytest.raises(ShapeError, match="uint8 or float"):
+            floatnet.forward(floatnet.init_float_model(seed=0), x)
 
     def test_intermediate_ranges_equal_those_of_the_walk(self, model, images):
         for sizes in ([1], [7], [8], [9], [21], [33], [9, 1, 21, 7], [8, 33, 0]):

@@ -103,7 +103,7 @@ def dataset(tmp_path_factory):
 def deployment(dataset):
     (train_x, _), (test_x, _) = dataset
     model = quantize_float_model(floatnet.load_float_model(FLOAT_MODEL),
-                                 cli._calibration_batches(train_x))
+                                 train_x[:cli._CALIB_IMAGES])
     return model, test_x
 
 

@@ -1,6 +1,7 @@
 """Container format, post-training quantization, redeploy, and IDX tests."""
 
 import json
+import os
 import struct
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from rescale_lab import floatnet
+from rescale_lab.datagen import balanced_labels, render_digits
 from rescale_lab.errors import DomainError, FormatError, RescalerUnderflow, ShapeError
-from rescale_lab.kernels import QTensor, quantize_real, run_model_int
+from rescale_lab.kernels import QTensor, quantize_real, run_model_int, unit_images
 from rescale_lab.model_io import (
     MAGIC,
     LayerSpec,
@@ -33,6 +35,10 @@ from rescale_lab.model_io import (
     weight_channel_scales,
 )
 from rescale_lab.qcore import DyadicRescaler, QuantParams, quantize_rescaler
+
+
+DESK_FLOAT = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "desk_cnn_v1_float.npz")
 
 
 def tiny_dense_model(k=32):
@@ -217,6 +223,19 @@ class TestQuantizeFloatModel:
         fm = floatnet.init_float_model(seed=1)
         batch = np.random.default_rng(1).random((4, 28, 28, 1))
         assert models_equal(quantize_float_model(fm, batch), quantize_float_model(fm, [batch]))
+
+    def test_uint8_images_and_any_batching_give_the_same_bytes(self):
+        # The walk runs 8-image blocks and converts uint8 blocks as
+        # unit_images does, so neither the batching nor the dtype moves a
+        # calibration range.
+        fm = floatnet.load_float_model(DESK_FLOAT)
+        rng = np.random.default_rng(7)
+        images = render_digits(balanced_labels(256, rng), rng)
+        unit = unit_images(images)
+        want = model_to_bytes(quantize_float_model(fm, images))
+        assert model_to_bytes(quantize_float_model(fm, unit)) == want
+        batches = [unit[i:i + 32] for i in range(0, 256, 32)]
+        assert model_to_bytes(quantize_float_model(fm, batches)) == want
 
     def test_empty_batches_add_nothing(self):
         from rescale_lab.errors import CalibrationError

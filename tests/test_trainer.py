@@ -1188,6 +1188,40 @@ class TestLabelCounts:
                         eval_images=np.zeros((5, 28, 28), np.uint8))
 
 
+class TestLabelValues:
+    """Every label is an integer class 0..9, or DomainError naming the first
+    index that is not: numpy's negative indexing would train on -1 as
+    class 9, and scoring would count it as a miss."""
+
+    LABELS = np.array([3, 0, -1, 9, 7], np.int64)
+    MATCH = "label -1 at index 2 is not a class 0..9"
+
+    def test_evaluate_int(self, desk_model):
+        with pytest.raises(DomainError, match=self.MATCH):
+            kernels.evaluate_int(desk_model, np.zeros((5, 28, 28), np.uint8), self.LABELS)
+
+    def test_float_accuracy(self):
+        with pytest.raises(DomainError, match=self.MATCH):
+            trainer.float_accuracy(floatnet.init_float_model(seed=0),
+                                   np.zeros((5, 28, 28), np.uint8), self.LABELS)
+
+    def test_finetune(self, desk_model):
+        cfg = TrainConfig(learning_rate=1.0, epochs=1, batch_size=32, seed=0)
+        with pytest.raises(DomainError, match=self.MATCH):
+            finetune(desk_model, np.zeros((5, 28, 28), np.uint8), self.LABELS, cfg, k=8)
+
+    def test_train_float(self):
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0)
+        with pytest.raises(DomainError, match=self.MATCH):
+            train_float(np.zeros((5, 28, 28), np.uint8), self.LABELS, cfg)
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 10]), np.array([0.0, 1.0, 2.5])],
+                             ids=["ten", "float"])
+    def test_a_label_past_nine_or_of_float_dtype(self, labels):
+        with pytest.raises(DomainError, match="is not a class 0..9"):
+            kernels.check_labels(np.zeros((3, 28, 28), np.uint8), labels)
+
+
 class TestEmptyEvalSet:
     def test_evaluate_int_rejects_no_images(self, desk_model):
         with pytest.raises(DomainError, match="empty"):
