@@ -8,7 +8,7 @@ that compensate for the exact rescalers the hardware will use.
 
 This walkthrough runs the whole loop on a small synthetic dataset:
 generate data, train a float baseline, quantize, sweep the width, then
-repair the worst width.  Takes about a minute.
+repair the worst width.  Takes about ten seconds.
 
 Run:  python3 demos/04_recovery_training.py
 """
@@ -32,9 +32,9 @@ from rescale_lab.trainer import TrainConfig, finetune, train_float
 # single-segment-confusable digits, which keeps logit margins tight.
 
 t0 = time.time()
-data_dir = tempfile.mkdtemp(prefix="rescale-demo-")
-datagen.generate_dataset(data_dir, train_count=12_000, test_count=2_000, seed=0)
-(train_x, train_y), (test_x, test_y) = datagen.load_dataset(data_dir)
+with tempfile.TemporaryDirectory(prefix="rescale-demo-") as data_dir:
+    datagen.generate_dataset(data_dir, train_count=12_000, test_count=2_000, seed=0)
+    (train_x, train_y), (test_x, test_y) = datagen.load_dataset(data_dir)
 print(f"generated {train_x.shape[0]} train / {test_x.shape[0]} test images "
       f"in {time.time() - t0:.0f}s")
 

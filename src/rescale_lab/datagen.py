@@ -19,6 +19,7 @@ import os
 import numpy as np
 
 from .errors import DomainError
+from .kernels import check_classes
 from .model_io import load_idx_dataset, save_idx_images, save_idx_labels
 from .qcore import round_half_up
 
@@ -149,16 +150,8 @@ def _stroke_ink(centres: np.ndarray, segs: np.ndarray, width: np.ndarray,
 
 def render_digits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Render one glyph image per label with random jitter; uint8 (n, 28, 28).
-
-    ``labels`` must be a one-dimensional array of integers 0..9 (any
-    integer width); anything else raises :class:`DomainError`."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DomainError(f"labels must be one-dimensional, got {labels.shape}")
-    if labels.size and labels.dtype.kind not in "iu":
-        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and not ((labels >= 0) & (labels <= 9)).all():
-        raise DomainError("labels must be digits 0..9")
+    ``labels`` must pass :func:`kernels.check_classes`."""
+    labels = check_classes(labels)
     n = labels.shape[0]
     centres = (np.arange(IMAGE_SIZE) + 0.5) / IMAGE_SIZE
     out = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.uint8)

@@ -16,8 +16,7 @@ block of :data:`FLOAT_BLOCK` images at a time, so its working memory does
 not grow with the batch, and BLAS runs each matmul of a block on one
 thread, where a row's sum does not depend on the row count: every tensor
 is that of a walk one image at a time, at any thread count and however
-the images are batched.  uint8 input is images, converted block by block
-by :func:`kernels.unit_images`; float input is unit images already.
+the images are batched.  :func:`kernels.unit_images` reads each block.
 """
 
 from __future__ import annotations
@@ -187,17 +186,12 @@ def layer_step(layer: FloatLayer, x: np.ndarray, w=None, b=None,
 def _walk(model: FloatModel, x):
     """The one inference walk: yield ``(name, tensor)`` for ``input`` and
     each layer of :data:`LAYERS`, one block of :data:`FLOAT_BLOCK` images
-    at a time.  ``x`` holds uint8 images or float unit images; any other
-    dtype raises ShapeError."""
+    at a time, each block read by :func:`kernels.unit_images`."""
     x = np.asarray(x)
-    if x.dtype != np.uint8 and x.dtype.kind != "f":
-        raise ShapeError(f"images must be uint8 or float, got {x.dtype}")
-    x = x[..., np.newaxis] if x.ndim == 3 else x
     steps = list(zip(LAYERS, model_params(model)))
     # An empty batch still runs one (empty) block, so shape errors surface.
     for start in range(0, max(x.shape[0], 1), FLOAT_BLOCK):
-        h = x[start : start + FLOAT_BLOCK]
-        h = unit_images(h) if h.dtype == np.uint8 else h.astype(np.float64, copy=False)
+        h = unit_images(x[start : start + FLOAT_BLOCK])
         yield "input", h
         for layer, (w, b) in steps:
             h = layer_step(layer, h, w, b)[0]

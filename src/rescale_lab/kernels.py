@@ -152,12 +152,17 @@ def window_bound(window: tuple[int, int]) -> int:
 
 
 def unit_images(images_u8: np.ndarray) -> np.ndarray:
-    """uint8 images as float64 values in [0, 1], NHWC: (n, h, w) input
-    gains a channel axis."""
+    """The float network's images as float64 NHWC: uint8 divided by 255,
+    float taken as unit images; (n, h, w) input gains a channel axis and
+    any other dtype raises ShapeError."""
     images = np.asarray(images_u8)
     if images.ndim == 3:
         images = images[..., np.newaxis]
-    return images.astype(np.float64) / 255.0
+    if images.dtype == np.uint8:
+        return images.astype(np.float64) / 255.0
+    if images.dtype.kind == "f":
+        return images.astype(np.float64, copy=False)
+    raise ShapeError(f"images must be uint8 or float, got {images.dtype}")
 
 
 def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -168,14 +173,20 @@ def quantize_real(values: np.ndarray, params: QuantParams) -> np.ndarray:
     return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
 
 
+def check_uint8_images(images_u8: np.ndarray) -> np.ndarray:
+    """``images_u8`` as an array; raises ShapeError unless it is uint8."""
+    images = np.asarray(images_u8)
+    if images.dtype != np.uint8:
+        raise ShapeError(f"images must be uint8, got {images.dtype}")
+    return images
+
+
 def quantize_images(images_u8: np.ndarray, params: QuantParams) -> np.ndarray:
     """uint8 images quantized with ``params``, as NHWC int8: the bits of
     ``quantize_real(unit_images(images_u8), params)``, read from a table of
     :func:`quantize_real` over the 256 byte values (both steps are
     elementwise).  Input of any other dtype raises ShapeError."""
-    images = np.asarray(images_u8)
-    if images.dtype != np.uint8:
-        raise ShapeError(f"images must be uint8, got {images.dtype}")
+    images = check_uint8_images(images_u8)
     if images.ndim == 3:
         images = images[..., np.newaxis]
     table = quantize_real(np.arange(256, dtype=np.float64) / 255.0, params)
@@ -588,19 +599,28 @@ def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 51
     return preds
 
 
-def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
-    """Raise ShapeError, naming both counts, unless there is one label per
-    image, and DomainError, naming the first index, unless every label is
-    an integer in 0..9 (a label of any other dtype is not)."""
-    if labels is None:
-        raise ShapeError(f"no labels for {len(images)} images")
-    if len(images) != len(labels):
-        raise ShapeError(f"{len(labels)} labels for {len(images)} images")
+def check_classes(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as an array.  Raises ShapeError unless it is 1-D, and
+    DomainError, naming the first index, unless every label is an integer
+    in 0..9 (a label of any other dtype is not)."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be one-dimensional, got shape {labels.shape}")
     bad = (np.flatnonzero((labels < 0) | (labels > 9)) if labels.dtype.kind in "iu"
            else np.arange(labels.size))
     if bad.size:
         raise DomainError(f"label {labels[bad[0]]} at index {bad[0]} is not a class 0..9")
+    return labels
+
+
+def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
+    """Raise ShapeError, naming both counts, unless there is one label per
+    image, then apply :func:`check_classes`."""
+    if labels is None:
+        raise ShapeError(f"no labels for {len(images)} images")
+    if len(images) != len(labels):
+        raise ShapeError(f"{len(labels)} labels for {len(images)} images")
+    check_classes(labels)
 
 
 def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import floatnet
 from .errors import CalibrationError, DomainError, FormatError, RescalerUnderflow, ShapeError
-from .kernels import MAX_MAC_COUNT, QTensor, channel_count, check_labels, mac_count, tap_axes
+from .kernels import (MAX_MAC_COUNT, QTensor, channel_count, check_classes, check_labels,
+                      check_uint8_images, mac_count, tap_axes)
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -645,22 +646,21 @@ def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
 
 
 def load_idx_dataset(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a u8 image/label pair of IDX files (big-endian headers); a label
-    outside the classes 0..9 is a FormatError naming the file and index."""
+    """Load a u8 image/label pair of IDX files (big-endian headers); labels
+    failing :func:`kernels.check_labels` are a FormatError naming the file."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
-    if images.shape[0] != labels.shape[0]:
-        raise FormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
     try:
         check_labels(images, labels)
-    except DomainError as exc:
+    except (ShapeError, DomainError) as exc:
         raise FormatError(f"{labels_path}: {exc}") from exc
     return images, labels
 
 
 def save_idx_images(path: str, images_u8: np.ndarray) -> None:
-    """Write a u8 image stack as an IDX file (big-endian header)."""
-    images = np.ascontiguousarray(images_u8, dtype=np.uint8)
+    """Write a u8 image stack as an IDX file (big-endian header); other
+    dtypes raise ShapeError (:func:`kernels.check_uint8_images`)."""
+    images = check_uint8_images(images_u8)
     if images.ndim != 3:
         raise ShapeError(f"expected images (n, h, w), got shape {images.shape}")
     with open(path, "wb") as fh:
@@ -670,10 +670,9 @@ def save_idx_images(path: str, images_u8: np.ndarray) -> None:
 
 
 def save_idx_labels(path: str, labels: np.ndarray) -> None:
-    """Write u8 class labels as an IDX file (big-endian header)."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ShapeError(f"expected labels (n,), got shape {labels.shape}")
+    """Write class labels, checked by :func:`kernels.check_classes`, as a
+    u8 IDX file (big-endian header)."""
+    labels = check_classes(labels).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">I", IDX_LABELS_MAGIC))
         fh.write(struct.pack(">I", labels.shape[0]))

@@ -91,6 +91,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if not self.learning_rate >= 0:
             raise DomainError(
                 f"learning rate must be non-negative, got {self.learning_rate}")
@@ -581,7 +585,7 @@ def train_float(
 
 
 def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the float network on uint8 images, in percent."""
+    """Top-1 accuracy of the float network on uint8 or unit images, in percent."""
     check_labels(images_u8, labels)
     if len(images_u8) == 0:
         raise DomainError("accuracy of an empty image set")

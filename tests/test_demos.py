@@ -10,9 +10,10 @@ import pytest
 import rescale_lab
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-# 04_recovery_training.py trains on a small dataset for about a minute and
-# is left out; each of these takes about a second.
-QUICK_DEMOS = ["01_dyadic_rescalers.py", "02_integer_engine.py", "03_error_model.py"]
+# Each of the first three takes about a second; 04_recovery_training.py
+# trains, quantizes and fine-tunes on a small dataset in about ten seconds.
+QUICK_DEMOS = ["01_dyadic_rescalers.py", "02_integer_engine.py", "03_error_model.py",
+               "04_recovery_training.py"]
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

@@ -584,6 +584,18 @@ class TestUnitImages:
         images = np.full((3, 2, 2, 1), 255, dtype=np.uint8)
         assert np.array_equal(unit_images(images), np.ones((3, 2, 2, 1)))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_float_input_is_unit_images_already(self, dtype):
+        images = np.array([[[0.0, 0.25], [1.0, 0.5]]], dtype=dtype)
+        x = unit_images(images)
+        assert x.shape == (1, 2, 2, 1) and x.dtype == np.float64
+        assert x[..., 0].tolist() == [[[0.0, 0.25], [1.0, 0.5]]]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.bool_])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(ShapeError, match="images must be uint8 or float"):
+            unit_images(np.zeros((1, 2, 2), dtype))
+
 
 class TestQuantizeImages:
     BYTES = np.arange(256, dtype=np.uint8)

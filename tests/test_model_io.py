@@ -30,6 +30,8 @@ from rescale_lab.model_io import (
     quantize_float_model,
     quantize_weights,
     redeploy_weights,
+    save_idx_images,
+    save_idx_labels,
     save_model,
     validate_model,
     weight_channel_scales,
@@ -797,8 +799,23 @@ class TestIdx:
     def test_count_mismatch(self, tmp_path):
         write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
         write_idx_labels(tmp_path / "lbls", np.zeros(2, dtype=np.uint8))
-        with pytest.raises(FormatError, match="3 images but 2 labels"):
+        with pytest.raises(FormatError, match="lbls: 2 labels for 3 images"):
             load_idx_dataset(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
+
+    @pytest.mark.parametrize("labels", [[3, 256, 265], [3, -1, 9], [3.0, 1.5, 9.0]],
+                             ids=["past-255", "negative", "float"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, labels):
+        # [3, 256, 265] was written as bytes and loaded back as [3, 0, 9].
+        with pytest.raises(DomainError, match="is not a class 0..9"):
+            save_idx_labels(str(tmp_path / "lbls"), np.array(labels))
+        assert not (tmp_path / "lbls").exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int64])
+    def test_writer_refuses_images_other_than_uint8(self, tmp_path, dtype):
+        # Images filled with 0.6 were written as all zeros.
+        with pytest.raises(ShapeError, match="images must be uint8"):
+            save_idx_images(str(tmp_path / "imgs"), np.full((2, 4, 4), 0.6).astype(dtype))
+        assert not (tmp_path / "imgs").exists()
 
     def test_dims_whose_product_wraps_int64(self, tmp_path):
         # 2**22 * 2**22 * 2**20 = 2**64 is 0 in int64, which matched the

@@ -157,6 +157,14 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [1.5, 8.0, True, "2"])
+    def test_counts_must_be_ints(self, field, value):
+        # 1.5 and 8.0 died in train_float with a bare TypeError, and
+        # epochs=True trained one epoch.
+        with pytest.raises(DomainError, match=f"{field} must be an int"):
+            TrainConfig(**{field: value})
+
 
 class TestShadowModel:
     def test_init_copies_integers_exactly(self, desk_model):
@@ -1079,6 +1087,22 @@ class TestTrainFloat:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert [e.loss for e in h1] == [e.loss for e in h2]
 
+    def test_float_unit_images_train_as_their_uint8_images(self, toy_images):
+        # Float input is unit images, as forward and float_accuracy read it;
+        # it was divided by 255 a second time.
+        images, labels = toy_images
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9)
+        want, _ = train_float(images, labels, cfg)
+        got, _ = train_float(images / 255.0, labels, cfg)
+        for name in vars(want):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_int8_images_are_refused(self, toy_images):
+        images, labels = toy_images
+        with pytest.raises(ShapeError, match="images must be uint8 or float, got int8"):
+            train_float(images.astype(np.int8), labels,
+                        TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=9))
+
     def test_loss_descends_across_epochs(self):
         rng = np.random.default_rng(30)
         images = rng.integers(0, 256, size=(16, 28, 28, 1)).astype(np.uint8)
@@ -1174,6 +1198,21 @@ class TestLabelCounts:
             train_float(np.zeros((4, 28, 28), np.uint8), np.zeros(4, np.uint8), cfg,
                         eval_images=np.zeros((5, 28, 28), np.uint8),
                         eval_labels=np.zeros(1, np.uint8))
+
+    @pytest.mark.parametrize("call", ["evaluate_int", "float_accuracy", "finetune",
+                                      "train_float"])
+    def test_a_label_column(self, desk_model, call):
+        # (5, 1) labels broadcast against (5,) predictions to (5, 5): accuracy
+        # counted 25 comparisons for 5 images.
+        images, labels = np.zeros((5, 28, 28), np.uint8), np.zeros((5, 1), np.uint8)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0)
+        run = {"evaluate_int": lambda: kernels.evaluate_int(desk_model, images, labels),
+               "float_accuracy": lambda: trainer.float_accuracy(
+                   floatnet.init_float_model(seed=0), images, labels),
+               "finetune": lambda: finetune(desk_model, images, labels, cfg, k=8),
+               "train_float": lambda: train_float(images, labels, cfg)}[call]
+        with pytest.raises(ShapeError, match=r"one-dimensional, got shape \(5, 1\)"):
+            run()
 
     def test_eval_images_without_labels(self, desk_model):
         images = np.zeros((4, 28, 28), np.uint8)
