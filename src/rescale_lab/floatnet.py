@@ -27,8 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
-from .kernels import (_channel_rows, accumulate, channel_count, flatten,
+from .errors import FormatError
+from .kernels import (_channel_rows, accumulate, channel_count, check_layer, flatten,
                       mac_count, unit_images, window_sum)
 
 ARCH_NAME = "desk-cnn-v1"
@@ -140,38 +140,20 @@ def avgpool_real(x, window=(2, 2)):
     return out
 
 
-def _activate(h: np.ndarray, activation: str, with_mask: bool):
-    """Apply ``activation`` to ``h`` in place.  With ``with_mask``, return
-    where it passes gradient (``True`` for none), computed before the clip;
-    otherwise None.  An unknown activation raises ShapeError."""
-    if activation == "none":
-        return True if with_mask else None
-    if activation == "relu":
-        mask = h > 0.0 if with_mask else None
-        np.maximum(h, 0.0, out=h)
-    elif activation == "relu6":
-        mask = (h > 0.0) & (h < 6.0) if with_mask else None
-        np.clip(h, 0.0, 6.0, out=h)
-    else:
-        raise ShapeError(f"unknown activation {activation!r}")
-    return mask
-
-
 def layer_step(layer: FloatLayer, x: np.ndarray, w=None, b=None,
                with_mask: bool = False):
     """Run one layer on ``x``; returns ``(y, cols, pads, mask)``.
 
     Weighted layers run the MAC with weights ``w`` and the bias ``b`` added
     in place (:func:`conv2d_real`, :func:`depthwise_real`, or dense), then
-    the activation (none, relu or relu6) in place; ``cols`` and ``pads``
-    are those of :func:`kernels.accumulate`, and ``mask`` (only with
-    ``with_mask``) is where the activation passes gradient.  avgpool and
-    flatten take no parameters and give None for all three.  An unknown
-    activation, or any activation on avgpool or flatten, raises ShapeError.
-    """
+    clip in place to the activation's range; ``cols`` and ``pads`` are
+    those of :func:`kernels.accumulate`, and ``mask`` (only with
+    ``with_mask``) is where the activation passes gradient: strictly inside
+    the range, ``True`` for none.  avgpool and flatten take no parameters
+    and give None for all three.  :func:`kernels.check_layer` judges the
+    kind and activation."""
+    lo, hi = check_layer(layer.kind, layer.activation)
     if layer.param is None:
-        if layer.activation != "none":
-            raise ShapeError(f"{layer.kind} layer {layer.name} takes no activation")
         y = avgpool_real(x, layer.window) if layer.kind == "avgpool" else flatten(x)
         return y, None, None, None
     if layer.kind == "conv2d":
@@ -180,7 +162,11 @@ def layer_step(layer: FloatLayer, x: np.ndarray, w=None, b=None,
         h, cols, pads = depthwise_real(x, w, b, layer.stride, layer.padding)
     else:
         h, cols, pads = _biased_mac(x, w, b, layer.kind, layer.stride, layer.padding)
-    return h, cols, pads, _activate(h, layer.activation, with_mask)
+    if lo == -np.inf and hi == np.inf:
+        return h, cols, pads, True if with_mask else None
+    mask = (h > lo) & (h < hi) if with_mask else None
+    np.clip(h, lo, hi, out=h)
+    return h, cols, pads, mask
 
 
 def _walk(model: FloatModel, x):

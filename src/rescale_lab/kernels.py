@@ -83,16 +83,9 @@ class QTensor:
             raise ShapeError(f"QTensor data must be int8, got {self.data.dtype}")
         if isinstance(self.qparams, QuantParams):
             return
-        scales = np.asarray(self.qparams, dtype=np.float64)
-        if scales.ndim != 1:
-            raise ShapeError("per-channel scales must be a 1-D vector")
+        scales = check_channels("scales", self.qparams, self.data).astype(np.float64)
         if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
             raise ShapeError("per-channel scales must be finite and positive")
-        expected = channel_count(self.data)
-        if scales.shape[0] != expected:
-            raise ShapeError(
-                f"{scales.shape[0]} scales for {expected} output channels"
-            )
         self.qparams = scales
 
     @property
@@ -130,6 +123,66 @@ def tap_axes(weights: np.ndarray) -> tuple[int, ...]:
 def mac_count(weights: np.ndarray) -> int:
     """Products accumulated per output element: the taps of one channel."""
     return math.prod(weights.shape[a] for a in tap_axes(weights))
+
+
+# The layer rules, each raising ShapeError, shared by validate_model, the
+# MAC core and the float network.  The kind table holds the operand ranks
+# (x, w) of each kind with a multiply-accumulate.
+_MAC_RANKS = {"dense": (2, 2), "conv2d": (4, 4), "depthwise": (4, 3)}
+WEIGHTED_KINDS = tuple(_MAC_RANKS)
+LAYER_KINDS = WEIGHTED_KINDS + ("avgpool", "flatten")
+_ACTIVATION_RANGES = {"none": (-math.inf, math.inf), "relu": (0.0, math.inf),
+                      "relu6": (0.0, 6.0)}
+
+
+def activation_range(activation: str) -> tuple[float, float]:
+    """The real range ``(lo, hi)`` an activation clamps to."""
+    if not isinstance(activation, str) or activation not in _ACTIVATION_RANGES:
+        raise ShapeError(f"unknown activation {activation!r}")
+    return _ACTIVATION_RANGES[activation]
+
+
+def check_layer(kind: str, activation: str) -> tuple[float, float]:
+    """The :func:`activation_range` of a layer of a known kind; avgpool and
+    flatten take none only."""
+    if kind not in LAYER_KINDS:
+        raise ShapeError(f"unknown kind {kind!r}")
+    if activation != "none" and kind not in WEIGHTED_KINDS:
+        raise ShapeError(f"{kind} takes no activation {activation!r}")
+    return activation_range(activation)
+
+
+def check_mac(kind: str, weights: np.ndarray, stride=(1, 1),
+              padding: str = "VALID") -> tuple[int, int]:
+    """The operand ranks (x, w) of a layer of a kind with a multiply-
+    accumulate: weights of rank w and at most :data:`MAX_MAC_COUNT` taps a
+    channel, a stride of two steps >= 1, and SAME or VALID padding."""
+    ranks = _MAC_RANKS.get(kind)
+    if ranks is None:
+        raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
+    if weights.ndim != ranks[1]:
+        raise ShapeError(f"{kind} takes weights of rank {ranks[1]}, got {weights.shape}")
+    if mac_count(weights) > MAX_MAC_COUNT:
+        raise ShapeError(f"MAC count {mac_count(weights)} exceeds {MAX_MAC_COUNT}")
+    if padding not in ("SAME", "VALID"):
+        raise ShapeError(f"unknown padding {padding!r}")
+    check_steps("stride", stride)
+    return ranks
+
+
+def check_steps(what: str, steps) -> None:
+    """A stride or an avgpool window is two steps >= 1."""
+    if steps is None or len(steps) != 2 or min(steps) < 1:
+        raise ShapeError(f"{what} {steps} needs two steps >= 1")
+
+
+def check_channels(what: str, vector, weights: np.ndarray) -> np.ndarray:
+    """``vector`` (a bias, or scales) as an array, one entry per channel of ``weights``."""
+    vector = np.asarray(vector)
+    if vector.shape != (channel_count(weights),):
+        raise ShapeError(f"{what} shape {vector.shape} does not match "
+                         f"{channel_count(weights)} channels")
+    return vector
 
 
 def accumulator_bound(w: np.ndarray, bias, z: int | None = None) -> np.ndarray:
@@ -209,11 +262,7 @@ def compute_effective_bias(
     leaves int32 instead of wrapping.
     """
     w = weights.data if isinstance(weights, QTensor) else np.asarray(weights)
-    bias = np.asarray(bias)
-    if bias.ndim != 1 or bias.shape[0] != channel_count(w):
-        raise ShapeError(
-            f"bias shape {bias.shape} does not match {channel_count(w)} channels"
-        )
+    bias = check_channels("bias", bias, w)
     tap_sum = w.astype(np.int64).sum(axis=tap_axes(w))
     b_eff = bias.astype(np.int64) - np.int64(z_in) * tap_sum
     if np.any(b_eff < INT32_MIN) or np.any(b_eff > INT32_MAX):
@@ -246,19 +295,13 @@ def _conv_geometry(x_shape, k_h, k_w, stride, padding):
     if padding == "SAME":
         out_h, pad_t, pad_b = _same_padding(in_h, k_h, s_h)
         out_w, pad_l, pad_r = _same_padding(in_w, k_w, s_w)
-    elif padding == "VALID":
+    else:  # VALID
         if in_h < k_h or in_w < k_w:
             raise ShapeError("input smaller than kernel under VALID padding")
         out_h = (in_h - k_h) // s_h + 1
         out_w = (in_w - k_w) // s_w + 1
         pad_t = pad_b = pad_l = pad_r = 0
-    else:
-        raise ShapeError(f"unknown padding {padding!r}")
     return out_h, out_w, (pad_t, pad_b, pad_l, pad_r)
-
-
-# Operand ranks (x, w) of each layer kind with a multiply-accumulate.
-_MAC_RANKS = {"dense": (2, 2), "conv2d": (4, 4), "depthwise": (4, 3)}
 
 
 def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0, bound=None):
@@ -269,9 +312,10 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0, bound=No
     one, which includes every real operand.
 
     ``x`` is (n, d) for dense and NHWC otherwise; ``w`` is in the layout of
-    :func:`channel_axis`; SAME padding fills with ``pad_value``.  An unknown
-    kind, ranks other than the kind's, or ``x`` and ``w`` with different
-    last (input-channel) axes raise ShapeError.  Returns
+    :func:`channel_axis`; SAME padding fills with ``pad_value``.  A layer
+    failing :func:`check_mac`, an ``x`` of another rank than the kind's, or
+    ``x`` and ``w`` with different last (input-channel) axes raise
+    ShapeError.  Returns
     ``(acc, cols, pads)``: ``cols`` is the operand the weights met and
     ``pads`` the (top, bottom, left, right) padding, both kept for the
     backward pass.  ``cols`` is ``x`` itself for dense, the im2col matrix
@@ -280,11 +324,9 @@ def accumulate(x, w, kind, stride=(1, 1), padding="VALID", pad_value=0, bound=No
     Fortran-ordered: the transpose of contiguous tap-major planes
     (kh, kw, c, n, oh, ow).  Integer operands give exact sums.
     """
-    ranks = _MAC_RANKS.get(kind)
-    if ranks is None:
-        raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
-    if (x.ndim, w.ndim) != ranks or x.shape[-1] != w.shape[-1]:
-        raise ShapeError(f"{kind} takes x and weights of ranks {ranks} sharing the "
+    x_rank = check_mac(kind, w, stride, padding)[0]
+    if x.ndim != x_rank or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"{kind} takes x of rank {x_rank} sharing the weights' "
                          f"last axis, got {x.shape} and {w.shape}")
     if bound is None and x.dtype == np.int8 and w.dtype == np.int8:
         bound = int(accumulator_bound(w, 0).max(initial=0))
@@ -328,6 +370,7 @@ def window_sum(x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     its type wherever :func:`window_bound` proves int8-valued sums exact."""
     if x.ndim != 4:
         raise ShapeError("avgpool expects x (n, h, w, c)")
+    check_steps("window", window)
     n, in_h, in_w, c = x.shape
     w_h, w_w = window
     if in_h % w_h or in_w % w_w:
@@ -387,8 +430,6 @@ def _int_accumulate(x: QTensor, w: QTensor, b_eff: np.ndarray, kind: str,
     """Exact int32 accumulator of one weighted layer: MAC plus effective
     bias, with SAME padding by the input zero point; raises if it leaves
     the int32 envelope."""
-    if mac_count(w.data) > MAX_MAC_COUNT:
-        raise ShapeError(f"MAC count {mac_count(w.data)} exceeds {MAX_MAC_COUNT}")
     bound = int(accumulator_bound(w.data, b_eff).max(initial=0))
     acc, _, _ = accumulate(x.data, w.data, kind, stride, padding, x.zero_point, bound)
     # |MAC| <= MAX_MAC_COUNT * 128 * 128 = 2**30 fits int32.
@@ -487,20 +528,14 @@ def rescale_accumulator(
 
 
 def activation_clamp(activation: str, out_params: QuantParams) -> tuple[int, int]:
-    """Integer clamp bounds for an activation applied in the quantized domain.
-
-    Real zero quantizes to the output zero point, so ReLU clamps there; the
-    ReLU6 ceiling is the quantized image of 6.0, saturated to int8.
-    """
-    z = out_params.zero_point
-    if activation == "none":
-        return INT8_MIN, INT8_MAX
-    if activation == "relu":
-        return z, INT8_MAX
-    if activation == "relu6":
-        hi = int(round_half_up(6.0 / out_params.scale)) + z
-        return z, max(INT8_MIN, min(INT8_MAX, hi))
-    raise ShapeError(f"unknown activation {activation!r}")
+    """Integer clamp bounds for an activation applied in the quantized domain:
+    its :func:`activation_range` quantized with ``out_params``, saturated to
+    int8.  Real zero is the output zero point itself, where ReLU clamps."""
+    lo, hi = activation_range(activation)
+    z, scale = out_params.zero_point, out_params.scale
+    lo = INT8_MIN if lo == -math.inf else z if lo == 0.0 else int(round_half_up(lo / scale)) + z
+    hi = INT8_MAX if hi == math.inf else z if hi == 0.0 else int(round_half_up(hi / scale)) + z
+    return max(INT8_MIN, lo), min(INT8_MAX, hi)
 
 
 def layer_accumulator(x: QTensor, layer: "LayerSpec",
@@ -588,9 +623,12 @@ def run_model_int(model: "ModelGraph", x_q: np.ndarray) -> np.ndarray:
 
 
 def predict_int(model: "ModelGraph", images_u8: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Classify uint8 images: quantize them with the model's input
-    parameters (:func:`quantize_images`), run the engine, argmax (ties to
-    the lowest index)."""
+    """Classify uint8 images, ``batch_size`` (>= 1, else DomainError) at a
+    time: quantize them with the model's input parameters
+    (:func:`quantize_images`), run the engine, argmax (ties to the lowest
+    index)."""
+    if batch_size < 1:
+        raise DomainError(f"batch size must be >= 1, got {batch_size}")
     images = np.asarray(images_u8)
     preds = np.empty(images.shape[0], np.int64)
     for start in range(0, images.shape[0], batch_size):
@@ -615,10 +653,11 @@ def check_classes(labels: np.ndarray) -> np.ndarray:
 
 def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
     """Raise ShapeError, naming both counts, unless there is one label per
-    image, then apply :func:`check_classes`."""
+    image, then apply :func:`check_classes` (labels that are not 1-D fail
+    its ShapeError before they are counted)."""
     if labels is None:
         raise ShapeError(f"no labels for {len(images)} images")
-    if len(images) != len(labels):
+    if np.ndim(labels) == 1 and len(images) != len(labels):
         raise ShapeError(f"{len(labels)} labels for {len(images)} images")
     check_classes(labels)
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import floatnet
 from .errors import CalibrationError, DomainError, FormatError, RescalerUnderflow, ShapeError
-from .kernels import (MAX_MAC_COUNT, QTensor, channel_count, check_classes, check_labels,
-                      check_uint8_images, mac_count, tap_axes)
+from .kernels import (LAYER_KINDS, WEIGHTED_KINDS, QTensor, check_channels, check_classes,
+                      check_labels, check_layer, check_mac, check_steps, check_uint8_images,
+                      mac_count, tap_axes)
 from .qcore import (
     INT8_MAX,
     INT8_MIN,
@@ -53,9 +54,6 @@ FORMAT_VERSION = 1
 _ACT_LEVELS = 255.0
 _WEIGHT_LEVELS = 127.0
 _SCALE_FLOOR = 1e-7
-
-WEIGHTED_KINDS = ("dense", "conv2d", "depthwise")
-LAYER_KINDS = WEIGHTED_KINDS + ("avgpool", "flatten")
 
 
 # ---------------------------------------------------------------------------
@@ -240,80 +238,61 @@ def layer_input_params(model: ModelGraph, index: int) -> QuantParams:
 
 def validate_model(model: ModelGraph) -> None:
     """Check every field of every layer, the one judge of the graphs that
-    load_model reads and save_model writes; raises ShapeError/DomainError."""
+    load_model reads and save_model writes; raises ShapeError/DomainError,
+    naming the layer.  The layer rules are those of :mod:`kernels`."""
     if not model.layers:
         raise ShapeError("model has no layers")
     if not isinstance(model.input_params, QuantParams):
         raise ShapeError("model input parameters missing")
     for idx, layer in enumerate(model.layers):
-        in_params = layer_input_params(model, idx)
-        if layer.kind not in LAYER_KINDS:
-            raise ShapeError(f"layer {idx}: unknown kind {layer.kind!r}")
-        if layer.output is None:
-            raise ShapeError(f"layer {idx}: missing output parameters")
-        activations = (("none", "relu", "relu6") if layer.kind in WEIGHTED_KINDS
-                       else ("none",))
-        if layer.activation not in activations:
-            raise ShapeError(f"layer {idx}: {layer.kind} takes no activation "
-                             f"{layer.activation!r}")
         for c, r in enumerate(layer.rescalers):
             try:
                 r.validate()
             except DomainError as exc:
                 raise DomainError(f"layer {idx} rescaler {c}: {exc}") from exc
-        if layer.kind in WEIGHTED_KINDS:
-            _validate_weighted(layer, idx, in_params)
-        elif layer.kind == "avgpool":
-            if layer.window is None or min(layer.window) < 1:
-                raise ShapeError(f"layer {idx}: avgpool needs a window")
-            if len(layer.rescalers) != 1:
-                raise ShapeError(f"layer {idx}: avgpool needs exactly one rescaler")
-            area = layer.window[0] * layer.window[1]
-            if layer.rescalers[0].real_value != 1.0 / area:
-                raise ShapeError(f"layer {idx}: avgpool rescaler is not 1/area")
-            if layer.output != in_params:
-                raise ShapeError(f"layer {idx}: avgpool must keep qparams")
-        else:  # flatten
-            if layer.rescalers:
-                raise ShapeError(f"layer {idx}: flatten takes no rescalers")
-            if layer.output != in_params:
-                raise ShapeError(f"layer {idx}: flatten must keep qparams")
+        try:
+            _validate_layer(layer, layer_input_params(model, idx))
+        except ShapeError as exc:
+            raise ShapeError(f"layer {idx}: {exc}") from exc
     model.k  # the one-width rule: raises ShapeError unless every rescaler agrees
 
 
-def _validate_weighted(layer: LayerSpec, idx: int, in_params: QuantParams) -> None:
-    if layer.padding not in ("SAME", "VALID"):
-        raise ShapeError(f"layer {idx}: unknown padding {layer.padding!r}")
-    if len(layer.stride) != 2 or min(layer.stride) < 1:
-        raise ShapeError(f"layer {idx}: stride {layer.stride} needs two steps >= 1")
+def _validate_layer(layer: LayerSpec, in_params: QuantParams) -> None:
+    check_layer(layer.kind, layer.activation)
+    if layer.output is None:
+        raise ShapeError("missing output parameters")
+    if layer.kind == "avgpool":
+        check_steps("window", layer.window)
+        if [r.real_value for r in layer.rescalers] != [1.0 / math.prod(layer.window)]:
+            raise ShapeError("avgpool needs one rescaler, of 1/area")
+    elif layer.kind == "flatten" and layer.rescalers:
+        raise ShapeError("flatten takes no rescalers")
+    if layer.kind not in WEIGHTED_KINDS:
+        if layer.output != in_params:
+            raise ShapeError(f"{layer.kind} must keep qparams")
+        return
     if layer.weights is None or layer.bias is None:
-        raise ShapeError(f"layer {idx}: weighted layer missing weights or bias")
+        raise ShapeError("weighted layer missing weights or bias")
     if not layer.weights.is_per_channel:
-        raise ShapeError(f"layer {idx}: weights must carry per-channel scales")
-    channels = channel_count(layer.weights.data)
-    if layer.bias.shape != (channels,):
-        raise ShapeError(f"layer {idx}: bias shape does not match {channels} channels")
+        raise ShapeError("weights must carry per-channel scales")
+    check_mac(layer.kind, layer.weights.data, layer.stride, layer.padding)
+    channels = check_channels("bias", layer.bias, layer.weights.data).shape[0]
     if len(layer.rescalers) != channels:
-        raise ShapeError(f"layer {idx}: {len(layer.rescalers)} rescalers "
-                         f"for {channels} channels")
+        raise ShapeError(f"{len(layer.rescalers)} rescalers for {channels} channels")
     factors = rescale_factors(in_params.scale, layer.weights.qparams, layer.output.scale)
     for c, (r, expected_m) in enumerate(zip(layer.rescalers, factors)):
         if r.real_value != expected_m:
-            raise ShapeError(
-                f"layer {idx} channel {c}: stored rescale factor "
-                f"{r.real_value!r} != S_x*S_w/S_y {expected_m!r}"
-            )
+            raise ShapeError(f"channel {c}: stored rescale factor "
+                             f"{r.real_value!r} != S_x*S_w/S_y {expected_m!r}")
     # No-overflow envelope: |acc| <= N * 128 * 255 + |b_q| must fit int32.
     # Unlike kernels.accumulator_bound it ignores the weights and the zero
     # point, so it admits every weight vector a fine-tune can redeploy
     # (which may reach -128).  It also bounds the effective bias:
     # |b_q - z * sum(w_c)| <= |b_q| + 128 * 128 * N.
-    macs = mac_count(layer.weights.data)
-    if macs > MAX_MAC_COUNT:
-        raise ShapeError(f"layer {idx}: MAC count {macs} exceeds 2^16")
-    worst = macs * 128 * 255 + int(np.max(np.abs(layer.bias.astype(np.int64))))
+    worst = (mac_count(layer.weights.data) * 128 * 255
+             + int(np.max(np.abs(layer.bias.astype(np.int64)))))
     if worst >= (1 << 31):
-        raise ShapeError(f"layer {idx}: worst-case accumulator {worst} leaves int32")
+        raise ShapeError(f"worst-case accumulator {worst} leaves int32")
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +587,7 @@ def redeploy_weights(model: ModelGraph, shadow: "ShadowModel") -> ModelGraph:
                 f"layer {idx}: shadow weights {shadow_w.shape} vs "
                 f"{layer.weights.data.shape}"
             )
-        if shadow_b.shape != layer.bias.shape:
-            raise ShapeError(f"layer {idx}: shadow bias shape mismatch")
+        check_channels(f"layer {idx}: shadow bias", shadow_b, layer.weights.data)
         w_int = fake_quantize_weights(shadow_w).astype(np.int8)
         b_int = fake_quantize_biases(shadow_b).astype(np.int32)
         new_layers.append(

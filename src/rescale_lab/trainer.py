@@ -36,6 +36,7 @@ weights, scattered back tap by tap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,17 +92,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an int, got {value!r}")
-        if not self.learning_rate >= 0:
-            raise DomainError(
-                f"learning rate must be non-negative, got {self.learning_rate}")
+        lr = self.learning_rate
+        if (not isinstance(lr, numbers.Real) or isinstance(lr, bool)
+                or not (math.isfinite(lr) and lr >= 0)):
+            raise DomainError(f"learning rate must be a finite real >= 0, got {lr!r}")
         if self.batch_size < 1:
             raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

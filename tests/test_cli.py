@@ -464,6 +464,20 @@ class TestExitCodes:
         assert "stride" in capsys.readouterr().err
         assert code == EXIT_FORMAT
 
+    def test_kind_and_weight_rank_disagreeing_is_format_error(self, model_path, data_dir,
+                                                              tmp_path, capsys):
+        # A depthwise layer relabelled dense: only the kind's weight-rank
+        # rule at load time refuses it, before the engine meets rank-3
+        # weights in a dense MAC.
+        model = load_model(model_path)
+        model.layers[2].kind = "dense"
+        bad = tmp_path / "relabelled.rlab"
+        bad.write_bytes(model_to_bytes(model))
+        images = datagen.dataset_paths(data_dir)["test_images"]
+        code = main(["infer", "--model", str(bad), "--k", "32", images])
+        assert "dense takes weights of rank 2" in capsys.readouterr().err
+        assert code == EXIT_FORMAT
+
     @pytest.mark.parametrize("corruption", ["truncated", "short-bias"])
     def test_corrupt_float_model_is_format_error(self, float_path, data_dir, tmp_path,
                                                  capsys, corruption):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescale_lab import kernels
-from rescale_lab.errors import OverflowEnvelopeError, ShapeError
+from rescale_lab.errors import DomainError, OverflowEnvelopeError, ShapeError
 from rescale_lab.kernels import (
     MAX_MAC_COUNT,
     RESCALE_BLOCK,
@@ -251,6 +251,14 @@ class TestAccumulateOperands:
         with pytest.raises(ShapeError, match="'avgpool' has no multiply-accumulate"):
             accumulate(np.zeros((1, 4)), np.zeros((2, 4)), "avgpool")
 
+    @pytest.mark.parametrize("stride", [(0, 1), (-1, 1)])
+    def test_stride_below_one_is_refused(self, stride):
+        # (0, 1) divided by zero and (-1, 1) sliced backwards into a
+        # ValueError; the stride rule validate_model applies refuses both.
+        with pytest.raises(ShapeError, match="needs two steps >= 1"):
+            accumulate(np.zeros((1, 4, 4, 2), np.int8), np.zeros((3, 2, 2, 2), np.int8),
+                       "conv2d", stride, "SAME")
+
 
 class TestEnvelopeCheck:
     """The whole-tensor bound is only a shortcut: the decision is per
@@ -403,6 +411,11 @@ class TestAvgpool:
     def test_window_must_divide(self):
         with pytest.raises(ShapeError):
             avgpool(qt(np.zeros((1, 3, 3, 1))), (2, 2), k=8)
+
+    @pytest.mark.parametrize("window", [(0, 2), (-1, 2)])
+    def test_window_below_one_is_refused(self, window):
+        with pytest.raises(ShapeError, match="needs two steps >= 1"):
+            window_sum(np.zeros((1, 4, 4, 1), np.int8), window)
 
     @pytest.mark.parametrize("value, total", [(-128, -512), (127, 508)])
     def test_int8_window_sum_does_not_wrap(self, value, total):
@@ -662,6 +675,13 @@ class TestEngineBlocks:
         model, images = desk
         assert np.array_equal(predict_int(model, images, batch_size=RESCALE_BLOCK + 1),
                               predict_int(model, images))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_int_refuses_a_batch_size_below_one(self, desk, batch_size):
+        # -1 returned uninitialised memory as predictions; 0 failed in range().
+        model, images = desk
+        with pytest.raises(DomainError, match="batch size must be >= 1"):
+            predict_int(model, images, batch_size=batch_size)
 
 
 class TestQuantizeReal:

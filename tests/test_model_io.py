@@ -579,12 +579,16 @@ class TestContainer:
         ("conv2d", "stride", [0, 0], "stride"),
         ("conv2d", "stride", [-1, -1], "stride"),
         ("dense", "activation", "gelu", "activation"),
+        ("dense", "activation", ["relu"], "activation"),
         ("avgpool", "activation", "relu", "activation"),
         ("conv2d", "padding", "FULL", "padding"),
         ("conv2d", "stride", [1], "out of range"),
         ("avgpool", "window", [2], "out of range"),
-    ], ids=["stride-0", "stride-minus-1", "dense-gelu", "avgpool-relu", "padding-full",
-            "one-stride", "one-window"])
+        ("depthwise", "kind", "dense", "dense takes weights of rank 2"),
+        ("conv2d", "kind", "depthwise", "depthwise takes weights of rank 3"),
+    ], ids=["stride-0", "stride-minus-1", "dense-gelu", "dense-list", "avgpool-relu",
+            "padding-full", "one-stride", "one-window", "depthwise-as-dense",
+            "conv2d-as-depthwise"])
     def test_field_outside_its_domain(self, desk_quantized, kind, field, value,
                                       message):
         manifest, blob = split_container(model_to_bytes(desk_quantized))
@@ -665,6 +669,17 @@ class TestValidateModel:
         model.layers[0].weights = None
         with pytest.raises(ShapeError, match="missing weights"):
             validate_model(model)
+
+    @pytest.mark.parametrize("index, kind", [(2, "dense"), (0, "depthwise")],
+                             ids=["depthwise-as-dense", "conv2d-as-depthwise"])
+    def test_kind_must_match_the_weight_rank(self, desk_quantized, tmp_path, index,
+                                             kind):
+        model = replace(desk_quantized, layers=list(desk_quantized.layers))
+        model.layers[index] = replace(model.layers[index], kind=kind)
+        path = tmp_path / "relabelled.rqm"
+        with pytest.raises(ShapeError, match=f"layer {index}: {kind} takes weights of rank"):
+            save_model(model, str(path))
+        assert not path.exists()
 
     def test_unknown_kind(self):
         model = tiny_dense_model()

@@ -165,6 +165,22 @@ class TestTrainConfig:
         with pytest.raises(DomainError, match=f"{field} must be an int"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an int"),
+        ("seed", True, "seed must be an int"),
+        ("seed", -1, "seed must be >= 0"),
+        ("learning_rate", "x", "learning rate must be a finite real"),
+        ("learning_rate", True, "learning rate must be a finite real"),
+        ("learning_rate", float("inf"), "learning rate must be a finite real"),
+        ("learning_rate", float("nan"), "learning rate must be a finite real"),
+    ], ids=["seed-float", "seed-bool", "seed-negative", "rate-str", "rate-bool", "rate-inf",
+            "rate-nan"])
+    def test_seed_and_learning_rate_domains(self, field, value, message):
+        # seed=1.5 and seed=-1 died in np.random.default_rng, "x" in a bare
+        # comparison, and an infinite rate trained into non-finite weights.
+        with pytest.raises(DomainError, match=message):
+            TrainConfig(**{field: value})
+
 
 class TestShadowModel:
     def test_init_copies_integers_exactly(self, desk_model):
@@ -1212,6 +1228,20 @@ class TestLabelCounts:
                "finetune": lambda: finetune(desk_model, images, labels, cfg, k=8),
                "train_float": lambda: train_float(images, labels, cfg)}[call]
         with pytest.raises(ShapeError, match=r"one-dimensional, got shape \(5, 1\)"):
+            run()
+
+    @pytest.mark.parametrize("call", ["evaluate_int", "float_accuracy", "finetune",
+                                      "train_float"])
+    def test_a_scalar_label(self, desk_model, call):
+        # A 0-d label escaped the count check as a bare TypeError from len().
+        images, label = np.zeros((1, 28, 28), np.uint8), np.int64(3)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0)
+        run = {"evaluate_int": lambda: kernels.evaluate_int(desk_model, images, label),
+               "float_accuracy": lambda: trainer.float_accuracy(
+                   floatnet.init_float_model(seed=0), images, label),
+               "finetune": lambda: finetune(desk_model, images, label, cfg, k=8),
+               "train_float": lambda: train_float(images, label, cfg)}[call]
+        with pytest.raises(ShapeError, match=r"one-dimensional, got shape \(\)"):
             run()
 
     def test_eval_images_without_labels(self, desk_model):
