@@ -21,7 +21,6 @@ the images are batched.  :func:`kernels.unit_images` reads each block.
 
 from __future__ import annotations
 
-import io
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -226,8 +225,8 @@ def load_float_model(path: str) -> FloatModel:
             }
     except (FormatError, FileNotFoundError):
         raise
-    except (OSError, KeyError, ValueError, io.UnsupportedOperation, EOFError,
-            NotImplementedError, zipfile.BadZipFile) as exc:
+    except (OSError, KeyError, ValueError, EOFError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: cannot read float model ({exc})") from exc
     model = FloatModel(**kwargs)
     for layer in (layer for layer in LAYERS if layer.param is not None):

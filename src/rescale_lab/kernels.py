@@ -155,13 +155,16 @@ def check_layer(kind: str, activation: str) -> tuple[float, float]:
 def check_mac(kind: str, weights: np.ndarray, stride=(1, 1),
               padding: str = "VALID") -> tuple[int, int]:
     """The operand ranks (x, w) of a layer of a kind with a multiply-
-    accumulate: weights of rank w and at most :data:`MAX_MAC_COUNT` taps a
-    channel, a stride of two steps >= 1, and SAME or VALID padding."""
+    accumulate: weights of rank w with at least one output channel and at
+    most :data:`MAX_MAC_COUNT` taps a channel, a stride of two steps >= 1,
+    and SAME or VALID padding."""
     ranks = _MAC_RANKS.get(kind)
     if ranks is None:
         raise ShapeError(f"layer kind {kind!r} has no multiply-accumulate")
     if weights.ndim != ranks[1]:
         raise ShapeError(f"{kind} takes weights of rank {ranks[1]}, got {weights.shape}")
+    if channel_count(weights) == 0:
+        raise ShapeError(f"{kind} weights {weights.shape} have no output channels")
     if mac_count(weights) > MAX_MAC_COUNT:
         raise ShapeError(f"MAC count {mac_count(weights)} exceeds {MAX_MAC_COUNT}")
     if padding not in ("SAME", "VALID"):

@@ -318,13 +318,8 @@ def _qparams_to_json(qp: QuantParams) -> dict:
     return {"scale": float_to_hex(qp.scale), "zero_point": qp.zero_point}
 
 
-def _qparams_from_json(obj: dict, where: str) -> QuantParams:
-    try:
-        return QuantParams(
-            scale=hex_to_float(obj["scale"]), zero_point=int(obj["zero_point"])
-        )
-    except (KeyError, TypeError, DomainError) as exc:
-        raise FormatError(f"{where}: bad quantization parameters ({exc})") from exc
+def _qparams_from_json(obj: dict) -> QuantParams:
+    return QuantParams(scale=hex_to_float(obj["scale"]), zero_point=int(obj["zero_point"]))
 
 
 def _canonical_json(obj: dict) -> bytes:
@@ -403,13 +398,10 @@ def model_to_bytes(model: ModelGraph) -> bytes:
 
 
 def _read_tensor(blob: bytes, meta: dict, dtype: str, where: str) -> np.ndarray:
-    try:
-        shape = tuple(int(v) for v in meta["shape"])
-        offset = int(meta["offset"])
-        size = int(meta["size"])
-        declared_dtype = meta["dtype"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: malformed tensor entry ({exc})") from exc
+    shape = tuple(int(v) for v in meta["shape"])
+    offset = int(meta["offset"])
+    size = int(meta["size"])
+    declared_dtype = meta["dtype"]
     if declared_dtype != dtype:
         raise FormatError(f"{where}: expected dtype {dtype}, got {declared_dtype!r}")
     itemsize = 1 if dtype == "int8" else 4
@@ -433,7 +425,9 @@ def model_from_bytes(data: bytes) -> ModelGraph:
     """Parse and fully re-validate an RQM1 container.  Only the canonical
     encoding loads: the file must equal :func:`model_to_bytes` of the model
     it parses to, so a stored copy of a fact (the manifest ``k``, the bias
-    scales) must agree with the graph."""
+    scales) must agree with the graph.  Every malformed value is a
+    FormatError naming the part that holds it: the manifest, the input, a
+    layer or the model."""
     if len(data) < 16:
         raise FormatError(f"truncated header: {len(data)} bytes, need at least 16")
     if data[:8] != MAGIC:
@@ -445,12 +439,6 @@ def model_from_bytes(data: bytes) -> ModelGraph:
             f"manifest length {manifest_len} at byte 8 leaves the file of "
             f"{len(data)} bytes"
         )
-    try:
-        manifest = json.loads(data[16:manifest_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"manifest at byte 16 is not valid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError("manifest is not a JSON object")
     (blob_len,) = struct.unpack("<Q", data[manifest_end : manifest_end + 8])
     blob_start = manifest_end + 8
     if blob_start + blob_len != len(data):
@@ -459,7 +447,11 @@ def model_from_bytes(data: bytes) -> ModelGraph:
             f"the {len(data) - blob_start} bytes present"
         )
     blob = data[blob_start : blob_start + blob_len]
+    where = "manifest"
     try:
+        manifest = json.loads(data[16:manifest_end].decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise FormatError("manifest is not a JSON object")
         if manifest["format"] != "rqm1" or manifest["version"] != FORMAT_VERSION:
             raise FormatError(
                 f"unsupported format {manifest.get('format')!r} "
@@ -471,27 +463,21 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         if manifest["blob_crc32"] != zlib.crc32(blob):
             raise FormatError("blob checksum mismatch: tensor data corrupted")
         name = manifest["name"]
-        input_params = _qparams_from_json(manifest["input"], "input")
         layer_entries = manifest["layers"]
         if not isinstance(layer_entries, list):
             raise FormatError("manifest 'layers' is not a list")
-    except KeyError as exc:
-        raise FormatError(f"manifest missing required key {exc}") from exc
-
-    layers = []
-    for idx, entry in enumerate(layer_entries):
-        where = f"layer {idx}"
-        try:
+        where = "input"
+        input_params = _qparams_from_json(manifest["input"])
+        layers = []
+        for idx, entry in enumerate(layer_entries):
+            where = f"layer {idx}"
             layers.append(_layer_from_json(entry, blob, where))
-        except FormatError:
-            raise
-        except (LookupError, TypeError, ValueError, DomainError, ShapeError) as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    model = ModelGraph(name=name, input_params=input_params, layers=layers)
-    try:
+        where = "model"
+        model = ModelGraph(name=name, input_params=input_params, layers=layers)
         validate_model(model)
-    except (DomainError, ShapeError) as exc:
-        raise FormatError(f"model fails validation: {exc}") from exc
+    # JSON nested past the interpreter's recursion limit is a RecursionError.
+    except (LookupError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
     if model_to_bytes(model) != data:
         raise FormatError("not the canonical RQM1 encoding of the model it describes")
     return model
@@ -499,7 +485,7 @@ def model_from_bytes(data: bytes) -> ModelGraph:
 
 def _layer_from_json(entry: dict, blob: bytes, where: str) -> LayerSpec:
     kind = entry["kind"]
-    output = _qparams_from_json(entry["output"], where)
+    output = _qparams_from_json(entry["output"])
     rescalers = [
         DyadicRescaler(
             m=int(robj["m"]),

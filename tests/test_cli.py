@@ -31,7 +31,8 @@ from rescale_lab.model_io import (
     validate_model,
 )
 from rescale_lab.qcore import QuantParams, quantize_rescaler
-from test_model_io import tiny_dense_model
+from test_model_io import (TINY_CONTAINER, join_container, set_field, split_container,
+                           tiny_dense_model, zero_channel_model)
 
 
 class TestDegradationPoint:
@@ -476,6 +477,26 @@ class TestExitCodes:
         images = datagen.dataset_paths(data_dir)["test_images"]
         code = main(["infer", "--model", str(bad), "--k", "32", images])
         assert "dense takes weights of rank 2" in capsys.readouterr().err
+        assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize("path, value", [
+        (("input", "zero_point"), "x"),
+        (("layers", 0, "stride"), [float("inf"), 1]),
+        (None, None),
+    ], ids=["zero-point-x", "stride-inf", "zero-channels"])
+    def test_malformed_model_field_is_format_error(self, data_dir, tmp_path, capsys,
+                                                   path, value):
+        if path is None:
+            data = model_to_bytes(zero_channel_model())
+        else:
+            manifest, blob = split_container(TINY_CONTAINER)
+            set_field(manifest, path, value)
+            data = join_container(manifest, blob)
+        bad = tmp_path / "bad.rlab"
+        bad.write_bytes(data)
+        images = datagen.dataset_paths(data_dir)["test_images"]
+        code = main(["infer", "--model", str(bad), images])
+        assert capsys.readouterr().err.startswith("format error: ")
         assert code == EXIT_FORMAT
 
     @pytest.mark.parametrize("corruption", ["truncated", "short-bias"])

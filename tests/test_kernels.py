@@ -127,6 +127,10 @@ class TestDense:
         with pytest.raises(ShapeError):
             dense_int(qt([1, 2]), wt([[1, 1]]), np.array([0]))
 
+    def test_zero_output_channels(self):
+        with pytest.raises(ShapeError, match="no output channels"):
+            dense_int(qt([[1, 2]]), wt(np.zeros((0, 2))), np.zeros(0, dtype=np.int32))
+
     def test_mac_budget_enforced(self):
         n = MAX_MAC_COUNT + 1
         with pytest.raises(ShapeError):

@@ -1,13 +1,17 @@
 """Container format, post-training quantization, redeploy, and IDX tests."""
 
 import json
+import operator
 import os
 import struct
 from dataclasses import fields, replace
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescale_lab import floatnet
 from rescale_lab.datagen import balanced_labels, render_digits
@@ -58,6 +62,16 @@ def tiny_dense_model(k=32):
         rescalers=[quantize_rescaler(0.5 * s / 2.0, k) for s in w_scales],
     )
     return ModelGraph(name="tiny", input_params=in_params, layers=[layer])
+
+
+def zero_channel_model():
+    """tiny_dense_model followed by a dense layer with no output channels
+    (weights (0, 2), bias (0,), so no rescalers either)."""
+    model = tiny_dense_model()
+    empty = LayerSpec(kind="dense", weights=QTensor(np.zeros((0, 2), dtype=np.int8),
+                                                    np.zeros(0)),
+                      bias=np.zeros(0, dtype=np.int32), output=QuantParams(scale=1.0))
+    return replace(model, layers=model.layers + [empty])
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +458,29 @@ def join_container(manifest, blob):
     return MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + struct.pack("<Q", len(blob)) + blob
 
 
+def set_field(manifest, path, value):
+    """Set the manifest value at ``path``, a tuple of keys and indices."""
+    *parents, key = path
+    reduce(operator.getitem, parents, manifest)[key] = value
+
+
+def field_paths(node, prefix=()):
+    """The path of every value below ``node`` of a parsed manifest."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+TINY_CONTAINER = model_to_bytes(tiny_dense_model())
+TINY_FIELDS = [path for path in field_paths(split_container(TINY_CONTAINER)[0])
+               if path != ("manifest_crc32",)]
+# Values at the edges of JSON numbers and types; NaN and Infinity are JSON
+# as Python's json module writes and reads it.
+EDGE_VALUES = [0, -1, 1 << 31, 1 << 63, float("nan"), float("inf"), 3.5, "x", None]
+
+
 class TestContainer:
     def test_round_trip_bytes_identical(self, desk_quantized, tmp_path):
         path = tmp_path / "m.rqm"
@@ -596,6 +633,61 @@ class TestContainer:
         entry[field] = value
         with pytest.raises(FormatError, match=message):
             model_from_bytes(join_container(manifest, blob))
+
+    # Each value below is JSON that no integer field can hold: int() raises
+    # ValueError or OverflowError on it, and the loader reports it as a
+    # FormatError naming the part it sits in.
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("input", "zero_point"), "x", "input"),
+        (("input", "zero_point"), float("nan"), "input"),
+        (("input", "zero_point"), float("inf"), "input"),
+        (("layers", 0, "output", "zero_point"), float("inf"), "layer 0"),
+        (("layers", 0, "rescalers", 0, "m"), float("inf"), "layer 0"),
+        (("layers", 0, "stride"), [float("inf"), 1], "layer 0"),
+        (("layers", 0, "tensors", "weights", "offset"), float("inf"), "layer 0"),
+    ], ids=["zero-point-x", "zero-point-nan", "zero-point-inf", "output-zero-point-inf",
+            "m-inf", "stride-inf", "offset-inf"])
+    def test_integer_field_holding_no_integer(self, path, value, where):
+        manifest, blob = split_container(TINY_CONTAINER)
+        set_field(manifest, path, value)
+        with pytest.raises(FormatError, match=f"^{where}: "):
+            model_from_bytes(join_container(manifest, blob))
+
+    def test_zero_output_channels(self, tmp_path):
+        model = zero_channel_model()
+        with pytest.raises(ShapeError, match="layer 1: .*no output channels"):
+            validate_model(model)
+        with pytest.raises(ShapeError, match="no output channels"):
+            save_model(model, str(tmp_path / "empty.rqm"))
+        with pytest.raises(FormatError, match="^model: layer 1: .*no output channels"):
+            model_from_bytes(model_to_bytes(model))
+
+    def test_manifest_nested_past_the_recursion_limit(self):
+        manifest = b"[" * 100_000
+        data = MAGIC + struct.pack("<Q", len(manifest)) + manifest + struct.pack("<Q", 0)
+        with pytest.raises(FormatError, match="^manifest: .*recursion"):
+            model_from_bytes(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_field_fuzz(self, data):
+        """One or two manifest fields set to an edge value, or a list
+        shortened, lengthened or led by 0, and the container resealed: the
+        loader raises FormatError or returns the model the bytes encode."""
+        manifest, blob = split_container(TINY_CONTAINER)
+        paths = data.draw(st.lists(st.sampled_from(TINY_FIELDS), min_size=1, max_size=2,
+                                   unique=True))
+        for path in sorted(paths, key=len, reverse=True):  # a field before its parent
+            old = reduce(operator.getitem, path, manifest)
+            lists = [old[:-1], old + old[-1:], [0] + old[1:]] if isinstance(old, list) else []
+            set_field(manifest, path, data.draw(st.sampled_from(EDGE_VALUES + lists)))
+        container = join_container(manifest, blob)
+        try:
+            model = model_from_bytes(container)
+        except FormatError:
+            return
+        assert model_to_bytes(model) == container
 
     def test_byte_flip_fuzz_always_rejected(self):
         """Every single-byte corruption raises FormatError: no byte of the
