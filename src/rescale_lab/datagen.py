@@ -88,11 +88,23 @@ _LABEL_NOISE_RATE = 0.30
 # so the rendered pixels depend on this value: changing it changes the data.
 _CHUNK = 512
 
-# Images per pass of the stroke geometry.  A pass works on four float64
-# (images, 28, 28) planes, about 0.4 MB each at 64 images.  Per image,
-# passes of 32 images measured the same and passes of 128 or more slower,
-# so each 512-image chunk runs its geometry 64 images at a time.
+# Images per pass of the stroke geometry.  A pass keeps a (28, 28, b)
+# float64 ink plane, 0.4 MB at 64 images, and a few (box, b) planes per
+# stroke.  On a two-CPU Xeon, rendering 2,560 labels took about as long
+# at 64, 128 or 256 images per pass (the spread between runs was larger
+# than the gaps), 10% longer at 32 and 15% longer at 512, while the
+# traced peak of rendering 512 labels grows with the pass: 8.2 MB at 64,
+# 9.4 at 128, 11.8 at 256.  So each 512-image chunk runs its geometry 64
+# images at a time.
 _GEOMETRY_BATCH = 64
+
+
+def _box_pixels(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """Pixel indices (n, m) along one axis of m boxes ``[lo, hi)`` on a
+    canvas of ``size`` pixels, all of the longest box's length n: each box
+    is widened past ``hi``, or moved back from the far edge, to n pixels."""
+    n = (hi - lo).max()
+    return np.minimum(lo, size - n) + np.arange(n)[:, None]
 
 
 def _stroke_ink(centres: np.ndarray, segs: np.ndarray, width: np.ndarray,
@@ -101,51 +113,79 @@ def _stroke_ink(centres: np.ndarray, segs: np.ndarray, width: np.ndarray,
     reach, each stroke fading linearly over half its width.  ``centres``
     holds the pixel centres along one axis (x along a row, y down a
     column), ``segs`` (b, S, 2, 2) stroke endpoints, ``width`` (b,),
-    ``intensity`` (b, S); returns (b, pixels).
+    ``intensity`` (b, S), all finite and the intensities >= 0; returns
+    (b, pixels).
 
     The float64 operations per pixel are those of the (b, pixels, S, 2)
     broadcast in ``tests/oracles.oracle_stroke_ink``, with x and y written
     out (a two-element sum is exactly ``a + b``), so the ink is the same
-    bit for bit.  Offsets from a stroke's start are separable, (b, 1, 28)
-    and (b, 28, 1), and the strokes run one at a time through in-place
-    (b, 28, 28) planes into a running maximum.
+    bit for bit.
+
+    A stroke is drawn only where it can leave ink.  At a distance past its
+    reach of 1.5 widths, ``(w - dist) / (w/2) + 1`` is below 0 and clips to
+    +0.0; a stroke of intensity 0 gives +0.0 everywhere.  The running
+    maximum starts at +0.0 and keeps its value against +0.0, so those
+    pixels need no work.  Each live stroke of an image (intensity > 0) is
+    drawn inside its box: the stroke's axis-aligned extent widened by the
+    reach plus one pixel, clipped to the canvas.  The extra pixel covers
+    the rounding of ``dist`` many times over, so every pixel left out gets
+    +0.0 in float64 as well; a stroke whose box is empty is skipped.
+    One stroke's boxes share one size, the batch's largest, and are
+    gathered from and scattered back to (rows, cols, images) planes by one
+    flat index, with no index repeated since each image's box is its own.
+    The image axis is the inner one, so each pass over a box runs along
+    the images rather than along a box row of 12 to 25 pixels.
     """
+    size, b = centres.shape[0], segs.shape[0]
     ax, ay = segs[:, :, 0, 0], segs[:, :, 0, 1]
     abx = segs[:, :, 1, 0] - ax
     aby = segs[:, :, 1, 1] - ay
     denom = np.maximum(abx * abx + aby * aby, 1e-12)
-    gx = centres[None, None, :]
-    gy = centres[None, :, None]
-    w = width[:, None, None]
-    half_w = 0.5 * w
-    b, size = segs.shape[0], centres.shape[0]
-    ink = np.zeros((b, size, size))
-    t = np.empty_like(ink)  # projection onto the stroke, clamped to [0, 1]
-    ex = np.empty_like(ink)  # squared x offset from the closest point
-    d = np.empty_like(ink)  # squared y offset, distance, then the stroke's ink
+    half_w = 0.5 * width
+    # Box edges [lo, hi) in pixels, (b, S, 2) for x and y: the endpoints'
+    # extent widened by the reach plus one pixel, clipped to the canvas.
+    margin = (1.5 * width * size + 1.0)[:, None, None]
+    lo = np.floor(segs.min(axis=2) * size - margin)
+    hi = np.ceil(segs.max(axis=2) * size + margin)
+    lo, hi = (np.clip(e, 0, size).astype(np.intp) for e in (lo, hi))
+    live = (intensity > 0) & (hi > lo).all(axis=-1)
+    ink = np.zeros((size, size, b))
+    flat = ink.reshape(-1)
     for s in range(segs.shape[1]):
-        per_image = (slice(None), s, None, None)
-        np.add((gx - ax[per_image]) * abx[per_image],
-               (gy - ay[per_image]) * aby[per_image], out=t)
-        t /= denom[per_image]
+        img = np.flatnonzero(live[:, s])
+        if img.size == 0:
+            continue
+        cols = _box_pixels(lo[img, s, 0], hi[img, s, 0], size)  # (W, m)
+        rows = _box_pixels(lo[img, s, 1], hi[img, s, 1], size)  # (H, m)
+        index = (rows * (size * b) + img)[:, None] + (cols * b)[None]
+        gx = centres[cols][None]  # (1, W, m)
+        gy = centres[rows][:, None]  # (H, 1, m)
+        a_x, a_y = ax[img, s], ay[img, s]
+        ab_x, ab_y = abx[img, s], aby[img, s]
+        # t: projection onto the stroke, clamped to [0, 1]; ex: squared x
+        # offset from the closest point; d: squared y offset, distance,
+        # then the stroke's ink.
+        t = (gx - a_x) * ab_x + (gy - a_y) * ab_y
+        t /= denom[img, s]
         np.clip(t, 0.0, 1.0, out=t)
-        np.multiply(t, abx[per_image], out=ex)
-        ex += ax[per_image]
+        ex = t * ab_x
+        ex += a_x
         np.subtract(gx, ex, out=ex)
         ex *= ex
-        np.multiply(t, aby[per_image], out=d)
-        d += ay[per_image]
+        d = np.multiply(t, ab_y, out=t)
+        d += a_y
         np.subtract(gy, d, out=d)
         d *= d
         d += ex
         np.sqrt(d, out=d)
-        np.subtract(w, d, out=d)
-        d /= half_w
+        np.subtract(width[img], d, out=d)
+        d /= half_w[img]
         d += 1.0
         np.clip(d, 0.0, 1.0, out=d)
-        d *= intensity[per_image]
-        np.maximum(ink, d, out=ink)
-    return ink.reshape(b, -1)
+        d *= intensity[img, s]
+        np.maximum(flat[index], d, out=d)
+        flat[index] = d
+    return ink.reshape(size * size, b).T
 
 
 def render_digits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -463,6 +463,8 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         if manifest["blob_crc32"] != zlib.crc32(blob):
             raise FormatError("blob checksum mismatch: tensor data corrupted")
         name = manifest["name"]
+        if not isinstance(name, str):
+            raise FormatError("manifest 'name' is not a string")
         layer_entries = manifest["layers"]
         if not isinstance(layer_entries, list):
             raise FormatError("manifest 'layers' is not a list")

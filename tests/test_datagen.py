@@ -34,12 +34,36 @@ def test_render_digits_bytes_are_pinned(n):
     assert hashlib.sha256(images.tobytes()).hexdigest() == RENDER_DIGESTS[n]
 
 
-@pytest.mark.parametrize("b", [1, 63, 64])
-def test_stroke_ink_equals_the_broadcast_formulation(b):
+# Strokes for the boxes' edge cases, one past or along each border of the
+# canvas in the order left, right, top, bottom.
+OFF_CANVAS_STROKES = [
+    [[-0.40, 0.20], [-0.20, 0.80]],
+    [[1.20, 0.20], [1.40, 0.80]],
+    [[0.20, -0.40], [0.80, -0.20]],
+    [[0.20, 1.20], [0.80, 1.40]],
+]
+BORDER_STROKES = [
+    [[0.01, 0.30], [0.02, 0.70]],
+    [[0.99, 0.30], [0.98, 0.70]],
+    [[0.30, 0.01], [0.70, 0.02]],
+    [[0.30, 0.99], [0.70, 0.98]],
+]
+
+
+@pytest.mark.parametrize("edge", ["mixed", "off-canvas", "borders",
+                                  "extreme-widths", "all-dead"])
+@pytest.mark.parametrize("b", [1, datagen._GEOMETRY_BATCH - 1,
+                               datagen._GEOMETRY_BATCH,
+                               datagen._GEOMETRY_BATCH + 1])
+def test_stroke_ink_equals_the_broadcast_formulation(b, edge):
     # Nine strokes per image as the renderer draws them, with edge cases
     # mixed in: endpoints off the canvas, a zero-length stroke (the 1e-12
     # denominator floor), an axis-aligned stroke through pixel centres
-    # (distances of exactly zero) and a zero-intensity stroke.
+    # (distances of exactly zero) and a zero-intensity stroke.  Each edge
+    # then moves the boxes the strokes are drawn in: four strokes wholly off
+    # the canvas (empty boxes) or along its four borders (clipped boxes),
+    # the narrowest and widest strokes, or every other image, the first
+    # one included, with no live stroke.
     rng = np.random.default_rng(b)
     segs = rng.uniform(-0.2, 1.2, size=(b, 9, 2, 2))
     segs[:, 3, 1] = segs[:, 3, 0]
@@ -47,9 +71,19 @@ def test_stroke_ink_equals_the_broadcast_formulation(b):
     width = rng.uniform(0.055, 0.085, size=b)
     intensity = rng.uniform(0.2, 1.0, size=(b, 9))
     intensity[:, 6] = 0.0
+    if edge == "off-canvas":
+        segs[:, 5:] = OFF_CANVAS_STROKES
+    elif edge == "borders":
+        segs[:, 5:] = BORDER_STROKES
+    elif edge == "extreme-widths":
+        width[0::2], width[1::2] = 0.055, 0.085
+    elif edge == "all-dead":
+        intensity[0::2] = 0.0
     ink = datagen._stroke_ink(CENTRES, segs, width, intensity)
     assert ink.shape == (b, datagen.IMAGE_SIZE * datagen.IMAGE_SIZE)
-    assert np.array_equal(ink, oracle_stroke_ink(segs, width, intensity))
+    assert ink.dtype == np.float64
+    # Bytes, not ==, so that a -0.0 for +0.0 fails too.
+    assert ink.tobytes() == oracle_stroke_ink(segs, width, intensity).tobytes()
 
 
 def test_empty_labels_give_an_empty_image_stack():

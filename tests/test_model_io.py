@@ -548,6 +548,16 @@ class TestContainer:
         with pytest.raises(FormatError):
             model_from_bytes(bytes(data))
 
+    @pytest.mark.parametrize("name", [0, None, float("nan"), ["a"]],
+                             ids=["zero", "null", "nan", "list"])
+    def test_name_that_is_not_a_string_is_rejected(self, name):
+        # The canonical re-encoding writes the name back as it came, so only
+        # an explicit check keeps a non-string name out of the graph.
+        manifest, blob = split_container(TINY_CONTAINER)
+        manifest["name"] = name
+        with pytest.raises(FormatError, match="'name' is not a string"):
+            model_from_bytes(join_container(manifest, blob))
+
     def test_load_revalidates_invariants(self):
         manifest, blob = split_container(model_to_bytes(tiny_dense_model()))
         # Tamper with a stored rescaler so it no longer matches the scales.
