@@ -90,12 +90,11 @@ _CHUNK = 512
 
 # Images per pass of the stroke geometry.  A pass keeps a (28, 28, b)
 # float64 ink plane, 0.4 MB at 64 images, and a few (box, b) planes per
-# stroke.  On a two-CPU Xeon, rendering 2,560 labels took about as long
-# at 64, 128 or 256 images per pass (the spread between runs was larger
-# than the gaps), 10% longer at 32 and 15% longer at 512, while the
-# traced peak of rendering 512 labels grows with the pass: 8.2 MB at 64,
-# 9.4 at 128, 11.8 at 256.  So each 512-image chunk runs its geometry 64
-# images at a time.
+# stroke.  On a two-CPU Xeon, rendering 2,560 labels took 0.153 s at 64
+# images per pass, 2% longer at 128, 6% at 256, 15% at 32 and 25% at 512
+# (medians of 11), and the traced peak of rendering 512 labels grows with
+# the pass: 8.2 MB at 64, 9.4 at 128, 11.8 at 256.  So each 512-image
+# chunk runs its geometry 64 images at a time.
 _GEOMETRY_BATCH = 64
 
 

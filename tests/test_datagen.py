@@ -50,11 +50,16 @@ BORDER_STROKES = [
 ]
 
 
-@pytest.mark.parametrize("edge", ["mixed", "off-canvas", "borders",
-                                  "extreme-widths", "all-dead"])
-@pytest.mark.parametrize("b", [1, datagen._GEOMETRY_BATCH - 1,
-                               datagen._GEOMETRY_BATCH,
-                               datagen._GEOMETRY_BATCH + 1])
+STROKE_BATCHES = [1, datagen._GEOMETRY_BATCH - 1, datagen._GEOMETRY_BATCH,
+                  datagen._GEOMETRY_BATCH + 1]
+BOX_EDGES = ["off-canvas", "borders", "extreme-widths", "all-dead"]
+
+
+@pytest.mark.parametrize("b, edge", [
+    *(pytest.param(b, None, id=str(b)) for b in STROKE_BATCHES),
+    *(pytest.param(b, edge, id=f"{b}-{edge}")
+      for edge in BOX_EDGES for b in STROKE_BATCHES),
+])
 def test_stroke_ink_equals_the_broadcast_formulation(b, edge):
     # Nine strokes per image as the renderer draws them, with edge cases
     # mixed in: endpoints off the canvas, a zero-length stroke (the 1e-12
