@@ -8,20 +8,21 @@ single inputs, and check training/deployment parity.
 Every command is deterministic given its flags, seed, and input files; CSV
 output carries a fixed versioned header line so downstream tooling can
 detect schema changes.  argparse checks the flags, so a missing required
-flag, a malformed width, or an ``--out`` file that names a directory or
-sits in a missing one is a usage error in argparse's words, raised before
-any work.  Each data split a command needs is loaded before any work
-starts; an empty one is a domain error, and a label outside 0..9 a
-format error.  Exit codes: 0 success, 2 usage, 3 file-format errors,
-4 numeric/domain errors.
+flag, a malformed width, a negative seed, a threshold that is not finite,
+or an ``--out`` that names or sits in a path of the wrong kind is a usage
+error in argparse's words, raised before any work.  Each data split a
+command needs is loaded before any work starts; an empty one is a domain
+error, and a label outside 0..9 a format error.  Exit codes: 0 success,
+2 usage, 3 file-format errors, 4 numeric/domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from .errmodel import model_error_report
 from .errors import DomainError, FormatError, RescaleLabError, RescalerUnderflow, ShapeError
 from .kernels import evaluate_int, predict_int, run_model_int
 from .model_io import (
-    IDX_IMAGES_MAGIC,
-    _read_idx,
     load_idx_dataset,
+    load_idx_images,
     load_model,
     materialize_rescalers,
     quantize_float_model,
+    redeploy_weights,
     save_model,
 )
 from .trainer import TrainConfig, emulated_forward, finetune, init_shadow, train_float
@@ -158,17 +159,42 @@ def out_file(path: str) -> str:
     return path
 
 
+def out_dir(path: str) -> str:
+    """gen-data's ``--out``, a directory made if missing: the nearest path
+    at or above it that exists must be a directory."""
+    probe = path
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise argparse.ArgumentTypeError(f"{probe} is not a directory")
+    return path
+
+
 def width_list(value: str) -> list[int]:
     """``--k-list``: comma-separated integer widths, at least one."""
     return [int(part) for part in value.split(",")]
 
 
-def batch_count(value: str) -> int:
-    """``parity``'s batch count: an integer of at least 1."""
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"batch count must be >= 1, got {count}")
-    return count
+def int_at_least(low: int, what: str):
+    """The argparse type of ``what``: an integer of at least ``low``."""
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {number}")
+        return number
+    parse.__name__ = what  # argparse's word for a value that is no integer
+    return parse
+
+
+batch_count = int_at_least(1, "batch count")  # parity's positional argument
+
+
+def finite_float(value: str) -> float:
+    """``--threshold``: a finite real number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return number
 
 
 def _train_config(args) -> TrainConfig:
@@ -255,13 +281,7 @@ def cmd_finetune(args) -> int:
                    bias_changed_ratio=f"{stats.bias_changed_ratio:.6f}")
     # The checkpoint keeps the input model's rescaler widths; the training
     # width k only selects the deployment the weights were adapted to.
-    layers = [
-        replace(orig, weights=new.weights, bias=new.bias)
-        if orig.weights is not None
-        else orig
-        for orig, new in zip(model.layers, result.model.layers)
-    ]
-    save_model(replace(model, layers=layers), args.out)
+    save_model(redeploy_weights(model, init_shadow(result.model)), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -270,7 +290,7 @@ def cmd_infer(args) -> int:
     model = load_model(args.model)
     if args.k is not None:
         model = materialize_rescalers(model, args.k)
-    images = _read_idx(args.input, IDX_IMAGES_MAGIC, 3)
+    images = load_idx_images(args.input)
     for value in predict_int(model, images):
         print(int(value))
     return EXIT_OK
@@ -329,9 +349,9 @@ _FLAGS = {
     "k-list": {"type": width_list, "default": (32, 16, 12, 8, 6, 5, 4, 3, 2)},
     "epochs": {"type": int},
     "lr": {"type": float},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": int_at_least(0, "seed"), "default": 0},
     "out": {"type": out_file},
-    "threshold": {"type": float, "default": 0.5},
+    "threshold": {"type": finite_float, "default": 0.5},
 }
 
 
@@ -349,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen-data", cmd_gen_data, "render the synthetic digit dataset",
                 ["seed"])
-    p.add_argument("--out", required=True)  # a directory, made if missing
+    p.add_argument("--out", required=True, type=out_dir)
     command("train-float", cmd_train_float, "train the float reference network",
             ["data-dir", "epochs", "lr", "seed", "out"], required=["out"],
             lr=0.1, epochs=3)

@@ -665,10 +665,16 @@ def check_labels(images: np.ndarray, labels: np.ndarray | None) -> None:
     check_classes(labels)
 
 
-def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the integer engine on a labeled image set, in percent."""
-    check_labels(images_u8, labels)
-    if len(images_u8) == 0:
+def check_scored(images: np.ndarray, labels: np.ndarray | None) -> None:
+    """The rule of every set an accuracy is taken on: :func:`check_labels`,
+    then DomainError unless there is at least one image."""
+    check_labels(images, labels)
+    if len(images) == 0:
         raise DomainError("accuracy of an empty image set")
+
+
+def evaluate_int(model: "ModelGraph", images_u8: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of the integer engine on a scored set, in percent."""
+    check_scored(images_u8, labels)
     preds = predict_int(model, images_u8)
     return 100.0 * float(np.mean(preds == np.asarray(labels)))

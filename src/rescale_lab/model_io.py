@@ -354,24 +354,8 @@ def model_to_bytes(model: ModelGraph) -> bytes:
             ]
             entry["bias_scales"] = [float_to_hex(v) for v in bias_scales(
                 layer_input_params(model, idx).scale, layer.weights.qparams)]
-            w_bytes = np.ascontiguousarray(layer.weights.data, dtype=np.int8).tobytes()
-            b_bytes = layer.bias.astype("<i4").tobytes()
-            entry["tensors"] = {
-                "weights": {
-                    "dtype": "int8",
-                    "shape": list(layer.weights.data.shape),
-                    "offset": len(blob),
-                    "size": len(w_bytes),
-                },
-                "bias": {
-                    "dtype": "int32",
-                    "shape": list(layer.bias.shape),
-                    "offset": len(blob) + len(w_bytes),
-                    "size": len(b_bytes),
-                },
-            }
-            blob.extend(w_bytes)
-            blob.extend(b_bytes)
+            entry["tensors"] = {"weights": _write_tensor(blob, layer.weights.data, "int8"),
+                                "bias": _write_tensor(blob, layer.bias, "int32")}
         elif layer.kind == "avgpool":
             entry["window"] = list(layer.window)
         layers_json.append(entry)
@@ -397,6 +381,18 @@ def model_to_bytes(model: ModelGraph) -> bytes:
     return bytes(out)
 
 
+# The blob's tensor types, by manifest name, in little-endian layout.
+_TENSOR_DTYPES = {"int8": np.dtype("<i1"), "int32": np.dtype("<i4")}
+
+
+def _write_tensor(blob: bytearray, values: np.ndarray, dtype: str) -> dict:
+    """Append ``values`` to ``blob`` as ``dtype``; return their manifest entry."""
+    offset = len(blob)
+    blob.extend(np.ascontiguousarray(values, dtype=_TENSOR_DTYPES[dtype]).tobytes())
+    return {"dtype": dtype, "shape": list(values.shape), "offset": offset,
+            "size": len(blob) - offset}
+
+
 def _read_tensor(blob: bytes, meta: dict, dtype: str, where: str) -> np.ndarray:
     shape = tuple(int(v) for v in meta["shape"])
     offset = int(meta["offset"])
@@ -404,8 +400,7 @@ def _read_tensor(blob: bytes, meta: dict, dtype: str, where: str) -> np.ndarray:
     declared_dtype = meta["dtype"]
     if declared_dtype != dtype:
         raise FormatError(f"{where}: expected dtype {dtype}, got {declared_dtype!r}")
-    itemsize = 1 if dtype == "int8" else 4
-    expected_size = int(np.prod(shape)) * itemsize if shape else itemsize
+    expected_size = math.prod(shape) * _TENSOR_DTYPES[dtype].itemsize
     if size != expected_size:
         raise FormatError(
             f"{where}: size {size} does not match shape {shape} ({expected_size})"
@@ -415,10 +410,8 @@ def _read_tensor(blob: bytes, meta: dict, dtype: str, where: str) -> np.ndarray:
             f"{where}: tensor bytes [{offset}, {offset + size}) leave the blob "
             f"of {len(blob)} bytes"
         )
-    raw = blob[offset : offset + size]
-    if dtype == "int8":
-        return np.frombuffer(raw, dtype=np.int8).reshape(shape).copy()
-    return np.frombuffer(raw, dtype="<i4").astype(np.int32).reshape(shape).copy()
+    raw = np.frombuffer(blob[offset : offset + size], dtype=_TENSOR_DTYPES[dtype])
+    return raw.reshape(shape).astype(dtype)
 
 
 def model_from_bytes(data: bytes) -> ModelGraph:
@@ -611,10 +604,15 @@ def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims).copy()
 
 
+def load_idx_images(path: str) -> np.ndarray:
+    """The u8 image stack (n, h, w) of an IDX image file."""
+    return _read_idx(path, IDX_IMAGES_MAGIC, 3)
+
+
 def load_idx_dataset(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a u8 image/label pair of IDX files (big-endian headers); labels
     failing :func:`kernels.check_labels` are a FormatError naming the file."""
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    images = load_idx_images(images_path)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     try:
         check_labels(images, labels)

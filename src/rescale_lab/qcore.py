@@ -183,9 +183,9 @@ def quantize_rescaler(value: float, k: int, *, on_underflow: str = "error") -> D
     if on_underflow not in ("error", "clamp"):
         raise DomainError(f"unknown underflow policy {on_underflow!r}")
     decomposed = decompose_float(value)
-    mant, _ = math.frexp(value)
-    mant53 = int(mant * (1 << 53))  # exact: full significand, leading bit at 2**52
-    m = mant53 >> (53 - k)
+    # Exact: 1 + fraction has at most 53 significant bits, and scaling by
+    # 2**(k-1) leaves them whole, so floor keeps the top k of them.
+    m = math.floor(math.ldexp(1.0 + decomposed.fraction, k - 1))
     s = (k - 1) - decomposed.exponent
     budget = shift_budget(k)
     underflowed = s > budget

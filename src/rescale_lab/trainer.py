@@ -51,6 +51,7 @@ from .kernels import (
     accumulator_bound,
     add_bias,
     check_labels,
+    check_scored,
     dequantize_real,
     evaluate_int,
     flatten,
@@ -149,15 +150,6 @@ def _mac_entry(layer, in_shape, w: np.ndarray, cols, pads) -> dict:
             "stride": layer.stride, "w_fq": w}
 
 
-def _mac(layer, x: np.ndarray, w: np.ndarray,
-         bound: int | None = None) -> tuple[np.ndarray, dict]:
-    """One layer's multiply-accumulate on the shared kernels core (padding
-    with 0, in the float type ``bound`` allows), plus its cache entry."""
-    acc, cols, pads = accumulate(x, w, layer.kind, layer.stride, layer.padding,
-                                 bound=bound)
-    return acc, _mac_entry(layer, x.shape, w, cols, pads)
-
-
 def emulated_forward(
     shadow: ShadowModel, x_q: np.ndarray, rounding: bool = True
 ) -> tuple[np.ndarray, list[dict]]:
@@ -197,9 +189,12 @@ def emulated_forward(
                 w_fq = np.clip(w_shadow, INT8_MIN, INT8_MAX)
                 b_fq = np.clip(b_shadow, _INT32_LO, _INT32_HI)
                 reach = None
-            # The MAC over the zero-point-corrected input is exactly the
-            # engine's MAC plus effective bias.
-            acc, entry = _mac(layer, x - z, w_fq, reach)
+            # The MAC over the zero-point-corrected input (padded with 0,
+            # in the float type ``reach`` allows) is exactly the engine's
+            # MAC plus effective bias.
+            acc, cols, pads = accumulate(x - z, w_fq, layer.kind, layer.stride,
+                                         layer.padding, bound=reach)
+            entry = _mac_entry(layer, x.shape, w_fq, cols, pads)
             acc = add_bias(acc, b_fq, reach)
             entry.update(w_mask=(w_shadow >= INT8_MIN) & (w_shadow <= INT8_MAX),
                          b_mask=(b_shadow >= _INT32_LO) & (b_shadow <= _INT32_HI))
@@ -501,11 +496,11 @@ def finetune(
     set, the shadow is re-deployed (rounded back to integers) and evaluated
     after each epoch; it is re-deployed once more at the end to give the
     result.  Quantization parameters and rescalers never change.  Image and
-    label counts that differ, in either set, raise ShapeError.
+    label counts that differ raise ShapeError; an empty eval set, DomainError.
     """
     check_labels(train_images, train_labels)
     if eval_images is not None:
-        check_labels(eval_images, eval_labels)
+        check_scored(eval_images, eval_labels)
     base = materialize_rescalers(model, k)
     shadow = init_shadow(base)
     images = np.asarray(train_images)
@@ -568,11 +563,11 @@ def train_float(
     arithmetic depend only on the seed and the data.  Returns the trained
     float model and a per-epoch history of (loss, accuracy) records, where
     accuracy is the float model's own top-1 on the eval set.  Image and
-    label counts that differ, in either set, raise ShapeError.
+    label counts that differ raise ShapeError; an empty eval set, DomainError.
     """
     check_labels(train_images, train_labels)
     if eval_images is not None:
-        check_labels(eval_images, eval_labels)
+        check_scored(eval_images, eval_labels)
     model = floatnet.init_float_model(seed=cfg.seed)
     images = np.asarray(train_images)
     weights, biases = zip(*floatnet.model_params(model))
@@ -589,9 +584,8 @@ def train_float(
 
 
 def float_accuracy(model, images_u8: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the float network on uint8 or unit images, in percent."""
-    check_labels(images_u8, labels)
-    if len(images_u8) == 0:
-        raise DomainError("accuracy of an empty image set")
+    """Top-1 accuracy of the float network on a scored set of uint8 or unit
+    images, in percent."""
+    check_scored(images_u8, labels)
     hits = int(np.sum(np.argmax(floatnet.forward(model, images_u8), axis=1) == labels))
     return 100.0 * hits / len(images_u8)

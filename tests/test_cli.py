@@ -1,12 +1,17 @@
 """End-to-end tests for the rescale-lab command line interface."""
 
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rescale_lab
 from rescale_lab import cli, datagen, floatnet
 from rescale_lab.cli import (
     CSV_HEADER,
@@ -566,6 +571,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "-1", "--out", "data"],
+        ["parity", "--model", "m.rlab", "--seed", "-1"],
+        ["train-float", "--seed", "-1", "--out", "float.npz"],
+        ["finetune", "--model", "m.rlab", "--k", "4", "--seed", "-1", "--out", "m2.rlab"],
+        ["sweep", "--model", "m.rlab", "--threshold", "nan", "--out", "sweep.csv"],
+        ["sweep", "--model", "m.rlab", "--threshold", "inf"],
+    ], ids=["gen-data-seed", "parity-seed", "train-float-seed", "finetune-seed",
+            "sweep-threshold-nan", "sweep-threshold-inf"])
+    def test_bad_seed_or_threshold_is_usage_error(self, argv, tmp_path):
+        # A negative seed died in np.random.default_rng with a traceback
+        # (gen-data after making its directory, train-float and finetune
+        # with exit 4), and a NaN threshold hid every degradation point.
+        package_root = str(Path(rescale_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "rescale_lab.cli", *argv],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        flag = "--seed" if "--seed" in argv else "--threshold"
+        assert f"error: argument {flag}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
 
 def _with_empty_split(tmp_path_factory, data_dir, split):
     # The shared data set with ``split`` replaced by a valid IDX set of 0 images.
@@ -658,18 +687,22 @@ def _writing_argv(command, data, model_path, out):
     return argv + ["--out", str(out)]
 
 
+_FILE_WRITERS = pytest.mark.parametrize(
+    "command", ["train-float", "quantize", "sweep", "analyze", "finetune"])
+
+
 @pytest.mark.usefixtures("no_training")
-@pytest.mark.parametrize("command", ["train-float", "quantize", "sweep", "analyze",
-                                     "finetune"])
 class TestUnwritableOut:
     @pytest.fixture(autouse=True)
     def no_loading(self, monkeypatch):
-        # The check must come before the command loads any data.
+        # The check must come before the command loads or renders any data.
         def refuse(*args, **kwargs):
             raise AssertionError("data loaded before --out was checked")
 
         monkeypatch.setattr(cli, "_load", refuse)
+        monkeypatch.setattr(datagen, "generate_dataset", refuse)
 
+    @_FILE_WRITERS
     def test_missing_directory_is_usage_error(self, command, model_path, data_dir,
                                               tmp_path, capsys):
         out = tmp_path / "nodir" / "out.file"
@@ -680,6 +713,7 @@ class TestUnwritableOut:
         assert code == EXIT_USAGE
         assert not out.parent.exists()
 
+    @_FILE_WRITERS
     def test_existing_directory_is_usage_error(self, command, model_path, data_dir,
                                                tmp_path, capsys):
         code = main(_writing_argv(command, data_dir, model_path, tmp_path))
@@ -688,6 +722,19 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["the-file", "under-it"])
+    def test_gen_data_out_on_a_file_is_usage_error(self, below, tmp_path, capsys):
+        # os.makedirs died with FileExistsError or NotADirectoryError (exit 1).
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        code = main(["gen-data", "--out", str(afile.joinpath(*below))])
+        captured = capsys.readouterr()
+        assert f"error: argument --out: {afile} is not a directory" in captured.err
+        assert captured.out == ""
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_bytes() == b"kept"
 
 
 def test_gen_data_out_is_a_directory_it_makes(tmp_path, monkeypatch, capsys):

@@ -1302,6 +1302,24 @@ class TestEmptyEvalSet:
             trainer.float_accuracy(floatnet.init_float_model(seed=0),
                                    np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
 
+    @pytest.mark.parametrize("call", ["finetune", "train_float"])
+    def test_training_refuses_it_before_any_step(self, desk_model, monkeypatch, call):
+        # The first evaluation used to refuse it, after a whole epoch.
+        steps = []
+        backward = trainer.ste_backward
+        monkeypatch.setattr(trainer, "ste_backward",
+                            lambda *args: steps.append(1) or backward(*args))
+        images, labels = np.zeros((64, 28, 28), np.uint8), np.zeros(64, np.uint8)
+        empty = {"eval_images": np.zeros((0, 28, 28), np.uint8),
+                 "eval_labels": np.zeros(0, np.uint8)}
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=32, seed=0)
+        with pytest.raises(DomainError, match="empty"):
+            if call == "finetune":
+                finetune(desk_model, images, labels, cfg, k=8, **empty)
+            else:
+                train_float(images, labels, cfg, **empty)
+        assert steps == []
+
 
 class TestWeightChangeStats:
     def _clone(self, model):
