@@ -39,6 +39,7 @@ from .model_io import (
     redeploy_weights,
     save_model,
 )
+from .qcore import check_bitwidth
 from .trainer import TrainConfig, emulated_forward, finetune, init_shadow, train_float
 
 CSV_HEADER = "# rescale-lab v1"
@@ -79,6 +80,10 @@ def degradation_point(
 
 
 def run_sweep(model, images, labels, k_list, threshold=0.5) -> SweepResult:
+    # Every width is checked before the first evaluation, so a bad one
+    # costs nothing.
+    for k in k_list:
+        check_bitwidth(k)
     base = materialize_rescalers(model, 32)
     base_acc = evaluate_int(base, images, labels)
     rows: list[SweepRow] = []

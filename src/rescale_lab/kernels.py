@@ -17,8 +17,9 @@ MAC core (:func:`accumulate`, the one check of every MAC's operands, and
 :func:`window_sum`) also serves the training emulation and the float
 reference network, and the emulation shares every stage after it:
 :func:`add_bias` (the int32 envelope check, then the bias add),
-:func:`rescale_accumulator` (int64 for the engine, a float type the
-bound proves exact for the emulation where there is one) and
+:func:`rescale_accumulator` (int32 for the engine wherever the
+accumulator's own peak times ``max(m)`` fits it, int64 otherwise; a
+float type the bound proves exact for the emulation where there is one) and
 :func:`output_bounds` (the clamp and zero point).  The engine runs every
 layer over blocks of :data:`RESCALE_BLOCK` images
 (:func:`accumulator_blocks`): MAC, bias, rescale and clamp, straight into
@@ -46,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 # together with int8 operand bounds it keeps |acc| < 2**31.
 MAX_MAC_COUNT = 1 << 16
 # Images the engine runs through a layer at once: the im2col planes, the
-# accumulator and rescale_accumulator's int64 buffer are one block's,
-# however large the batch.
+# accumulator and rescale_accumulator's buffer are one block's, however
+# large the batch.
 RESCALE_BLOCK = 32
 
 
@@ -246,7 +247,7 @@ def quantize_images(images_u8: np.ndarray, params: QuantParams) -> np.ndarray:
     if images.ndim == 3:
         images = images[..., np.newaxis]
     table = quantize_real(np.arange(256, dtype=np.float64) / 255.0, params)
-    return table[images]
+    return np.take(table, images)
 
 
 def dequantize_real(q: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -472,7 +473,7 @@ def depthwise_conv2d_int(
 
 
 def rescale_accumulator(
-    acc: np.ndarray, m: np.ndarray, s: np.ndarray, reach: int = 1 << 31
+    acc: np.ndarray, m: np.ndarray, s: np.ndarray, reach: int | None = None
 ) -> np.ndarray:
     """Vectorized round-half-up rescale of int32 accumulators by per-channel
     dyadic multipliers, saturated to int32: ``floor((acc*m + 2**(s-1)) /
@@ -480,21 +481,29 @@ def rescale_accumulator(
 
     ``acc`` must lie in int32; it may be integer or integer-valued float
     (the emulation passes its exact float accumulator).  ``m`` and ``s``
-    broadcast against the trailing (channel) axis.  ``reach`` is a static
-    bound on ``|acc|``, the int32 envelope by default, and ``reach *
-    max(m) + 2**(max(s)-1)`` bounds the numerator.
+    broadcast against the trailing (channel) axis.  ``reach`` is a bound
+    on ``|acc|``, and ``reach * max(m) + 2**(max(s)-1)`` bounds the
+    numerator.  Left out, it is the accumulator's own peak ``max|acc|``
+    (0 when empty) for integer input, an exact bound from two reductions,
+    and the int32 envelope for float input.
+
+    Integer input whose bound is <= INT32_MAX runs in place on one int32
+    buffer and gives int32: every product, numerator and result lies
+    within the bound, so none wraps and none needs saturating.  This is
+    the engine's route at narrow widths, where a k-bit ``m`` times a
+    layer's peak fits 32 bits.
 
     Float input runs as ``floor(acc * M_q + 0.5)`` in the float type
     :func:`exact_float_type` gives that bound, and returns that type:
     ``acc * m`` and the numerator are integers within it, so the product,
     the half step (``2**(s-1)`` over ``2**s``) and the floor are exact.
 
-    Integer input, and float input past 2**53, run in place on one int64
-    buffer, and give int64 and float64.  The product cannot wrap (|acc| <=
-    2**31, m < 2**32).  Adding the half step to it cannot either while the
-    bound is below 2**63, which holds for every width below 32; otherwise
-    the shift goes in two steps, as ``((acc*m >> (s-1)) + 1) >> 1`` is the
-    same floor.
+    Other integer input, and float input past 2**53, run in place on one
+    int64 buffer, and give int64 and float64.  The product cannot wrap
+    (|acc| <= 2**31, m < 2**32).  Adding the half step to it cannot either
+    while the bound is below 2**63, which holds for every width below 32;
+    otherwise the shift goes in two steps, as ``((acc*m >> (s-1)) + 1) >>
+    1`` is the same floor.
 
     When every channel has ``m <= 2**s`` (``M_q <= 1``) each result lies
     between 0 and its accumulator, so the saturation runs only when some
@@ -502,8 +511,27 @@ def rescale_accumulator(
     """
     m = np.asarray(m, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
+    is_float = acc.dtype.kind == "f"
+    if reach is None and is_float:
+        reach = 1 << 31
+    elif reach is None:
+        reach = max(int(acc.max()), -int(acc.min())) if acc.size else 0
     bound = reach * int(m.max()) + (1 << (int(s.max()) - 1))
-    dtype = exact_float_type(bound) if acc.dtype.kind == "f" else None
+    if is_float:
+        dtype = exact_float_type(bound)
+    else:
+        dtype = np.int32 if bound <= INT32_MAX else None
+    if dtype is np.int32:
+        # m fits int32 unless reach is 0, where every product is 0 anyway.
+        out = np.empty(acc.shape, np.int32)
+        rows, (m32, h32, s32) = _channel_rows(
+            out, m.astype(np.int32), np.left_shift(1, s - 1).astype(np.int32),
+            s.astype(np.int32))
+        np.multiply(acc.reshape(rows.shape), m32, out=rows, dtype=np.int32,
+                    casting="unsafe")
+        rows += h32
+        rows >>= s32
+        return out
     if dtype is not None:
         out = np.empty(acc.shape, dtype)
         rows, (q_rows,) = _channel_rows(out, np.ldexp(m.astype(dtype), -s))
@@ -523,7 +551,7 @@ def rescale_accumulator(
             rows >>= s64 - 1
             rows += 1
             rows >>= 1
-        if acc.dtype.kind == "f":
+        if is_float:
             out = out.astype(np.float64)
     if np.all(m <= np.ldexp(1.0, s)):  # exact: m < 2**53, 2**s a power of two
         return out

@@ -209,6 +209,22 @@ class TestSweep:
         assert "underflow" in by_k[2].note
         assert by_k[32].accuracy is not None
 
+    def test_out_of_range_width_fails_before_any_evaluation(
+            self, model_path, data_dir, tmp_path, monkeypatch, capsys):
+        # k=1 ends a full list: the nine valid widths and the baseline used
+        # to be evaluated before the loop met it.
+        calls = []
+        real_evaluate = cli.evaluate_int
+        monkeypatch.setattr(cli, "evaluate_int",
+                            lambda *args: calls.append(args) or real_evaluate(*args))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", model_path, "--data-dir", data_dir,
+                     "--k-list", "32,16,12,8,6,5,4,3,2,1", "--out", str(out)])
+        assert "bit-width k=1 outside [2, 32]" in capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert calls == []
+        assert not out.exists()
+
 
     def test_clamp_built_model_sweeps_as_loaded(self, tmp_path, capsys):
         # conv2d -> flatten -> dense whose logit scale 2^26 underflows every

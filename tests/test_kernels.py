@@ -935,9 +935,14 @@ class TestRescaleAccumulator:
         s = np.array([r.s for r in rescalers])
         want = [[oracle_rescale(int(a), r.m, r.s) for a, r in zip(row, rescalers)]
                 for row in acc]
-        # The engine passes int32 accumulators and gets int64; exact float64
-        # input (the emulation's, without a tighter reach) stays float64.
-        for dtype, out_type in ((np.int32, np.int64), (np.float64, np.float64)):
+        # The engine passes int32 accumulators, whose peak here is 2**31 (the
+        # INT32_MIN edge): int32 comes back where 2**31 * max(m) + 2**(max(s)-1)
+        # fits int32 (only all-zero multiplicands), int64 otherwise.  Exact
+        # float64 input (the emulation's, without a tighter reach) stays
+        # float64.
+        bound = (1 << 31) * int(m.max()) + (1 << (int(s.max()) - 1))
+        int_type = np.int32 if bound <= INT32_MAX else np.int64
+        for dtype, out_type in ((np.int32, int_type), (np.float64, np.float64)):
             got = rescale_accumulator(acc.astype(dtype), m, s)
             assert got.dtype == out_type
             assert got.tolist() == want
@@ -999,8 +1004,11 @@ def near_ties(m, s, reach):
 class TestRescaleRoutes:
     """Float accumulators rescale as floor(acc * M_q + 0.5) in float32 while
     the numerator bound reach * max(m) + 2**(max(s)-1) is <= 2**24, in
-    float64 while it is <= 2**53, and on the int64 route past that.  At the
-    edges of each route the results equal the oracle's."""
+    float64 while it is <= 2**53, and on the int64 route past that.
+    Integer accumulators rescale in int32 while the bound is <= INT32_MAX
+    and in int64 past it, with the accumulator's own peak as the reach
+    when none is given.  At the edges of each route the results equal the
+    oracle's."""
 
     @staticmethod
     def check(accs, m, s, reach):
@@ -1047,3 +1055,53 @@ class TestRescaleRoutes:
         assume(reach >= 1)
         drawn = st.lists(st.integers(-reach, reach), min_size=4, max_size=4)
         self.check([reach, -reach] + near_ties(m, s, reach) + data.draw(drawn), m, s, reach)
+
+    @staticmethod
+    def check_int(accs, m, s, reach):
+        bound = reach * m + (1 << (s - 1))
+        route = np.int32 if bound <= INT32_MAX else np.int64
+        want = [oracle_rescale(a, m, s) for a in accs]
+        acc = np.array(accs, dtype=np.int32).reshape(-1, 1)
+        got = rescale_accumulator(acc, np.array([m]), np.array([s]), reach)
+        assert got.dtype == route
+        assert got.ravel().tolist() == want
+        # Left out, the reach is the peak: the same route as passing it.
+        peak = max(abs(a) for a in accs)
+        explicit = rescale_accumulator(acc, np.array([m]), np.array([s]), peak)
+        omitted = rescale_accumulator(acc, np.array([m]), np.array([s]))
+        assert omitted.dtype == explicit.dtype
+        assert omitted.ravel().tolist() == explicit.ravel().tolist() == want
+
+    @pytest.mark.parametrize("numerator, m, s, reach", [
+        (INT32_MAX, 3, 3, 715827881),
+        (INT32_MAX, 143, 11, 15017361),
+        (INT32_MAX, 2401, 19, 894303),
+        (INT32_MAX + 1, 3, 2, 715827882),
+        (INT32_MAX + 1, 153, 8, 14035840),
+        (INT32_MAX + 1, 65535, 16, 32768),
+        # m > 2**s (M_q = 1.5): results beyond their accumulators, which
+        # the int32 route still holds without saturating.
+        (INT32_MAX, 3, 1, 715827882),
+        (INT32_MAX + 3, 3, 1, 715827883),
+    ])
+    def test_integer_numerator_at_the_int32_edge(self, numerator, m, s, reach):
+        assert reach * m + (1 << (s - 1)) == numerator
+        accs = ([reach, -reach, reach - 1, 1 - reach, 0, 1, -1]
+                + tie_accumulators(m, s) + near_ties(m, s, reach))
+        self.check_int(accs, m, s, reach)
+
+    @pytest.mark.parametrize("peak", [1, 1 << 15, INT32_MAX, 1 << 31])
+    @pytest.mark.parametrize("m, s", [(0, 31), (0, 32), (1, 1), (3, 1), (5, 3),
+                                      (153, 8), (65535, 16)])
+    def test_negative_peak_picks_the_route(self, peak, m, s):
+        # The peak is the most negative accumulator, down to INT32_MIN at
+        # peak 2**31; the positive side stays smaller.  m = 0 keeps int32
+        # up to s = 31, whose half step 2**30 is the whole bound.
+        accs = [-peak, peak // 2, -(peak // 3), 0] + [
+            a for a in tie_accumulators(m, s) if -peak <= a < peak]
+        self.check_int(accs, m, s, peak)
+
+    def test_empty_accumulator_has_peak_zero(self):
+        got = rescale_accumulator(np.zeros((0, 2), np.int32), np.array([153, 65535]),
+                                  np.array([8, 16]))
+        assert got.shape == (0, 2) and got.dtype == np.int32
